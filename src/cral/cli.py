@@ -36,9 +36,8 @@ from .config import (
     parse_config,
     resolved_text,
     synthetic_spec,
-    train_config,
 )
-from .data import DomainDataset, generate_synthetic, save_sparse_dataset, split_labeled
+from .data import generate_synthetic, merge_labeled, save_sparse_dataset, split_labeled
 from .errors import ConfigError, CralError
 from .gradcheck import DEFAULT_THRESHOLD, run_suite, suite_passes
 from .model import init_model
@@ -79,11 +78,10 @@ def _split_three(datasets: list, config: RunConfig) -> tuple:
     train_sets, dev_sets, test_sets = [], [], []
     for ds in datasets:
         parts = split_labeled(ds, fractions=[f for _, f in slots],
-                              seed=config.seed)
+                              seed=config.train.seed)
         by_slot = {name: part for (name, _), part in zip(slots, parts)}
-        train_sets.append(DomainDataset(
-            ds.name, by_slot["train"].labeled_x, by_slot["train"].labeled_y,
-            ds.unlabeled_x))
+        train_sets.append(merge_labeled([by_slot["train"]], ds.name,
+                                        ds.unlabeled_x))
         dev_sets.append(by_slot.get("dev"))
         test_sets.append(by_slot.get("test"))
     return (train_sets,
@@ -106,8 +104,8 @@ def cmd_train(config: RunConfig, out: Path) -> int:
     datasets = load_datasets(config)
     mc = model_config(config, len(datasets), dataset_dim(datasets))
     train_sets, dev_sets, test_sets = _split_three(datasets, config)
-    model = init_model(mc, derive_seed(config.seed, "cli/train/init"))
-    result = run_training(model, train_sets, train_config(config),
+    model = init_model(mc, derive_seed(config.train.seed, "cli/train/init"))
+    result = run_training(model, train_sets, config.train,
                           dev_sets=dev_sets, test_sets=test_sets)
     (out / "metrics.jsonl").write_text(result.stream())
     model.save(out / "model.ckpt")
@@ -118,7 +116,7 @@ def cmd_train(config: RunConfig, out: Path) -> int:
 def cmd_kfold(config: RunConfig, out: Path) -> int:
     datasets = load_datasets(config)
     mc = model_config(config, len(datasets), dataset_dim(datasets))
-    result = run_kfold(datasets, mc, train_config(config),
+    result = run_kfold(datasets, mc, config.train,
                        k=config.folds, out_dir=out)
     _write_records(out, result["rotations"])
     rows = [[r["rotation"], f"{r['test_average']:.4f}", r["best_epoch"]]
@@ -141,8 +139,8 @@ def cmd_msuda(config: RunConfig, out: Path) -> int:
     mc = model_config(config, len(sources), dataset_dim(datasets))
     # dev split guides snapshot selection; sources keep their test share out
     train_sets, dev_sets, _ = _split_three(sources, config)
-    model = init_model(mc, derive_seed(config.seed, "cli/msuda/init"))
-    result = run_training(model, train_sets, train_config(config),
+    model = init_model(mc, derive_seed(config.train.seed, "cli/msuda/init"))
+    result = run_training(model, train_sets, config.train,
                           dev_sets=dev_sets)
     accuracy = evaluate_msuda(model, target)
     counts = np.bincount(target.labeled_y, minlength=2)
@@ -164,7 +162,7 @@ def cmd_ablate(config: RunConfig, out: Path) -> int:
     train_sets, dev_sets, test_sets = _split_three(datasets, config)
     if test_sets is None:
         raise ConfigError("ablate needs test_fraction > 0")
-    rows = run_ablation(train_sets, test_sets, mc, train_config(config),
+    rows = run_ablation(train_sets, test_sets, mc, config.train,
                         dev_sets=dev_sets, out_dir=out)
     _write_records(out, rows)
     _write_summary(out, ["variant", "test_average"],
@@ -178,7 +176,7 @@ def cmd_sweep(config: RunConfig, out: Path) -> int:
     train_sets, dev_sets, test_sets = _split_three(datasets, config)
     if test_sets is None:
         raise ConfigError("sweep needs test_fraction > 0")
-    rows = run_sweep(train_sets, test_sets, mc, train_config(config),
+    rows = run_sweep(train_sets, test_sets, mc, config.train,
                      config.sweep_parameter, list(config.sweep_grid),
                      dev_sets=dev_sets, out_dir=out)
     _write_records(out, rows)
@@ -205,7 +203,7 @@ def cmd_gen_data(config: RunConfig, out: Path) -> int:
 
 
 def cmd_grad_check(config: RunConfig, out: Path) -> int:
-    report = run_suite(seed=config.seed)
+    report = run_suite(seed=config.train.seed)
     rows = [{"term": name, **entry} for name, entry in report.items()]
     _write_records(out, rows)
     _write_summary(

@@ -8,6 +8,11 @@ below and unknown keys are fatal, so a typo in a weight name cannot
 silently fall back to a default.  ``--set key=value`` flags are applied
 after the file and win on conflict.
 
+The trainer's, the objective's and the model's keys are the fields of
+``TrainConfig``, ``LossWeights`` and ``ModelConfig``: their defaults are
+declared there only, and each key's caster follows the type of its
+default.
+
 Every random choice in a run derives from the single ``seed`` key: each
 consumer fans out with its own label (``train/sampler``, ``train/dropout``,
 ``kfold/rot{r}``, ``ablation/init``, ``sweep/init``, ``data/domain{i}``,
@@ -20,7 +25,8 @@ from the ``synthetic_*`` keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -28,35 +34,27 @@ from .data import SyntheticSpec, generate_synthetic, load_sparse_dataset
 from .errors import ConfigError
 from .losses import ABLATABLE, SIGN_CONVENTIONS, LossWeights
 from .model import ModelConfig
-from .trainer import TrainConfig
+from .trainer import SWEEPABLE, TrainConfig
+
+
+def _model_keys() -> dict:
+    """ModelConfig's settable keys at their defaults. The data fixes
+    num_domains and input_dim, and the binary labels fix num_classes."""
+    return {f.name: f.default for f in fields(ModelConfig)
+            if f.default is not MISSING and f.name != "num_classes"}
 
 
 @dataclass
 class RunConfig:
+    """One run's keys. The trainer's and the model's keys keep the defaults
+    their library dataclasses declare; this class declares only the keys
+    the command-line workflows read themselves."""
+
     command: str = "train"
     out_dir: str = ""
-    # training loop
-    seed: int = 0
-    epochs: int = 50
-    batch_size: int = 8
-    learning_rate: float = 1e-4
-    eval_cadence: int = 1
-    adversarial_sign: str = "standard"
-    disabled: tuple = ()
-    # objective weights
-    gamma: float = 10.0
-    lambda_adv: float = 1.0
-    lambda_d: float = 1e-5
-    lambda_div: float = 1e-4
-    lambda_uvt: float = 1.0
-    lambda_lvt: float = 1.0
-    vat_epsilon: float = 1.0
-    vat_xi: float = 1e-6
-    # architecture
-    shared_dim: int = 128
-    specific_dim: int = 64
-    extractor_hidden: tuple = (1000, 500)
-    dropout_rate: float = 0.4
+    train: TrainConfig = field(default_factory=TrainConfig)
+    # ModelConfig keys; a ModelConfig needs the data's shape too
+    model: dict = field(default_factory=_model_keys)
     # data source: files ...
     data_paths: tuple = ()
     feature_dim: int = 0
@@ -75,6 +73,21 @@ class RunConfig:
     target_domain: int = 0
     sweep_parameter: str = "lambda_d"
     sweep_grid: tuple = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+
+
+def _fields_of(instance, skip: tuple = ()) -> dict:
+    return {f.name: getattr(instance, f.name) for f in fields(instance)
+            if f.name not in skip}
+
+
+def _sections(config: RunConfig) -> dict:
+    """Every config key with its value, grouped by the object holding it."""
+    return {
+        "weights": _fields_of(config.train.weights),
+        "train": _fields_of(config.train, skip=("weights",)),
+        "model": dict(config.model),
+        "run": _fields_of(config, skip=("command", "out_dir", "train", "model")),
+    }
 
 
 def _int(key: str, raw: str) -> int:
@@ -105,71 +118,50 @@ def _split(raw: str) -> list:
     return [piece.strip() for piece in raw.split(",") if piece.strip()]
 
 
-def _int_list(key: str, raw: str) -> tuple:
-    return tuple(_int(key, piece) for piece in _split(raw))
-
-
-def _float_list(key: str, raw: str) -> tuple:
-    return tuple(_float(key, piece) for piece in _split(raw))
-
-
 def _str_list(key: str, raw: str) -> tuple:
     return tuple(_split(raw))
 
 
-def _term_list(key: str, raw: str) -> tuple:
-    terms = tuple(_split(raw))
+def _term_set(key: str, raw: str) -> frozenset:
+    terms = _split(raw)
     for term in terms:
         if term not in ABLATABLE:
             raise ConfigError(
                 f"config key '{key}': unknown term {term!r}; "
                 f"pick from {', '.join(ABLATABLE)}")
-    return terms
+    return frozenset(terms)
 
 
-REGISTRY = {
-    "seed": _int,
-    "epochs": _int,
-    "batch_size": _int,
-    "learning_rate": _float,
-    "eval_cadence": _int,
+_SCALARS = {int: _int, float: _float}
+_EXPLICIT = {
     "adversarial_sign": _choice(SIGN_CONVENTIONS),
-    "disabled": _term_list,
-    "gamma": _float,
-    "lambda_adv": _float,
-    "lambda_d": _float,
-    "lambda_div": _float,
-    "lambda_uvt": _float,
-    "lambda_lvt": _float,
-    "vat_epsilon": _float,
-    "vat_xi": _float,
-    "shared_dim": _int,
-    "specific_dim": _int,
-    "extractor_hidden": _int_list,
-    "dropout_rate": _float,
+    "disabled": _term_set,
     "data_paths": _str_list,
-    "feature_dim": _int,
-    "synthetic_domains": _int,
-    "synthetic_dim": _int,
-    "synthetic_labeled": _int,
-    "synthetic_unlabeled": _int,
-    "synthetic_separation": _float,
-    "synthetic_shift": _float,
-    "synthetic_noise": _float,
-    "dev_fraction": _float,
-    "test_fraction": _float,
-    "folds": _int,
-    "target_domain": _int,
-    "sweep_parameter": str,
-    "sweep_grid": _float_list,
+    "sweep_parameter": _choice(SWEEPABLE),
+}
+
+
+def _inferred(default):
+    """An int or float caster, or a comma-list caster for a tuple default."""
+    if isinstance(default, tuple):
+        item = _SCALARS[type(default[0])]
+        return lambda key, raw: tuple(item(key, piece) for piece in _split(raw))
+    return _SCALARS[type(default)]
+
+
+# key -> (section, caster)
+REGISTRY = {
+    key: (section, _EXPLICIT.get(key) or _inferred(default))
+    for section, defaults in _sections(RunConfig()).items()
+    for key, default in defaults.items()
 }
 
 
 def _apply(values: dict, key: str, raw: str) -> None:
     if key not in REGISTRY:
         raise ConfigError(f"unknown config key '{key}'")
-    caster = REGISTRY[key]
-    values[key] = caster(raw) if caster is str else caster(key, raw)
+    section, caster = REGISTRY[key]
+    values[section][key] = caster(key, raw)
 
 
 def _read_file(path, values: dict) -> None:
@@ -208,7 +200,7 @@ def _validate(config: RunConfig) -> None:
 def parse_config(path: Optional[str] = None, overrides: tuple = (),
                  command: str = "train", out_dir: str = "") -> RunConfig:
     """File first, then each override; later sources win."""
-    values: dict = {}
+    values: dict = defaultdict(dict)
     if path is not None:
         _read_file(path, values)
     for item in overrides:
@@ -216,7 +208,11 @@ def parse_config(path: Optional[str] = None, overrides: tuple = (),
             raise ConfigError(f"override {item!r}: expected key=value")
         key, _, value = item.partition("=")
         _apply(values, key.strip(), value.strip())
-    config = RunConfig(command=command, out_dir=out_dir, **values)
+    train = TrainConfig(weights=LossWeights(**values["weights"]),
+                        **values["train"])
+    config = RunConfig(command=command, out_dir=out_dir, train=train,
+                       model={**_model_keys(), **values["model"]},
+                       **values["run"])
     _validate(config)
     return config
 
@@ -224,9 +220,13 @@ def parse_config(path: Optional[str] = None, overrides: tuple = (),
 def resolved_text(config: RunConfig) -> str:
     """Re-parseable echo of every registry key; records what the run used."""
     lines = [f"# command = {config.command}", f"# out = {config.out_dir}"]
+    values = {key: value for section in _sections(config).values()
+              for key, value in section.items()}
     for key in sorted(REGISTRY):
-        value = getattr(config, key)
-        if isinstance(value, tuple):
+        value = values[key]
+        if isinstance(value, frozenset):
+            rendered = ",".join(sorted(value))
+        elif isinstance(value, tuple):
             rendered = ",".join(str(v) for v in value)
         else:
             rendered = repr(value) if isinstance(value, float) else str(value)
@@ -234,46 +234,8 @@ def resolved_text(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# Views onto the trainer/model/data types.
-# ---------------------------------------------------------------------------
-
-
-def loss_weights(config: RunConfig) -> LossWeights:
-    return LossWeights(
-        gamma=config.gamma,
-        lambda_adv=config.lambda_adv,
-        lambda_d=config.lambda_d,
-        lambda_div=config.lambda_div,
-        lambda_uvt=config.lambda_uvt,
-        lambda_lvt=config.lambda_lvt,
-        vat_epsilon=config.vat_epsilon,
-        vat_xi=config.vat_xi,
-    )
-
-
-def train_config(config: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        seed=config.seed,
-        weights=loss_weights(config),
-        eval_cadence=config.eval_cadence,
-        learning_rate=config.learning_rate,
-        adversarial_sign=config.adversarial_sign,
-        disabled=frozenset(config.disabled),
-    )
-
-
 def model_config(config: RunConfig, num_domains: int, input_dim: int) -> ModelConfig:
-    return ModelConfig(
-        num_domains=num_domains,
-        input_dim=input_dim,
-        shared_dim=config.shared_dim,
-        specific_dim=config.specific_dim,
-        extractor_hidden=config.extractor_hidden,
-        dropout_rate=config.dropout_rate,
-    )
+    return ModelConfig(num_domains, input_dim, **config.model)
 
 
 def synthetic_spec(config: RunConfig) -> SyntheticSpec:
@@ -285,7 +247,7 @@ def synthetic_spec(config: RunConfig) -> SyntheticSpec:
         class_separation=config.synthetic_separation,
         domain_shift=config.synthetic_shift,
         label_noise=config.synthetic_noise,
-        seed=config.seed,
+        seed=config.train.seed,
     )
 
 

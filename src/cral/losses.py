@@ -281,6 +281,19 @@ def vat_loss(tape: Tape, model: CralModel, b: int, batch: MultiDomainBatch,
     return total
 
 
+def adversarial_sign_factor(adversarial_sign: str) -> float:
+    """+1 under the standard convention, -1 under the literal one.
+
+    The discriminator objective carries sign * lambda_adv * L_adv and the
+    main objective -sign * lambda_adv * L_adv.
+    """
+    if adversarial_sign not in SIGN_CONVENTIONS:
+        raise ContractError(
+            f"adversarial_sign must be one of {SIGN_CONVENTIONS}, got {adversarial_sign!r}"
+        )
+    return 1.0 if adversarial_sign == "standard" else -1.0
+
+
 def discriminator_objective(tape: Tape, model: CralModel, batch: MultiDomainBatch,
                             weights: LossWeights, mode: str = "eval",
                             rng: Optional[np.random.Generator] = None,
@@ -291,23 +304,16 @@ def discriminator_objective(tape: Tape, model: CralModel, batch: MultiDomainBatc
     raw per-branch NLL values. Descending the returned objective trains
     the discriminators under the chosen sign convention.
     """
-    if adversarial_sign not in SIGN_CONVENTIONS:
-        raise ContractError(
-            f"adversarial_sign must be one of {SIGN_CONVENTIONS}, got {adversarial_sign!r}"
-        )
+    sign = adversarial_sign_factor(adversarial_sign)
     l1 = adversarial_loss(tape, model, 1, batch, mode=mode, rng=rng)
     l2 = adversarial_loss(tape, model, 2, batch, mode=mode, rng=rng)
     breakdown = {"l_adv_b1": l1.item(), "l_adv_b2": l2.item()}
-    objective = add(l1, l2) * weights.lambda_adv
-    if adversarial_sign == "literal":
-        objective = -objective
-    return objective, breakdown
+    return add(l1, l2) * (sign * weights.lambda_adv), breakdown
 
 
 @dataclass
 class ObjectiveResult:
     main: Tensor
-    disc: Tensor
     breakdown: dict
 
 
@@ -316,23 +322,20 @@ def total_objective(tape: Tape, model: CralModel, batch: MultiDomainBatch,
                     rng: Optional[np.random.Generator] = None,
                     adversarial_sign: str = "standard",
                     disabled: frozenset = frozenset()) -> ObjectiveResult:
-    """Main and discriminator objectives plus the per-term breakdown.
+    """Main objective plus the per-term breakdown.
 
     main = sum over branches of [L_c - lambda_adv L_adv
            + lambda_uvt (L_e + L_uvt) + lambda_lvt L_lvt]
            + lambda_d L_d - lambda_div L_div
-    disc = lambda_adv * sum over branches of L_adv
 
-    (signs of the adversarial parts flip under the literal convention).
+    (the adversarial sign flips under the literal convention; the
+    discriminators' side of the game is `discriminator_objective`).
     Terms whose weight is zero, or that are named in `disabled`, are
     skipped entirely and reported as 0.0 in the breakdown. Note the
     published grouping ties entropy minimization to lambda_uvt, so
     disabling l_uvt also drops the entropy term.
     """
-    if adversarial_sign not in SIGN_CONVENTIONS:
-        raise ContractError(
-            f"adversarial_sign must be one of {SIGN_CONVENTIONS}, got {adversarial_sign!r}"
-        )
+    sign = adversarial_sign_factor(adversarial_sign)
     unknown = set(disabled) - set(ABLATABLE)
     if unknown:
         raise ContractError(f"unknown ablation switches: {sorted(unknown)}")
@@ -346,7 +349,6 @@ def total_objective(tape: Tape, model: CralModel, batch: MultiDomainBatch,
 
     breakdown = {}
     main = None
-    disc = None
 
     def accumulate(total, term):
         return term if total is None else add(total, term)
@@ -359,12 +361,7 @@ def total_objective(tape: Tape, model: CralModel, batch: MultiDomainBatch,
         if lam_adv > 0.0:
             l_adv = adversarial_loss(tape, model, b, batch, mode=mode, rng=rng)
             breakdown[f"l_adv_b{b}"] = l_adv.item()
-            if adversarial_sign == "standard":
-                main = accumulate(main, -(l_adv * lam_adv))
-                disc = accumulate(disc, l_adv * lam_adv)
-            else:
-                main = accumulate(main, l_adv * lam_adv)
-                disc = accumulate(disc, -(l_adv * lam_adv))
+            main = accumulate(main, l_adv * (-sign * lam_adv))
         else:
             breakdown[f"l_adv_b{b}"] = 0.0
 
@@ -401,8 +398,5 @@ def total_objective(tape: Tape, model: CralModel, batch: MultiDomainBatch,
     else:
         breakdown["l_div"] = 0.0
 
-    if disc is None:
-        disc = Tensor(0.0)
     breakdown["main"] = main.item()
-    breakdown["disc"] = disc.item()
-    return ObjectiveResult(main=main, disc=disc, breakdown=breakdown)
+    return ObjectiveResult(main=main, breakdown=breakdown)

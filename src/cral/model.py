@@ -16,7 +16,7 @@ domain-specific parameter; this is the unseen-target evaluation path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -108,30 +108,20 @@ class CralModel:
             param.value = value
 
     def save(self, path) -> None:
-        meta = {
-            "num_domains": self.config.num_domains,
-            "input_dim": self.config.input_dim,
-            "shared_dim": self.config.shared_dim,
-            "specific_dim": self.config.specific_dim,
-            "extractor_hidden": list(self.config.extractor_hidden),
-            "dropout_rate": self.config.dropout_rate,
-            "num_classes": self.config.num_classes,
-        }
-        save_checkpoint(path, self.state_dict(), meta)
+        save_checkpoint(path, self.state_dict(), asdict(self.config))
 
     @classmethod
     def load(cls, path) -> "CralModel":
         meta, arrays = load_checkpoint(path)
-        config = ModelConfig(
-            num_domains=int(meta["num_domains"]),
-            input_dim=int(meta["input_dim"]),
-            shared_dim=int(meta["shared_dim"]),
-            specific_dim=int(meta["specific_dim"]),
-            extractor_hidden=tuple(meta["extractor_hidden"]),
-            dropout_rate=float(meta["dropout_rate"]),
-            num_classes=int(meta.get("num_classes", 2)),
-        )
-        model = init_model(config, seed=0)
+        keys = {f.name for f in fields(ModelConfig)}
+        # Headers without num_classes come from binary models.
+        missing = sorted(keys - set(meta) - {"num_classes"})
+        unknown = sorted(set(meta) - keys)
+        if missing or unknown:
+            raise ContractError(
+                f"{path}: checkpoint metadata has missing keys {missing} "
+                f"and unknown keys {unknown}")
+        model = init_model(ModelConfig(**meta), seed=0)
         model.load_state_dict(arrays)
         return model
 

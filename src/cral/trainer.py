@@ -13,8 +13,8 @@ unweighted mean of per-domain accuracies. Model selection, when a dev
 split is supplied, keeps the parameters of the epoch with the best dev
 average and restores them after the last epoch.
 
-Metric records serialize without the wall-clock field, so two runs with
-the same seed, config, and data emit byte-identical streams.
+Metric records hold no timing data, so two runs with the same seed,
+config, and data emit byte-identical streams.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import DomainDataset, one_hot, split_labeled
+from .data import DomainDataset, merge_labeled, one_hot, split_labeled
 from .errors import ConfigError, DataError, TrainingError
 from .losses import (
     LossWeights,
@@ -90,13 +89,10 @@ class MetricsRecord:
     test_accuracy: Optional[list] = None
     test_average: Optional[float] = None
     disc_accuracy: Optional[float] = None
-    wall_clock: float = 0.0
 
     def stream_json(self) -> str:
-        """Deterministic line serialization; wall_clock is timing-only."""
-        payload = {k: v for k, v in dataclasses.asdict(self).items()
-                   if k != "wall_clock"}
-        return json.dumps(payload, sort_keys=True)
+        """Deterministic line serialization."""
+        return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
 
 class _Stream:
@@ -163,21 +159,36 @@ def _check_finite_terms(terms: dict) -> None:
             raise TrainingError(f"non-finite loss term {name}: {value}")
 
 
+def _setup(model: CralModel, train_sets: list, config: TrainConfig) -> tuple:
+    """Batch sampler, dropout generator and discriminator optimizer of a run."""
+    sampler = BatchSampler(train_sets, config.batch_size,
+                           derive_rng(config.seed, "train/sampler"))
+    loss_rng = derive_rng(config.seed, "train/dropout")
+    opt_disc = Adam(model.discriminator_params(), lr=config.learning_rate)
+    return sampler, loss_rng, opt_disc
+
+
+def _discriminator_step(model: CralModel, batch: MultiDomainBatch,
+                        config: TrainConfig, opt_disc: Adam,
+                        rng: np.random.Generator) -> dict:
+    """Phase-1 update; returns its objective and per-branch NLLs."""
+    tape = Tape()
+    objective, phase1 = discriminator_objective(
+        tape, model, batch, config.weights, mode="train", rng=rng,
+        adversarial_sign=config.adversarial_sign)
+    terms = {**phase1, "disc_phase": objective.item()}
+    _check_finite_terms(terms)
+    opt_disc.step(backward(objective))
+    return terms
+
+
 def train_step(model: CralModel, batch: MultiDomainBatch, config: TrainConfig,
                opt_disc: Adam, opt_main: Adam,
                rng: np.random.Generator) -> dict:
     """One alternating update; returns the loss-term breakdown."""
-    terms = {}
+    terms = {"disc_phase": 0.0}
     if config.weights.lambda_adv > 0.0:
-        tape = Tape()
-        objective, phase1 = discriminator_objective(
-            tape, model, batch, config.weights, mode="train", rng=rng,
-            adversarial_sign=config.adversarial_sign)
-        terms["disc_phase"] = objective.item()
-        _check_finite_terms({"disc_phase": objective.item(), **phase1})
-        opt_disc.step(backward(objective))
-    else:
-        terms["disc_phase"] = 0.0
+        terms = _discriminator_step(model, batch, config, opt_disc, rng)
 
     tape = Tape()
     result = total_objective(
@@ -234,7 +245,6 @@ class TrainingResult:
     best_dev_average: Optional[float] = None
     test_accuracy: Optional[list] = None
     test_average: Optional[float] = None
-    wall_clock: float = 0.0
 
     def stream(self) -> str:
         return "\n".join(r.stream_json() for r in self.records) + "\n"
@@ -244,11 +254,7 @@ def run_training(model: CralModel, train_sets: list, config: TrainConfig,
                  dev_sets: Optional[list] = None,
                  test_sets: Optional[list] = None) -> TrainingResult:
     """Alternating training with optional dev-based snapshot selection."""
-    started = time.monotonic()
-    sampler = BatchSampler(train_sets, config.batch_size,
-                           derive_rng(config.seed, "train/sampler"))
-    loss_rng = derive_rng(config.seed, "train/dropout")
-    opt_disc = Adam(model.discriminator_params(), lr=config.learning_rate)
+    sampler, loss_rng, opt_disc = _setup(model, train_sets, config)
     opt_main = Adam(model.main_params(), lr=config.learning_rate)
 
     records = []
@@ -259,9 +265,8 @@ def run_training(model: CralModel, train_sets: list, config: TrainConfig,
             iteration += 1
             terms = train_step(model, sampler.next_batch(), config,
                                opt_disc, opt_main, loss_rng)
-            records.append(MetricsRecord(
-                iteration=iteration, epoch=epoch, terms=terms,
-                wall_clock=time.monotonic() - started))
+            records.append(MetricsRecord(iteration=iteration, epoch=epoch,
+                                         terms=terms))
         if epoch % config.eval_cadence == 0 or epoch == config.epochs:
             record = records[-1]
             if dev_sets is not None:
@@ -279,8 +284,7 @@ def run_training(model: CralModel, train_sets: list, config: TrainConfig,
     if best_state is not None:
         model.load_state_dict(best_state)
     result = TrainingResult(records=records, best_epoch=best_epoch,
-                            best_dev_average=best_dev,
-                            wall_clock=time.monotonic() - started)
+                            best_dev_average=best_dev)
     if test_sets is not None:
         result.test_accuracy, result.test_average = evaluate_mdtc(model, test_sets)
     return result
@@ -289,21 +293,12 @@ def run_training(model: CralModel, train_sets: list, config: TrainConfig,
 def train_discriminator_only(model: CralModel, train_sets: list,
                              config: TrainConfig, steps: int) -> list:
     """Phase-1 updates only; extractors and classifiers stay frozen."""
-    sampler = BatchSampler(train_sets, config.batch_size,
-                           derive_rng(config.seed, "train/sampler"))
-    loss_rng = derive_rng(config.seed, "train/dropout")
-    opt_disc = Adam(model.discriminator_params(), lr=config.learning_rate)
+    sampler, loss_rng, opt_disc = _setup(model, train_sets, config)
     records = []
     for iteration in range(1, steps + 1):
-        tape = Tape()
-        objective, terms = discriminator_objective(
-            tape, model, sampler.next_batch(), config.weights, mode="train",
-            rng=loss_rng, adversarial_sign=config.adversarial_sign)
-        _check_finite_terms(terms)
-        opt_disc.step(backward(objective))
-        records.append(MetricsRecord(
-            iteration=iteration, epoch=1,
-            terms={**terms, "disc_phase": objective.item()}))
+        terms = _discriminator_step(model, sampler.next_batch(), config,
+                                    opt_disc, loss_rng)
+        records.append(MetricsRecord(iteration=iteration, epoch=1, terms=terms))
     return records
 
 
@@ -333,12 +328,7 @@ def run_kfold(datasets: list, model_config: ModelConfig, config: TrainConfig,
         train_sets, dev_sets, test_sets = [], [], []
         for ds, folds in zip(datasets, folds_per_domain):
             train_parts = [folds[j] for j in range(k) if j not in (r, val_index)]
-            train_sets.append(DomainDataset(
-                ds.name,
-                np.concatenate([p.labeled_x for p in train_parts], axis=0),
-                np.concatenate([p.labeled_y for p in train_parts], axis=0),
-                ds.unlabeled_x,
-            ))
+            train_sets.append(merge_labeled(train_parts, ds.name, ds.unlabeled_x))
             test_sets.append(folds[r])
             dev_sets.append(folds[val_index])
         model = init_model(model_config, derive_seed(config.seed, f"kfold/rot{r}"))

@@ -5,19 +5,12 @@ import json
 import pytest
 
 from cral.cli import main
-from cral.config import (
-    REGISTRY,
-    load_datasets,
-    loss_weights,
-    model_config,
-    parse_config,
-    resolved_text,
-    train_config,
-)
+from cral.config import load_datasets, model_config, parse_config, resolved_text
 from cral.data import load_sparse_dataset
 from cral.errors import ConfigError
 from cral.losses import LossWeights
-from cral.model import CralModel
+from cral.model import CralModel, ModelConfig
+from cral.trainer import TrainConfig
 
 TINY = """
 # two tiny domains, linear extractors
@@ -44,21 +37,23 @@ def tiny_cfg(tmp_path):
 
 class TestParseConfig:
     def test_empty_config_gives_published_weight_defaults(self):
-        weights = loss_weights(parse_config(None))
-        assert weights == LossWeights(10, 1, 1e-5, 1e-4, 1, 1)
+        config = parse_config(None)
+        assert config.train.weights == LossWeights(10, 1, 1e-5, 1e-4, 1, 1)
+        assert config.train == TrainConfig()
+        assert model_config(config, 2, 5) == ModelConfig(2, 5)
 
     def test_file_values_applied(self, tiny_cfg):
         config = parse_config(tiny_cfg)
-        assert config.epochs == 2
+        assert config.train.epochs == 2
         assert config.synthetic_domains == 2
-        assert config.extractor_hidden == ()
-        assert config.lambda_uvt == 0.0
+        assert config.model["extractor_hidden"] == ()
+        assert config.train.weights.lambda_uvt == 0.0
 
     def test_flag_override_wins_over_file(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("lambda_uvt = 7\n")
         config = parse_config(path, overrides=("lambda_uvt=3",))
-        assert config.lambda_uvt == 3.0
+        assert config.train.weights.lambda_uvt == 3.0
 
     def test_unknown_key_named_in_error(self):
         with pytest.raises(ConfigError, match="lamda_d"):
@@ -71,6 +66,10 @@ class TestParseConfig:
     def test_bad_choice_names_key(self):
         with pytest.raises(ConfigError, match="adversarial_sign"):
             parse_config(None, overrides=("adversarial_sign=upsidedown",))
+
+    def test_sweep_parameter_typo_rejected_at_parse(self):
+        with pytest.raises(ConfigError, match="sweep_parameter.*lamda_d"):
+            parse_config(None, overrides=("sweep_parameter=lamda_d",))
 
     def test_missing_data_path_rejected(self):
         with pytest.raises(ConfigError, match="missing required path"):
@@ -97,15 +96,13 @@ class TestParseConfig:
             parse_config(path)
 
     def test_resolved_text_reparses_identically(self, tiny_cfg, tmp_path):
-        config = parse_config(tiny_cfg, overrides=("seed=3",))
+        config = parse_config(tiny_cfg, overrides=("seed=3", "disabled=l_uvt,l_d"))
         echo = tmp_path / "resolved.cfg"
         echo.write_text(resolved_text(config))
-        again = parse_config(echo)
-        for key in REGISTRY:
-            assert getattr(again, key) == getattr(config, key), key
+        assert parse_config(echo) == config
 
     def test_train_config_view(self, tiny_cfg):
-        tc = train_config(parse_config(tiny_cfg, overrides=("disabled=l_d",)))
+        tc = parse_config(tiny_cfg, overrides=("disabled=l_d",)).train
         assert tc.epochs == 2
         assert tc.disabled == frozenset({"l_d"})
         assert tc.weights.lambda_uvt == 0.0

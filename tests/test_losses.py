@@ -15,6 +15,7 @@ from cral.losses import (
     adversarial_loss,
     classification_loss,
     disagreement_loss,
+    discriminator_objective,
     diversity_loss,
     entropy_loss,
     kl_divergence,
@@ -352,11 +353,13 @@ class TestTotalObjective:
     def test_classification_only_when_all_lambdas_zero(self):
         model = toy_model(19)
         batch = toy_batch(19)
-        result = total_objective(tt.Tape(), model, batch, self.zero_weights())
+        tape = tt.Tape()
+        result = total_objective(tape, model, batch, self.zero_weights())
+        disc, _ = discriminator_objective(tape, model, batch, self.zero_weights())
         want = (classification_loss(tt.Tape(), model, 1, batch).item()
                 + classification_loss(tt.Tape(), model, 2, batch).item())
         assert result.main.item() == pytest.approx(want, rel=1e-12)
-        assert result.disc.item() == 0.0
+        assert disc.item() == 0.0
         for key in ("l_adv_b1", "l_e_b2", "l_uvt_b1", "l_lvt_b2", "l_d", "l_div"):
             assert result.breakdown[key] == 0.0
 
@@ -365,8 +368,10 @@ class TestTotalObjective:
         batch = toy_batch(23)
         w = LossWeights(lambda_d=0.3, lambda_div=0.2, lambda_uvt=0.7,
                         lambda_lvt=0.4, lambda_adv=1.5)
-        result = total_objective(tt.Tape(), model, batch, w,
+        tape = tt.Tape()
+        result = total_objective(tape, model, batch, w,
                                  rng=np.random.default_rng(9))
+        disc, disc_parts = discriminator_objective(tape, model, batch, w)
         bd = result.breakdown
         want = 0.0
         for b in (1, 2):
@@ -375,19 +380,22 @@ class TestTotalObjective:
                      + w.lambda_lvt * bd[f"l_lvt_b{b}"])
         want += w.lambda_d * bd["l_d"] - w.lambda_div * bd["l_div"]
         assert abs(result.main.item() - want) < 1e-10
+        assert disc_parts == {k: bd[k] for k in ("l_adv_b1", "l_adv_b2")}
         disc_want = w.lambda_adv * (bd["l_adv_b1"] + bd["l_adv_b2"])
-        assert abs(result.disc.item() - disc_want) < 1e-10
+        assert abs(disc.item() - disc_want) < 1e-10
 
     def test_gradient_reversal_identity(self):
-        # With only the adversarial weight active, main + disc gradients on
-        # shared parameters must cancel down to the classification part.
+        # With only the adversarial weight active, main + discriminator
+        # gradients on shared parameters must cancel down to the
+        # classification part.
         model = toy_model(29)
         batch = toy_batch(29)
         weights = self.zero_weights(lambda_adv=1.0)
         tape = tt.Tape()
         result = total_objective(tape, model, batch, weights)
+        disc, _ = discriminator_objective(tape, model, batch, weights)
         g_main = tt.backward(result.main)
-        g_disc = tt.backward(result.disc)
+        g_disc = tt.backward(disc)
         g_cls = tt.backward(
             tt.add(classification_loss(tape, model, 1, batch),
                    classification_loss(tape, model, 2, batch))
@@ -401,10 +409,14 @@ class TestTotalObjective:
         model = toy_model(31)
         batch = toy_batch(31)
         weights = self.zero_weights(lambda_adv=1.0)
-        std = total_objective(tt.Tape(), model, batch, weights)
-        lit = total_objective(tt.Tape(), model, batch, weights,
+        tape = tt.Tape()
+        std = total_objective(tape, model, batch, weights)
+        lit = total_objective(tape, model, batch, weights,
                               adversarial_sign="literal")
-        assert lit.disc.item() == pytest.approx(-std.disc.item(), rel=1e-12)
+        std_disc, _ = discriminator_objective(tape, model, batch, weights)
+        lit_disc, _ = discriminator_objective(tape, model, batch, weights,
+                                              adversarial_sign="literal")
+        assert lit_disc.item() == pytest.approx(-std_disc.item(), rel=1e-12)
         adv_total = std.breakdown["l_adv_b1"] + std.breakdown["l_adv_b2"]
         assert lit.main.item() - std.main.item() == pytest.approx(
             2.0 * adv_total, rel=1e-9)

@@ -1,5 +1,7 @@
 """Architecture wiring, prediction API, and snapshot round-trip tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from cral.model import (
     predict_ensemble,
     predicted_labels,
 )
+from cral.nn import save_checkpoint
 
 SMALL = ModelConfig(num_domains=4, input_dim=10, shared_dim=8, specific_dim=5,
                     extractor_hidden=(16,), dropout_rate=0.4)
@@ -166,6 +169,22 @@ class TestSnapshot:
         x = np.random.default_rng(9).standard_normal((5, 10))
         np.testing.assert_array_equal(predict_ensemble(loaded, x, i=3),
                                       predict_ensemble(model, x, i=3))
+
+    def test_load_checks_metadata_keys(self, tmp_path):
+        model = small_model(3)
+        path = tmp_path / "model.ckpt"
+        meta = dataclasses.asdict(model.config)
+        del meta["num_classes"]
+        save_checkpoint(path, model.state_dict(), meta)
+        assert CralModel.load(path).config == model.config
+        del meta["shared_dim"]
+        save_checkpoint(path, model.state_dict(), meta)
+        with pytest.raises(ContractError, match="shared_dim"):
+            CralModel.load(path)
+        meta = {**dataclasses.asdict(model.config), "bogus_key": 1}
+        save_checkpoint(path, model.state_dict(), meta)
+        with pytest.raises(ContractError, match="bogus_key"):
+            CralModel.load(path)
 
     def test_load_rejects_wrong_names(self, tmp_path):
         model = small_model()
