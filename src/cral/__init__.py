@@ -28,6 +28,7 @@ from .errors import (
     TrainingError,
 )
 from .losses import (
+    ForwardPass,
     LossWeights,
     MultiDomainBatch,
     ObjectiveResult,

@@ -24,17 +24,14 @@ import numpy as np
 
 from .data import one_hot
 from .losses import (
+    ForwardPass,
     LossWeights,
     MultiDomainBatch,
-    adversarial_loss,
-    classification_loss,
-    disagreement_loss,
-    diversity_loss,
-    entropy_loss,
     kl_divergence,
+    objective_terms,
     vat_perturbation,
 )
-from .model import CralModel, ModelConfig, class_probs, init_model, predict_class
+from .model import BRANCHES, CralModel, ModelConfig, class_probs, init_model
 from .seeding import derive_rng
 from .tensor import Tape, Tensor, backward
 
@@ -55,19 +52,11 @@ def toy_setup(seed: int = 0, batch_size: int = 2):
     return model, MultiDomainBatch(labeled_x, labeled_y, unlabeled_x)
 
 
-def _branch_params(model: CralModel, b: int, parts) -> list:
-    branch = model.branch(b)
-    out = []
-    if "shared" in parts:
-        out += branch.shared.params()
-    if "specific" in parts:
-        for mlp in branch.specific:
-            out += mlp.params()
-    if "disc" in parts:
-        out += branch.discriminator.params()
-    if "clf" in parts:
-        out += branch.classifier.params()
-    return out
+def _params(model: CralModel, branches, parts) -> list:
+    groups = lambda br: {"shared": [br.shared], "specific": br.specific,
+                         "disc": [br.discriminator], "clf": [br.classifier]}
+    return [p for b in branches for part in parts
+            for mlp in groups(model.branch(b))[part] for p in mlp.params()]
 
 
 def _frozen_vat_builder(model: CralModel, batch: MultiDomainBatch,
@@ -75,12 +64,13 @@ def _frozen_vat_builder(model: CralModel, batch: MultiDomainBatch,
     """Framework for the outer VAT objective with (r, reference) pinned."""
     weights = LossWeights()
     rng = derive_rng(seed, f"gradcheck/vat/b{b}/{labeled}")
+    fp = ForwardPass(Tape(), model, batch)
     frozen = []
     for i in range(batch.num_domains):
-        x = batch.labeled_x[i] if labeled else batch.unlabeled_x[i]
-        r = vat_perturbation(model, b, i, x, epsilon=weights.vat_epsilon,
+        x, _, clean, _ = fp.get(b, i, "labeled" if labeled else "unlabeled")
+        r = vat_perturbation(model, b, i, x, clean.data, epsilon=weights.vat_epsilon,
                              xi=weights.vat_xi, rng=rng)
-        frozen.append((x + r, predict_class(model, b, i, x)))
+        frozen.append((x + r, clean.data))
 
     def build(tape: Tape) -> Tensor:
         total = None
@@ -94,47 +84,27 @@ def _frozen_vat_builder(model: CralModel, batch: MultiDomainBatch,
 
 
 def build_terms(model: CralModel, batch: MultiDomainBatch, seed: int = 0) -> list:
-    """(name, loss builder, parameters the term touches)."""
-    weights = LossWeights()
-    terms = []
-    for b in (1, 2):
-        terms.append((
-            f"l_c_b{b}",
-            lambda tape, b=b: classification_loss(tape, model, b, batch),
-            _branch_params(model, b, ("shared", "specific", "clf")),
-        ))
-        terms.append((
-            f"l_adv_b{b}",
-            lambda tape, b=b: adversarial_loss(tape, model, b, batch),
-            _branch_params(model, b, ("shared", "disc")),
-        ))
-        terms.append((
-            f"l_e_b{b}",
-            lambda tape, b=b: entropy_loss(tape, model, b, batch),
-            _branch_params(model, b, ("shared", "specific", "clf")),
-        ))
-        terms.append((
-            f"l_uvt_b{b}",
-            _frozen_vat_builder(model, batch, b, labeled=False, seed=seed),
-            _branch_params(model, b, ("shared", "specific", "clf")),
-        ))
-        terms.append((
-            f"l_lvt_b{b}",
-            _frozen_vat_builder(model, batch, b, labeled=True, seed=seed),
-            _branch_params(model, b, ("shared", "specific", "clf")),
-        ))
-    terms.append((
-        "l_d",
-        lambda tape: disagreement_loss(tape, model, batch),
-        (_branch_params(model, 1, ("shared", "specific", "clf"))
-         + _branch_params(model, 2, ("shared", "specific", "clf"))),
-    ))
-    terms.append((
-        "l_div",
-        lambda tape: diversity_loss(tape, model, batch, weights.gamma),
-        _branch_params(model, 1, ("shared",)) + _branch_params(model, 2, ("shared",)),
-    ))
-    return terms
+    """(name, loss builder, parameters the term touches), in objective order.
+
+    Each builder runs the trainer's term on a fresh `ForwardPass` of the
+    batch, except the VAT terms, whose builders pin r and the reference.
+    """
+    classifier = ("shared", "specific", "clf")
+    touches = {"l_d": _params(model, BRANCHES, classifier),
+               "l_div": _params(model, BRANCHES, ("shared",))}
+    for b in BRANCHES:
+        touches[f"l_adv_b{b}"] = _params(model, (b,), ("shared", "disc"))
+        touches.update({f"{term}_b{b}": _params(model, (b,), classifier)
+                        for term in ("l_c", "l_e", "l_uvt", "l_lvt")})
+
+    frozen_vat = {f"l_{kind}_b{b}": _frozen_vat_builder(model, batch, b, kind == "lvt", seed)
+                  for b in BRANCHES for kind in ("uvt", "lvt")}
+
+    def from_pass(term):
+        return lambda tape: term(ForwardPass(tape, model, batch))
+
+    return [(name, frozen_vat.get(name) or from_pass(term), touches[name])
+            for name, _, term in objective_terms(LossWeights())]
 
 
 def _entry_rel_errors(analytic: np.ndarray, numeric: np.ndarray,

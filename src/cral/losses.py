@@ -1,9 +1,12 @@
 """Objective terms over a multi-domain mini-batch.
 
-Every term is a pure function of (model snapshot, batch, rng) returning
-a scalar on the caller's tape. Expectations are realized as per-domain
-mini-batch means and then summed over domains. Probabilities are
-clamped at 1e-12 before any log.
+The main objective's terms are reductions over one `ForwardPass`, which
+runs each (branch, domain, split) of the batch once through the shared
+extractor and the class head and keeps the shared features, class
+probabilities and dropout masks. Every term reads that one pass, so all
+terms share one dropout mask per (branch, domain, split) and step.
+Expectations are realized as per-domain mini-batch means and then summed
+over domains. Probabilities are clamped at 1e-12 before any log.
 
 Adversarial sign conventions. The discriminator objective and the
 adversarial contribution to the main objective are opposite in sign by
@@ -16,27 +19,39 @@ construction:
             swaps both signs (D ascends its NLL). Kept switchable for
             comparison; standard is the default.
 
-Virtual adversarial terms draw one set of dropout masks per domain and
-reuse it for the clean pass, the power-iteration probe, and the
-perturbed pass, so the perturbation competes only against the input
-direction and not against mask resampling. The perturbation itself is
-a constant in the outer gradient.
+Virtual adversarial terms take the clean prediction and its dropout
+masks from the pass and reuse the masks for the power-iteration probe
+and the perturbed pass, so the perturbation competes only against the
+input direction and not against mask resampling. The perturbation
+itself is a constant in the outer gradient.
 
-RNG discipline: terms consume the caller's generator in a fixed
-documented order (per branch: classification, adversarial, entropy,
-unlabeled VAT, labeled VAT; then disagreement, diversity), so a run is
-reproducible from its seed.
+RNG discipline: the caller's generator is consumed in a fixed order, so
+a run is reproducible from its seed. The discriminator phase draws, per
+branch and domain, the shared then the discriminator masks of its own
+forward. The main phase's pass draws, per branch, domain and split
+(labeled, then unlabeled), the shared, specific and classifier masks;
+then the terms draw in table order (per branch: adversarial, whose
+discriminator masks are per domain; unlabeled VAT, then labeled VAT, one
+probe direction per domain). Skipped terms draw nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, SpecError
-from .model import CralModel, class_probs, domain_probs, shared_features
+from .model import (
+    BRANCHES,
+    CralModel,
+    class_head,
+    class_probs,
+    domain_head,
+    domain_probs,
+    shared_features,
+)
 from .tensor import (
     LOG_FLOOR,
     Tape,
@@ -45,6 +60,7 @@ from .tensor import (
     backward as tape_backward,
     clamp_max,
     clamp_min,
+    concat_rows,
     l1_norm,
     l2_norm_sq,
     log,
@@ -57,6 +73,7 @@ from .tensor import (
 
 SIGN_CONVENTIONS = ("standard", "literal")
 ABLATABLE = ("l_d", "l_div", "l_uvt", "l_lvt")
+SPLITS = ("labeled", "unlabeled")
 
 
 @dataclass(frozen=True)
@@ -115,10 +132,63 @@ def _check_match(model: CralModel, batch: MultiDomainBatch) -> None:
         )
 
 
-def _require(x: np.ndarray, what: str) -> np.ndarray:
-    if x.shape[0] == 0:
-        raise ContractError(f"empty {what}")
-    return x
+class SplitPass(NamedTuple):
+    x: np.ndarray
+    shared: Tensor
+    probs: Tensor
+    masks: dict
+
+
+class ForwardPass:
+    """One forward of every (branch, domain, split) of a batch on one tape.
+
+    Each non-empty split runs once through its branch's shared extractor
+    and class head, in the order branch, domain, split; the terms read
+    the kept outputs instead of running their own forward.
+    """
+
+    def __init__(self, tape: Tape, model: CralModel, batch: MultiDomainBatch,
+                 mode: str = "eval", rng: Optional[np.random.Generator] = None):
+        _check_match(model, batch)
+        self.tape, self.model, self.batch = tape, model, batch
+        self.mode, self.rng, self.num_domains = mode, rng, batch.num_domains
+        self.outputs = {}
+        for b in BRANCHES:
+            for i in range(batch.num_domains):
+                for split, x in zip(SPLITS, (batch.labeled_x[i], batch.unlabeled_x[i])):
+                    if x.shape[0] == 0:
+                        continue
+                    feats, shared_masks = shared_features(tape, model, b, Tensor(x),
+                                                          mode=mode, rng=rng)
+                    probs, masks = class_head(tape, model, b, i, feats, Tensor(x),
+                                              mode=mode, rng=rng)
+                    self.outputs[b, i, split] = SplitPass(
+                        x, feats, probs, {"shared": shared_masks, **masks})
+
+    def get(self, b: int, i: int, split: str) -> SplitPass:
+        if (b, i, split) not in self.outputs:
+            raise ContractError(f"empty {split} batch for domain {i}")
+        return self.outputs[b, i, split]
+
+    def adversarial_loss(self, b: int) -> Tensor:
+        """`adversarial_loss` on the kept shared features, labeled rows first."""
+        def probs_of(i):
+            parts = [self.outputs[b, i, split].shared for split in SPLITS
+                     if (b, i, split) in self.outputs]
+            if not parts:
+                raise ContractError(f"empty combined batch for domain {i}")
+            feats = parts[0] if len(parts) == 1 else concat_rows(*parts)
+            return domain_head(self.tape, self.model, b, feats, mode=self.mode,
+                               rng=self.rng)
+        return _domain_nll(self.num_domains, probs_of)
+
+
+def _domain_sum(num_domains: int, term) -> Tensor:
+    """term(0) + term(1) + ... in domain order."""
+    total = term(0)
+    for i in range(1, num_domains):
+        total = add(total, term(i))
+    return total
 
 
 def _nll(probs: Tensor, one_hot: np.ndarray) -> Tensor:
@@ -127,89 +197,67 @@ def _nll(probs: Tensor, one_hot: np.ndarray) -> Tensor:
     return -mean(picked)
 
 
-def classification_loss(tape: Tape, model: CralModel, b: int,
-                        batch: MultiDomainBatch, mode: str = "eval",
-                        rng: Optional[np.random.Generator] = None) -> Tensor:
+def _domain_nll(num_domains: int, probs_of) -> Tensor:
+    """Sum over domains i of the discriminator NLL of label i on probs_of(i)."""
+    def term(i):
+        probs = probs_of(i)
+        one_hot = np.zeros((probs.shape[0], num_domains))
+        one_hot[:, i] = 1.0
+        return _nll(probs, one_hot)
+    return _domain_sum(num_domains, term)
+
+
+def classification_loss(fp: ForwardPass, b: int) -> Tensor:
     """Sum over domains of mean cross-entropy on the labeled batch."""
-    _check_match(model, batch)
-    total = None
-    for i in range(batch.num_domains):
-        x = _require(batch.labeled_x[i], f"labeled batch for domain {i}")
-        probs, _ = class_probs(tape, model, b, i, Tensor(x), mode=mode, rng=rng)
-        term = _nll(probs, batch.labeled_y[i])
-        total = term if total is None else add(total, term)
-    return total
+    return _domain_sum(fp.num_domains, lambda i: _nll(
+        fp.get(b, i, "labeled").probs, fp.batch.labeled_y[i]))
 
 
 def adversarial_loss(tape: Tape, model: CralModel, b: int,
                      batch: MultiDomainBatch, mode: str = "eval",
                      rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Discriminator NLL over each domain's labeled+unlabeled samples."""
+    """Discriminator NLL over each domain's labeled+unlabeled samples.
+
+    Runs its own forward, for the discriminator phase; the main objective
+    reads the same NLL off its pass (`ForwardPass.adversarial_loss`).
+    """
     _check_match(model, batch)
-    total = None
-    m = batch.num_domains
-    for i in range(m):
+
+    def probs_of(i):
         x = np.concatenate([batch.labeled_x[i], batch.unlabeled_x[i]], axis=0)
-        _require(x, f"combined batch for domain {i}")
-        probs, _ = domain_probs(tape, model, b, Tensor(x), mode=mode, rng=rng)
-        one_hot = np.zeros((x.shape[0], m))
-        one_hot[:, i] = 1.0
-        term = _nll(probs, one_hot)
-        total = term if total is None else add(total, term)
-    return total
+        if x.shape[0] == 0:
+            raise ContractError(f"empty combined batch for domain {i}")
+        return domain_probs(tape, model, b, Tensor(x), mode=mode, rng=rng)
+    return _domain_nll(batch.num_domains, probs_of)
 
 
-def disagreement_loss(tape: Tape, model: CralModel, batch: MultiDomainBatch,
-                      mode: str = "eval",
-                      rng: Optional[np.random.Generator] = None) -> Tensor:
+def disagreement_loss(fp: ForwardPass) -> Tensor:
     """L1 distance between the branches' predictions on unlabeled data."""
-    _check_match(model, batch)
-    total = None
-    for i in range(batch.num_domains):
-        x = _require(batch.unlabeled_x[i], f"unlabeled batch for domain {i}")
-        p1, _ = class_probs(tape, model, 1, i, Tensor(x), mode=mode, rng=rng)
-        p2, _ = class_probs(tape, model, 2, i, Tensor(x), mode=mode, rng=rng)
-        term = mean(l1_norm(sub(p1, p2), axis=1))
-        total = term if total is None else add(total, term)
-    return total
+    return _domain_sum(fp.num_domains, lambda i: mean(l1_norm(sub(
+        fp.get(1, i, "unlabeled").probs, fp.get(2, i, "unlabeled").probs), axis=1)))
 
 
-def diversity_loss(tape: Tape, model: CralModel, batch: MultiDomainBatch,
-                   gamma: float, mode: str = "eval",
-                   rng: Optional[np.random.Generator] = None) -> Tensor:
+def diversity_loss(fp: ForwardPass, gamma: float) -> Tensor:
     """Clamped squared distance between shared-feature centroids.
 
     Per domain, the labeled-batch mean of F_s1(x) - F_s2(x); those gaps
     are averaged over domains before the squared norm. Above gamma the
     clamp makes the gradient exactly zero.
     """
-    _check_match(model, batch)
     if gamma <= 0.0:
         raise SpecError("gamma must be positive")
-    gap_sum = None
-    for i in range(batch.num_domains):
-        x = _require(batch.labeled_x[i], f"labeled batch for domain {i}")
-        f1, _ = shared_features(tape, model, 1, Tensor(x), mode=mode, rng=rng)
-        f2, _ = shared_features(tape, model, 2, Tensor(x), mode=mode, rng=rng)
-        gap = mean(sub(f1, f2), axis=0)
-        gap_sum = gap if gap_sum is None else add(gap_sum, gap)
-    centroid_gap = gap_sum * (1.0 / batch.num_domains)
+    gap_sum = _domain_sum(fp.num_domains, lambda i: mean(sub(
+        fp.get(1, i, "labeled").shared, fp.get(2, i, "labeled").shared), axis=0))
+    centroid_gap = gap_sum * (1.0 / fp.num_domains)
     return clamp_max(l2_norm_sq(centroid_gap), gamma)
 
 
-def entropy_loss(tape: Tape, model: CralModel, b: int, batch: MultiDomainBatch,
-                 mode: str = "eval",
-                 rng: Optional[np.random.Generator] = None) -> Tensor:
+def entropy_loss(fp: ForwardPass, b: int) -> Tensor:
     """Prediction entropy on unlabeled data (0 log 0 taken as 0)."""
-    _check_match(model, batch)
-    total = None
-    for i in range(batch.num_domains):
-        x = _require(batch.unlabeled_x[i], f"unlabeled batch for domain {i}")
-        p, _ = class_probs(tape, model, b, i, Tensor(x), mode=mode, rng=rng)
-        plogp = tsum(mul(p, log(clamp_min(p, LOG_FLOOR))), axis=1)
-        term = -mean(plogp)
-        total = term if total is None else add(total, term)
-    return total
+    def term(i):
+        p = fp.get(b, i, "unlabeled").probs
+        return -mean(tsum(mul(p, log(clamp_min(p, LOG_FLOOR))), axis=1))
+    return _domain_sum(fp.num_domains, term)
 
 
 def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
@@ -223,14 +271,16 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
     return mean(tsum(mul(p, log_ratio), axis=1))
 
 
-def vat_perturbation(model: CralModel, b: int, i: Optional[int], x: np.ndarray,
-                     epsilon: float, xi: float, rng: np.random.Generator,
-                     mode: str = "eval", masks: Optional[dict] = None,
-                     msuda: bool = False) -> np.ndarray:
+def vat_perturbation(model: CralModel, b: int, i: int, x: np.ndarray,
+                     clean: np.ndarray, epsilon: float, xi: float,
+                     rng: np.random.Generator, mode: str = "eval",
+                     masks: Optional[dict] = None) -> np.ndarray:
     """One-step power iteration for the most KL-sensitive input direction.
 
-    Returns r with per-sample L2 norm epsilon (zero rows where the probe
-    gradient vanishes). Runs on its own tape; the caller treats r as data.
+    `clean` is the prediction on x under `masks`, the dropout masks the
+    probe replays. Returns r with per-sample L2 norm epsilon (zero rows
+    where the probe gradient vanishes). Runs on its own tape; the caller
+    treats r as data.
     """
     if epsilon < 0.0:
         raise SpecError("epsilon must be non-negative")
@@ -241,44 +291,34 @@ def vat_perturbation(model: CralModel, b: int, i: Optional[int], x: np.ndarray,
     d /= np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-30)
 
     tape = Tape()
-    clean, masks = class_probs(tape, model, b, i, Tensor(x), mode=mode,
-                               rng=rng, msuda=msuda, masks=masks)
     probe = tape.leaf(x + xi * d)
-    perturbed, _ = class_probs(tape, model, b, i, probe, mode=mode,
-                               msuda=msuda, masks=masks)
-    grads = tape_backward(kl_divergence(stop_gradient(clean), perturbed))
+    perturbed, _ = class_probs(tape, model, b, i, probe, mode=mode, masks=masks)
+    grads = tape_backward(kl_divergence(Tensor(clean), perturbed))
     g = grads.wrt(probe)
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     scale = np.where(norms < 1e-20, 0.0, epsilon / np.maximum(norms, 1e-30))
     return g * scale
 
 
-def vat_loss(tape: Tape, model: CralModel, b: int, batch: MultiDomainBatch,
-             labeled: bool, weights: LossWeights, mode: str = "eval",
-             rng: Optional[np.random.Generator] = None) -> Tensor:
+def vat_loss(fp: ForwardPass, b: int, labeled: bool, weights: LossWeights) -> Tensor:
     """KL between clean and adversarially perturbed predictions.
 
-    The clean prediction is a constant reference (stop-gradient); the
-    perturbation direction is recomputed per domain with the same
-    dropout masks as the outer passes.
+    The clean prediction is the pass's, taken as a constant reference
+    (stop-gradient); the perturbation direction is recomputed per domain
+    with the pass's dropout masks.
     """
-    _check_match(model, batch)
-    total = None
     split = "labeled" if labeled else "unlabeled"
-    for i in range(batch.num_domains):
-        x = batch.labeled_x[i] if labeled else batch.unlabeled_x[i]
-        _require(x, f"{split} batch for domain {i}")
-        clean, masks = class_probs(tape, model, b, i, Tensor(x), mode=mode, rng=rng)
+
+    def term(i):
+        x, _, clean, masks = fp.get(b, i, split)
         if weights.vat_epsilon == 0.0:
-            term = Tensor(0.0)
-        else:
-            r = vat_perturbation(model, b, i, x, epsilon=weights.vat_epsilon,
-                                 xi=weights.vat_xi, rng=rng, mode=mode, masks=masks)
-            perturbed, _ = class_probs(tape, model, b, i, Tensor(x + r),
-                                       mode=mode, masks=masks)
-            term = kl_divergence(stop_gradient(clean), perturbed)
-        total = term if total is None else add(total, term)
-    return total
+            return Tensor(0.0)
+        r = vat_perturbation(fp.model, b, i, x, clean.data, epsilon=weights.vat_epsilon,
+                             xi=weights.vat_xi, rng=fp.rng, mode=fp.mode, masks=masks)
+        perturbed, _ = class_probs(fp.tape, fp.model, b, i, Tensor(x + r),
+                                   mode=fp.mode, masks=masks)
+        return kl_divergence(stop_gradient(clean), perturbed)
+    return _domain_sum(fp.num_domains, term)
 
 
 def adversarial_sign_factor(adversarial_sign: str) -> float:
@@ -311,6 +351,44 @@ def discriminator_objective(tape: Tape, model: CralModel, batch: MultiDomainBatc
     return add(l1, l2) * (sign * weights.lambda_adv), breakdown
 
 
+def objective_terms(weights: LossWeights, adversarial_sign: str = "standard",
+                    disabled: frozenset = frozenset()) -> list:
+    """(name, weight, term) for every main-objective term, in RNG order.
+
+    A term is a function of one `ForwardPass`; the main objective is the
+    sum of weight * term(pass) over the entries whose weight is not zero.
+    Switches named in `disabled` zero their weight. Note the published
+    grouping ties entropy minimization to lambda_uvt, so disabling l_uvt
+    also drops the entropy term.
+    """
+    sign = adversarial_sign_factor(adversarial_sign)
+    unknown = set(disabled) - set(ABLATABLE)
+    if unknown:
+        raise ContractError(f"unknown ablation switches: {sorted(unknown)}")
+
+    def on(switch, weight):
+        return 0.0 if switch in disabled else weight
+
+    lam_uvt = on("l_uvt", weights.lambda_uvt)
+    table = []
+    for b in BRANCHES:
+        table += [
+            (f"l_c_b{b}", 1.0, lambda fp, b=b: classification_loss(fp, b)),
+            (f"l_adv_b{b}", -sign * weights.lambda_adv,
+             lambda fp, b=b: fp.adversarial_loss(b)),
+            (f"l_e_b{b}", lam_uvt, lambda fp, b=b: entropy_loss(fp, b)),
+            (f"l_uvt_b{b}", lam_uvt,
+             lambda fp, b=b: vat_loss(fp, b, labeled=False, weights=weights)),
+            (f"l_lvt_b{b}", on("l_lvt", weights.lambda_lvt),
+             lambda fp, b=b: vat_loss(fp, b, labeled=True, weights=weights)),
+        ]
+    return table + [
+        ("l_d", on("l_d", weights.lambda_d), disagreement_loss),
+        ("l_div", -on("l_div", weights.lambda_div),
+         lambda fp: diversity_loss(fp, weights.gamma)),
+    ]
+
+
 @dataclass
 class ObjectiveResult:
     main: Tensor
@@ -330,73 +408,20 @@ def total_objective(tape: Tape, model: CralModel, batch: MultiDomainBatch,
 
     (the adversarial sign flips under the literal convention; the
     discriminators' side of the game is `discriminator_objective`).
-    Terms whose weight is zero, or that are named in `disabled`, are
-    skipped entirely and reported as 0.0 in the breakdown. Note the
-    published grouping ties entropy minimization to lambda_uvt, so
-    disabling l_uvt also drops the entropy term.
+    Every term reads one `ForwardPass` of the batch. Terms whose weight
+    is zero, or that are named in `disabled`, are skipped entirely and
+    reported as 0.0 in the breakdown.
     """
-    sign = adversarial_sign_factor(adversarial_sign)
-    unknown = set(disabled) - set(ABLATABLE)
-    if unknown:
-        raise ContractError(f"unknown ablation switches: {sorted(unknown)}")
-    _check_match(model, batch)
-
-    lam_d = 0.0 if "l_d" in disabled else weights.lambda_d
-    lam_div = 0.0 if "l_div" in disabled else weights.lambda_div
-    lam_uvt = 0.0 if "l_uvt" in disabled else weights.lambda_uvt
-    lam_lvt = 0.0 if "l_lvt" in disabled else weights.lambda_lvt
-    lam_adv = weights.lambda_adv
-
+    table = objective_terms(weights, adversarial_sign, disabled)
+    fp = ForwardPass(tape, model, batch, mode=mode, rng=rng)
     breakdown = {}
     main = None
-
-    def accumulate(total, term):
-        return term if total is None else add(total, term)
-
-    for b in (1, 2):
-        l_c = classification_loss(tape, model, b, batch, mode=mode, rng=rng)
-        breakdown[f"l_c_b{b}"] = l_c.item()
-        main = accumulate(main, l_c)
-
-        if lam_adv > 0.0:
-            l_adv = adversarial_loss(tape, model, b, batch, mode=mode, rng=rng)
-            breakdown[f"l_adv_b{b}"] = l_adv.item()
-            main = accumulate(main, l_adv * (-sign * lam_adv))
-        else:
-            breakdown[f"l_adv_b{b}"] = 0.0
-
-        if lam_uvt > 0.0:
-            l_e = entropy_loss(tape, model, b, batch, mode=mode, rng=rng)
-            l_uvt = vat_loss(tape, model, b, batch, labeled=False,
-                             weights=weights, mode=mode, rng=rng)
-            breakdown[f"l_e_b{b}"] = l_e.item()
-            breakdown[f"l_uvt_b{b}"] = l_uvt.item()
-            main = accumulate(main, add(l_e, l_uvt) * lam_uvt)
-        else:
-            breakdown[f"l_e_b{b}"] = 0.0
-            breakdown[f"l_uvt_b{b}"] = 0.0
-
-        if lam_lvt > 0.0:
-            l_lvt = vat_loss(tape, model, b, batch, labeled=True,
-                             weights=weights, mode=mode, rng=rng)
-            breakdown[f"l_lvt_b{b}"] = l_lvt.item()
-            main = accumulate(main, l_lvt * lam_lvt)
-        else:
-            breakdown[f"l_lvt_b{b}"] = 0.0
-
-    if lam_d > 0.0:
-        l_d = disagreement_loss(tape, model, batch, mode=mode, rng=rng)
-        breakdown["l_d"] = l_d.item()
-        main = accumulate(main, l_d * lam_d)
-    else:
-        breakdown["l_d"] = 0.0
-
-    if lam_div > 0.0:
-        l_div = diversity_loss(tape, model, batch, weights.gamma, mode=mode, rng=rng)
-        breakdown["l_div"] = l_div.item()
-        main = accumulate(main, -(l_div * lam_div))
-    else:
-        breakdown["l_div"] = 0.0
-
+    for name, weight, term in table:
+        if weight == 0.0:
+            breakdown[name] = 0.0
+            continue
+        value = term(fp)
+        breakdown[name] = value.item()
+        main = value * weight if main is None else add(main, value * weight)
     breakdown["main"] = main.item()
     return ObjectiveResult(main=main, breakdown=breakdown)

@@ -42,10 +42,23 @@ class ModelConfig:
     def __post_init__(self):
         if self.num_domains < 2:
             raise SpecError(f"need at least 2 domains, got {self.num_domains}")
-        for name in ("input_dim", "shared_dim", "specific_dim", "num_classes"):
-            if int(getattr(self, name)) <= 0:
-                raise SpecError(f"{name} must be positive")
         object.__setattr__(self, "extractor_hidden", tuple(self.extractor_hidden))
+        self.mlp_specs()  # MlpSpec rejects each bad width or dropout rate
+
+    def mlp_specs(self) -> dict:
+        """Shape of each of a branch's MLPs (one "specific" per domain)."""
+        extractor = lambda out_dim: MlpSpec(
+            self.input_dim, self.extractor_hidden, out_dim, self.dropout_rate
+        )
+        clf_in = self.shared_dim + self.specific_dim
+        # Discriminator and classifier use one hidden layer as wide as their input.
+        return {
+            "shared": extractor(self.shared_dim),
+            "specific": extractor(self.specific_dim),
+            "disc": MlpSpec(self.shared_dim, (self.shared_dim,), self.num_domains,
+                            self.dropout_rate),
+            "clf": MlpSpec(clf_in, (clf_in,), self.num_classes, self.dropout_rate),
+        }
 
 
 class BranchParams:
@@ -128,35 +141,28 @@ class CralModel:
 
 def init_model(config: ModelConfig, seed: int) -> CralModel:
     """Both branches share the architecture; weights differ only by seed."""
-    extractor = lambda out_dim: MlpSpec(
-        config.input_dim, config.extractor_hidden, out_dim, config.dropout_rate
-    )
-    clf_in = config.shared_dim + config.specific_dim
-    # Discriminator and classifier use one hidden layer as wide as their input.
-    disc_spec = MlpSpec(config.shared_dim, (config.shared_dim,),
-                        config.num_domains, config.dropout_rate)
-    clf_spec = MlpSpec(clf_in, (clf_in,), config.num_classes, config.dropout_rate)
-
+    specs = config.mlp_specs()
     branches = []
     for b in BRANCHES:
         rng = lambda part: derive_rng(seed, f"model/branch{b}/{part}")
-        shared = init_params(extractor(config.shared_dim), rng("shared"),
+        shared = init_params(specs["shared"], rng("shared"),
                              name=f"branch{b}/shared")
         specific = [
-            init_params(extractor(config.specific_dim), rng(f"specific{i}"),
+            init_params(specs["specific"], rng(f"specific{i}"),
                         name=f"branch{b}/specific{i}")
             for i in range(config.num_domains)
         ]
-        disc = init_params(disc_spec, rng("disc"), name=f"branch{b}/disc")
-        clf = init_params(clf_spec, rng("clf"), name=f"branch{b}/clf")
+        disc = init_params(specs["disc"], rng("disc"), name=f"branch{b}/disc")
+        clf = init_params(specs["clf"], rng("clf"), name=f"branch{b}/clf")
         branches.append(BranchParams(shared, specific, disc, clf))
     return CralModel(config, tuple(branches))
 
 
 # ---------------------------------------------------------------------------
-# Tape-level forward passes. Each returns (tensor, masks) where masks is a
-# dict of the dropout masks actually used, so a caller can replay the same
-# stochastic pass (None entries mean no dropout happened on that component).
+# Tape-level forward passes. The heads run on given shared features, so one
+# shared forward can feed several heads; the class path returns (probs,
+# masks) where masks holds the dropout masks actually used, so a caller
+# can replay the same stochastic pass (None entries mean no dropout).
 # ---------------------------------------------------------------------------
 
 
@@ -167,57 +173,34 @@ def _check_domain(model: CralModel, i: int) -> None:
         )
 
 
-def shared_features(
-    tape: Tape,
-    model: CralModel,
-    b: int,
-    x: Tensor,
-    mode: str = "eval",
-    rng: Optional[np.random.Generator] = None,
-    masks: Optional[list] = None,
-) -> tuple:
-    branch = model.branch(b)
-    return mlp_forward(tape, branch.shared, x, mode=mode, rng=rng, masks=masks)
+def shared_features(tape: Tape, model: CralModel, b: int, x: Tensor, mode: str = "eval",
+                    rng: Optional[np.random.Generator] = None,
+                    masks: Optional[list] = None) -> tuple:
+    return mlp_forward(tape, model.branch(b).shared, x, mode=mode, rng=rng, masks=masks)
 
 
-def domain_probs(
-    tape: Tape,
-    model: CralModel,
-    b: int,
-    x: Tensor,
-    mode: str = "eval",
-    rng: Optional[np.random.Generator] = None,
-    masks: Optional[dict] = None,
-) -> tuple:
+def domain_head(tape: Tape, model: CralModel, b: int, feats: Tensor, mode: str = "eval",
+                rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Discriminator distribution over domains from given shared features."""
+    logits, _ = mlp_forward(tape, model.branch(b).discriminator, feats,
+                            mode=mode, rng=rng)
+    return softmax_rows(logits)
+
+
+def domain_probs(tape: Tape, model: CralModel, b: int, x: Tensor, mode: str = "eval",
+                 rng: Optional[np.random.Generator] = None) -> Tensor:
     """Discriminator distribution over domains from shared features only."""
-    branch = model.branch(b)
-    masks = masks or {}
-    feats, shared_masks = shared_features(
-        tape, model, b, x, mode=mode, rng=rng, masks=masks.get("shared")
-    )
-    logits, disc_masks = mlp_forward(
-        tape, branch.discriminator, feats, mode=mode, rng=rng, masks=masks.get("disc")
-    )
-    return softmax_rows(logits), {"shared": shared_masks, "disc": disc_masks}
+    feats, _ = shared_features(tape, model, b, x, mode=mode, rng=rng)
+    return domain_head(tape, model, b, feats, mode=mode, rng=rng)
 
 
-def class_probs(
-    tape: Tape,
-    model: CralModel,
-    b: int,
-    i: Optional[int],
-    x: Tensor,
-    mode: str = "eval",
-    msuda: bool = False,
-    rng: Optional[np.random.Generator] = None,
-    masks: Optional[dict] = None,
-) -> tuple:
-    """Composite per-domain predictor: classifier over [shared, private]."""
+def class_head(tape: Tape, model: CralModel, b: int, i: Optional[int], feats: Tensor,
+               x: Tensor, mode: str = "eval", msuda: bool = False,
+               rng: Optional[np.random.Generator] = None,
+               masks: Optional[dict] = None) -> tuple:
+    """Classifier over [given shared features, private features of x]."""
     branch = model.branch(b)
     masks = masks or {}
-    feats, shared_masks = shared_features(
-        tape, model, b, x, mode=mode, rng=rng, masks=masks.get("shared")
-    )
     if msuda:
         private = Tensor(np.zeros((x.shape[0], model.config.specific_dim)))
         specific_masks = None
@@ -232,30 +215,36 @@ def class_probs(
         tape, branch.classifier, concat_cols(feats, private),
         mode=mode, rng=rng, masks=masks.get("classifier"),
     )
-    probs = softmax_rows(logits)
-    return probs, {"shared": shared_masks, "specific": specific_masks,
-                   "classifier": clf_masks}
+    return softmax_rows(logits), {"specific": specific_masks, "classifier": clf_masks}
+
+
+def class_probs(tape: Tape, model: CralModel, b: int, i: Optional[int], x: Tensor,
+                mode: str = "eval", msuda: bool = False,
+                rng: Optional[np.random.Generator] = None,
+                masks: Optional[dict] = None) -> tuple:
+    """Composite per-domain predictor: classifier over [shared, private]."""
+    masks = masks or {}
+    feats, shared_masks = shared_features(tape, model, b, x, mode=mode, rng=rng,
+                                          masks=masks.get("shared"))
+    probs, head_masks = class_head(tape, model, b, i, feats, x, mode=mode,
+                                   msuda=msuda, rng=rng, masks=masks)
+    return probs, {"shared": shared_masks, **head_masks}
 
 
 # ---------------------------------------------------------------------------
-# Array-level prediction API (fresh tape, eval mode unless told otherwise).
+# Array-level prediction API (fresh tape, eval mode).
 # ---------------------------------------------------------------------------
 
 
-def predict_domain(model: CralModel, b: int, x: np.ndarray, mode: str = "eval",
-                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def predict_domain(model: CralModel, b: int, x: np.ndarray) -> np.ndarray:
     tape = Tape()
-    probs, _ = domain_probs(tape, model, b, tape.leaf(x), mode=mode, rng=rng)
-    return probs.data
+    return domain_probs(tape, model, b, tape.leaf(x)).data
 
 
 def predict_class(model: CralModel, b: int, i: Optional[int], x: np.ndarray,
-                  mode: str = "eval", msuda: bool = False,
-                  rng: Optional[np.random.Generator] = None) -> np.ndarray:
+                  msuda: bool = False) -> np.ndarray:
     tape = Tape()
-    probs, _ = class_probs(tape, model, b, i, tape.leaf(x), mode=mode,
-                           msuda=msuda, rng=rng)
-    return probs.data
+    return class_probs(tape, model, b, i, tape.leaf(x), msuda=msuda)[0].data
 
 
 def predict_ensemble(model: CralModel, x: np.ndarray, i: Optional[int] = None,

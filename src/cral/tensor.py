@@ -328,6 +328,16 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     ])
 
 
+def concat_rows(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise DimensionError(f"concat_rows: shapes {a.shape} and {b.shape} do not stack")
+    split = a.shape[0]
+    return _record(_tape_of(a, b), np.concatenate([a.data, b.data], axis=0), [
+        (a, lambda g: g[:split]),
+        (b, lambda g: g[split:]),
+    ])
+
+
 # ---------------------------------------------------------------------------
 # reductions
 

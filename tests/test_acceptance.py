@@ -26,6 +26,7 @@ from cral.data import (
 )
 from cral.gradcheck import run_suite
 from cral.losses import (
+    ForwardPass,
     LossWeights,
     MultiDomainBatch,
     disagreement_loss,
@@ -112,15 +113,12 @@ def test_primary_loss_bounds_hold_over_1000_draws():
         mode_rng = derive_rng(9001, f"mode/{t}")
         weights = LossWeights(vat_epsilon=float(rng.uniform(0.05, 2.0)))
         b = 1 + t % 2
-        tape = Tape()
-        l_d = disagreement_loss(tape, model, batch, mode=mode, rng=mode_rng).item()
-        l_div = diversity_loss(tape, model, batch, gamma, mode=mode,
-                               rng=mode_rng).item()
-        l_e = entropy_loss(tape, model, b, batch, mode=mode, rng=mode_rng).item()
-        l_uvt = vat_loss(tape, model, b, batch, labeled=False, weights=weights,
-                         mode=mode, rng=mode_rng).item()
-        l_lvt = vat_loss(tape, model, b, batch, labeled=True, weights=weights,
-                         mode=mode, rng=mode_rng).item()
+        fp = ForwardPass(Tape(), model, batch, mode=mode, rng=mode_rng)
+        l_d = disagreement_loss(fp).item()
+        l_div = diversity_loss(fp, gamma).item()
+        l_e = entropy_loss(fp, b).item()
+        l_uvt = vat_loss(fp, b, labeled=False, weights=weights).item()
+        l_lvt = vat_loss(fp, b, labeled=True, weights=weights).item()
         p = predict_class(model, 1, 0, batch.labeled_x[0])
         q = predict_class(model, 2, m - 1, batch.labeled_x[0])
         kl = kl_divergence(Tensor(p), Tensor(q)).item()
@@ -158,7 +156,8 @@ def test_primary_vat_direction_beats_random_directions():
         i = t % 2
         x = rng.standard_normal((1, 6))
         reference = Tensor(predict_class(model, 1, i, x))
-        r = vat_perturbation(model, 1, i, x, epsilon=epsilon, xi=1e-6, rng=rng)
+        r = vat_perturbation(model, 1, i, x, reference.data, epsilon=epsilon,
+                             xi=1e-6, rng=rng)
         kl_vat = kl_divergence(
             reference, Tensor(predict_class(model, 1, i, x + r))).item()
         random_kls = []
@@ -182,8 +181,8 @@ def test_primary_vat_zero_radius_is_exactly_zero():
         [rng.standard_normal((3, 6)) for _ in range(2)])
     weights = LossWeights(vat_epsilon=0.0)
     for labeled in (False, True):
-        value = vat_loss(Tape(), model, 1, batch, labeled=labeled,
-                         weights=weights, rng=rng).item()
+        value = vat_loss(ForwardPass(Tape(), model, batch, rng=rng), 1,
+                         labeled=labeled, weights=weights).item()
         assert value == 0.0
 
 

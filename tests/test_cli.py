@@ -7,7 +7,7 @@ import pytest
 from cral.cli import main
 from cral.config import load_datasets, model_config, parse_config, resolved_text
 from cral.data import load_sparse_dataset
-from cral.errors import ConfigError
+from cral.errors import ConfigError, SpecError
 from cral.losses import LossWeights
 from cral.model import CralModel, ModelConfig
 from cral.trainer import TrainConfig
@@ -116,6 +116,18 @@ class TestParseConfig:
         mc = model_config(parse_config(tiny_cfg), num_domains=2, input_dim=6)
         assert (mc.shared_dim, mc.specific_dim) == (4, 3)
         assert mc.extractor_hidden == ()
+
+    @pytest.mark.parametrize("override", ["shared_dim=0", "dropout_rate=1.5"])
+    def test_bad_model_key_rejected_before_writing(self, tmp_path, tiny_cfg, override):
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(tiny_cfg), "--set", override,
+                     "--out", str(out)])
+        assert code == 1
+        assert not (out / "config.resolved").exists()
+
+    def test_bad_synthetic_key_rejected_at_parse(self):
+        with pytest.raises(SpecError, match="label_noise"):
+            parse_config(None, overrides=("synthetic_noise=0.7",))
 
 
 class TestCommands:

@@ -9,6 +9,7 @@ from oracles import fd_grad, rel_err
 import cral.tensor as tt
 from cral.errors import ContractError, SpecError
 from cral.losses import (
+    ForwardPass,
     LossWeights,
     MultiDomainBatch,
     _nll,
@@ -92,13 +93,13 @@ class TestClassification:
         for branch in model.branches:
             rig_constant_output(branch.classifier, np.zeros(2))
         batch = toy_batch(m=4)
-        got = classification_loss(tt.Tape(), model, 1, batch).item()
+        got = classification_loss(ForwardPass(tt.Tape(), model, batch), 1).item()
         assert got == pytest.approx(4.0 * math.log(2.0), rel=1e-12)
 
     def test_matches_numpy_recomputation(self):
         model = toy_model(1)
         batch = toy_batch(1)
-        got = classification_loss(tt.Tape(), model, 2, batch).item()
+        got = classification_loss(ForwardPass(tt.Tape(), model, batch), 2).item()
         want = 0.0
         for i in range(2):
             probs = predict_class(model, 2, i, batch.labeled_x[i])
@@ -112,7 +113,7 @@ class TestClassification:
         batch.labeled_x[1] = np.zeros((0, 6))
         batch.labeled_y[1] = np.zeros((0, 2))
         with pytest.raises(ContractError, match="domain 1"):
-            classification_loss(tt.Tape(), model, 1, batch)
+            classification_loss(ForwardPass(tt.Tape(), model, batch), 1)
 
 
 class TestAdversarial:
@@ -146,11 +147,55 @@ class TestAdversarial:
         assert a != b
 
 
+class TestForwardPass:
+    def test_each_row_goes_through_each_shared_extractor_once(self, monkeypatch):
+        import cral.losses
+        import cral.model
+
+        rows = []
+        original = cral.model.shared_features
+
+        def counting(tape, model, b, x, *args, **kwargs):
+            rows.append(x.shape[0])
+            return original(tape, model, b, x, *args, **kwargs)
+
+        # Both the loss terms' and the model's own lookups are counted.
+        for module in (cral.losses, cral.model):
+            monkeypatch.setattr(module, "shared_features", counting)
+        model = toy_model(41, m=3)
+        batch = toy_batch(41, m=3, n_labeled=2, n_unlabeled=3)
+        weights = LossWeights(lambda_d=0.3, lambda_div=0.2, lambda_uvt=0.0,
+                              lambda_lvt=0.0)
+        result = total_objective(tt.Tape(), model, batch, weights, mode="train",
+                                 rng=np.random.default_rng(11))
+        assert result.breakdown["l_adv_b1"] > 0.0 and result.breakdown["l_d"] > 0.0
+        assert sum(rows) == 2 * (3 * 2 + 3 * 3)
+
+    def test_adversarial_matches_own_forward_in_eval_mode(self):
+        model = toy_model(43)
+        full = toy_batch(43)
+        labeled_only = MultiDomainBatch(full.labeled_x, full.labeled_y,
+                                        [np.zeros((0, 6)) for _ in range(2)])
+        for batch in (full, labeled_only):
+            on_pass = ForwardPass(tt.Tape(), model, batch).adversarial_loss(2).item()
+            own = adversarial_loss(tt.Tape(), model, 2, batch).item()
+            assert on_pass == pytest.approx(own, rel=1e-12)
+
+    def test_empty_split_named_by_the_term_that_needs_it(self):
+        model = toy_model()
+        batch = toy_batch()
+        batch.unlabeled_x[1] = np.zeros((0, 6))
+        fp = ForwardPass(tt.Tape(), model, batch)
+        assert classification_loss(fp, 1).item() > 0.0
+        with pytest.raises(ContractError, match="empty unlabeled batch for domain 1"):
+            entropy_loss(fp, 1)
+
+
 class TestDisagreement:
     def test_identical_branches_zero(self):
         model = toy_model(5)
         copy_branch1_to_branch2(model)
-        got = disagreement_loss(tt.Tape(), model, toy_batch(5)).item()
+        got = disagreement_loss(ForwardPass(tt.Tape(), model, toy_batch(5))).item()
         assert got == 0.0
 
     def test_forced_arithmetic(self):
@@ -163,13 +208,13 @@ class TestDisagreement:
         model = toy_model(7)
         swapped = CralModel(model.config, (model.branches[1], model.branches[0]))
         batch = toy_batch(7)
-        a = disagreement_loss(tt.Tape(), model, batch).item()
-        b = disagreement_loss(tt.Tape(), swapped, batch).item()
+        a = disagreement_loss(ForwardPass(tt.Tape(), model, batch)).item()
+        b = disagreement_loss(ForwardPass(tt.Tape(), swapped, batch)).item()
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_bounded_by_simplex_diameter(self):
         model = toy_model(9)
-        got = disagreement_loss(tt.Tape(), model, toy_batch(9)).item()
+        got = disagreement_loss(ForwardPass(tt.Tape(), model, toy_batch(9))).item()
         assert 0.0 <= got <= 2.0 * 2
 
 
@@ -199,14 +244,14 @@ class TestDiversity:
     def test_identical_branches_zero(self):
         model = toy_model(3)
         copy_branch1_to_branch2(model)
-        got = diversity_loss(tt.Tape(), model, toy_batch(3), gamma=10.0).item()
+        got = diversity_loss(ForwardPass(tt.Tape(), model, toy_batch(3)), gamma=10.0).item()
         assert got == 0.0
 
     def test_hand_computed_half(self):
         # Per-domain gaps [1,0] and [0,1] average to [.5,.5]; norm^2 = 0.5.
         model = self.linear_shared_model()
         batch = self.batch_with_means([1.0, 0.0], [0.0, 1.0])
-        got = diversity_loss(tt.Tape(), model, batch, gamma=10.0).item()
+        got = diversity_loss(ForwardPass(tt.Tape(), model, batch), gamma=10.0).item()
         assert got == pytest.approx(0.5, rel=1e-12)
 
     def test_clamp_value_and_zero_gradient(self):
@@ -214,7 +259,7 @@ class TestDiversity:
         # Gap [5,0] in both domains -> squared norm 25, clamped at 10.
         batch = self.batch_with_means([5.0, 0.0], [5.0, 0.0])
         tape = tt.Tape()
-        loss = diversity_loss(tape, model, batch, gamma=10.0)
+        loss = diversity_loss(ForwardPass(tape, model, batch), gamma=10.0)
         assert loss.item() == 10.0
         grads = tt.backward(loss)
         w = model.branch(1).shared.layers[0].weight
@@ -224,7 +269,7 @@ class TestDiversity:
         model = self.linear_shared_model()
         batch = self.batch_with_means([1.0, 0.0], [0.0, 1.0])
         tape = tt.Tape()
-        grads = tt.backward(diversity_loss(tape, model, batch, gamma=10.0))
+        grads = tt.backward(diversity_loss(ForwardPass(tape, model, batch), gamma=10.0))
         w = model.branch(1).shared.layers[0].weight
         assert np.any(grads.wrt_key(w, w.value) != 0.0)
 
@@ -234,20 +279,20 @@ class TestEntropy:
         model = toy_model()
         for branch in model.branches:
             rig_constant_output(branch.classifier, [50.0, -50.0])
-        got = entropy_loss(tt.Tape(), model, 1, toy_batch()).item()
+        got = entropy_loss(ForwardPass(tt.Tape(), model, toy_batch()), 1).item()
         assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_ln2_per_domain(self):
         model = toy_model(m=4)
         rig_constant_output(model.branch(1).classifier, np.zeros(2))
-        got = entropy_loss(tt.Tape(), model, 1, toy_batch(m=4)).item()
+        got = entropy_loss(ForwardPass(tt.Tape(), model, toy_batch(m=4)), 1).item()
         assert got == pytest.approx(4.0 * math.log(2.0), rel=1e-12)
 
     def test_frozen_skewed_value(self):
         model = toy_model()
         rig_constant_output(model.branch(1).classifier,
                             [math.log(0.9), math.log(0.1)])
-        got = entropy_loss(tt.Tape(), model, 1, toy_batch()).item()
+        got = entropy_loss(ForwardPass(tt.Tape(), model, toy_batch()), 1).item()
         # Two domains, each -(0.9 ln 0.9 + 0.1 ln 0.1) = 0.32508297...
         assert got == pytest.approx(2 * 0.3250829733914482, rel=1e-9)
 
@@ -289,29 +334,29 @@ class TestVat:
     def test_epsilon_zero_gives_zero_perturbation_and_loss(self):
         model = toy_model()
         x = np.random.default_rng(1).standard_normal((3, 6))
-        r = vat_perturbation(model, 1, 0, x, epsilon=0.0, xi=1e-6,
-                             rng=np.random.default_rng(2))
+        r = vat_perturbation(model, 1, 0, x, predict_class(model, 1, 0, x),
+                             epsilon=0.0, xi=1e-6, rng=np.random.default_rng(2))
         np.testing.assert_array_equal(r, 0.0)
         weights = LossWeights(vat_epsilon=0.0)
-        got = vat_loss(tt.Tape(), model, 1, toy_batch(), labeled=False,
-                       weights=weights, rng=np.random.default_rng(3)).item()
+        fp = ForwardPass(tt.Tape(), model, toy_batch(), rng=np.random.default_rng(3))
+        got = vat_loss(fp, 1, labeled=False, weights=weights).item()
         assert got == 0.0
 
     def test_perturbation_norm_equals_epsilon(self):
         model = toy_model(11)
         x = np.random.default_rng(4).standard_normal((5, 6))
         for eps in (0.5, 1.0, 3.0):
-            r = vat_perturbation(model, 1, 1, x, epsilon=eps, xi=1e-6,
-                                 rng=np.random.default_rng(5))
+            r = vat_perturbation(model, 1, 1, x, predict_class(model, 1, 1, x),
+                                 epsilon=eps, xi=1e-6, rng=np.random.default_rng(5))
             np.testing.assert_allclose(np.linalg.norm(r, axis=1), eps, atol=1e-9)
 
     def test_loss_nonnegative_and_seed_deterministic(self):
         model = toy_model(13)
         batch = toy_batch(13)
         vals = [
-            vat_loss(tt.Tape(), model, 2, batch, labeled=True,
-                     weights=LossWeights(), mode="train",
-                     rng=np.random.default_rng(6)).item()
+            vat_loss(ForwardPass(tt.Tape(), model, batch, mode="train",
+                                 rng=np.random.default_rng(6)),
+                     2, labeled=True, weights=LossWeights()).item()
             for _ in range(2)
         ]
         assert vals[0] == vals[1]
@@ -320,9 +365,9 @@ class TestVat:
     def test_outer_gradient_matches_fd_with_frozen_r(self):
         model = toy_model(17)
         x = np.random.default_rng(7).standard_normal((2, 6))
-        r = vat_perturbation(model, 1, 0, x, epsilon=1.0, xi=1e-6,
-                             rng=np.random.default_rng(8))
         p_ref = predict_class(model, 1, 0, x)
+        r = vat_perturbation(model, 1, 0, x, p_ref, epsilon=1.0, xi=1e-6,
+                             rng=np.random.default_rng(8))
         clf_params = model.branch(1).classifier.params()
         arrays = [p.value for p in clf_params]
 
@@ -356,8 +401,8 @@ class TestTotalObjective:
         tape = tt.Tape()
         result = total_objective(tape, model, batch, self.zero_weights())
         disc, _ = discriminator_objective(tape, model, batch, self.zero_weights())
-        want = (classification_loss(tt.Tape(), model, 1, batch).item()
-                + classification_loss(tt.Tape(), model, 2, batch).item())
+        want = (classification_loss(ForwardPass(tt.Tape(), model, batch), 1).item()
+                + classification_loss(ForwardPass(tt.Tape(), model, batch), 2).item())
         assert result.main.item() == pytest.approx(want, rel=1e-12)
         assert disc.item() == 0.0
         for key in ("l_adv_b1", "l_e_b2", "l_uvt_b1", "l_lvt_b2", "l_d", "l_div"):
@@ -397,8 +442,8 @@ class TestTotalObjective:
         g_main = tt.backward(result.main)
         g_disc = tt.backward(disc)
         g_cls = tt.backward(
-            tt.add(classification_loss(tape, model, 1, batch),
-                   classification_loss(tape, model, 2, batch))
+            tt.add(classification_loss(ForwardPass(tape, model, batch), 1),
+                   classification_loss(ForwardPass(tape, model, batch), 2))
         )
         for p in model.branch(1).shared.params():
             combined = g_main.wrt_key(p, p.value) + g_disc.wrt_key(p, p.value)
@@ -454,10 +499,11 @@ class TestBounds:
                               n_labeled=int(rng.integers(1, 4)),
                               n_unlabeled=int(rng.integers(1, 4)))
             tape = tt.Tape()
-            l_d = disagreement_loss(tape, model, batch).item()
-            l_div = diversity_loss(tape, model, batch, weights.gamma).item()
-            l_e = entropy_loss(tape, model, 1, batch).item()
-            l_c = classification_loss(tape, model, 1, batch).item()
+            fp = ForwardPass(tape, model, batch)
+            l_d = disagreement_loss(fp).item()
+            l_div = diversity_loss(fp, weights.gamma).item()
+            l_e = entropy_loss(fp, 1).item()
+            l_c = classification_loss(fp, 1).item()
             l_adv = adversarial_loss(tape, model, 2, batch).item()
             assert 0.0 <= l_d <= 2.0 * m
             assert 0.0 <= l_div <= weights.gamma

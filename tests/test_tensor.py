@@ -221,6 +221,21 @@ class TestStructuralOps:
         np.testing.assert_array_equal(grads.wrt(a), weights[:, :2])
         np.testing.assert_array_equal(grads.wrt(b), weights[:, 2:])
 
+    def test_concat_rows_splits_gradient(self):
+        tape = tt.Tape()
+        a = tape.leaf(np.ones((2, 3)))
+        b = tape.leaf(np.ones((1, 3)))
+        out = tt.concat_rows(a, b)
+        assert out.shape == (3, 3)
+        weights = np.arange(9.0).reshape(3, 3)
+        grads = tt.backward(tt.sum(out * tt.Tensor(weights)))
+        np.testing.assert_array_equal(grads.wrt(a), weights[:2])
+        np.testing.assert_array_equal(grads.wrt(b), weights[2:])
+
+    def test_concat_rows_rejects_width_mismatch(self):
+        with pytest.raises(DimensionError):
+            tt.concat_rows(tt.Tensor(np.ones((1, 2))), tt.Tensor(np.ones((1, 3))))
+
     def test_transpose_roundtrip_gradient(self):
         tape = tt.Tape()
         w = tape.leaf(np.arange(6.0).reshape(2, 3))
