@@ -1,12 +1,14 @@
 """Objective terms over a multi-domain mini-batch.
 
-The main objective's terms are reductions over one `ForwardPass`, which
+Every term of both phases is a reduction over one `ForwardPass`, which
 runs each (branch, domain, split) of the batch once through the shared
 extractor and the class head and keeps the shared features, class
-probabilities and dropout masks. Every term reads that one pass, so all
-terms share one dropout mask per (branch, domain, split) and step.
-Expectations are realized as per-domain mini-batch means and then summed
-over domains. Probabilities are clamped at 1e-12 before any log.
+probabilities and dropout masks, so all terms share one dropout mask per
+(branch, domain, split) and step. The discriminator phase holds the
+pass's shared features as constants and records on its own tape, so its
+gradient reaches only the discriminators. Expectations are realized as
+per-domain mini-batch means and then summed over domains. Probabilities
+are clamped at 1e-12 before any log.
 
 Adversarial sign conventions. The discriminator objective and the
 adversarial contribution to the main objective are opposite in sign by
@@ -26,17 +28,18 @@ input direction and not against mask resampling. The perturbation
 itself is a constant in the outer gradient.
 
 RNG discipline: the caller's generator is consumed in a fixed order, so
-a run is reproducible from its seed. The discriminator phase draws, per
-branch and domain, the shared then the discriminator masks of its own
-forward. The main phase's pass draws, per branch, domain and split
-(labeled, then unlabeled), the shared, specific and classifier masks;
-then the terms draw in table order (per branch: adversarial, whose
-discriminator masks are per domain; unlabeled VAT, then labeled VAT, one
-probe direction per domain). Skipped terms draw nothing.
+a run is reproducible from its seed. First the pass draws, per branch,
+domain and split (labeled, then unlabeled), the shared, specific and
+classifier masks. Then the discriminator phase draws, per branch and
+domain, its discriminator masks. Then the main phase's terms draw in
+table order (per branch: adversarial, whose discriminator masks are per
+domain; unlabeled VAT, then labeled VAT, one probe direction per
+domain). Skipped terms draw nothing.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -49,7 +52,7 @@ from .model import (
     class_head,
     class_probs,
     domain_head,
-    domain_probs,
+    domain_probs,  # unused here; perfbench/workloads.py counts calls through it
     shared_features,
 )
 from .tensor import (
@@ -170,17 +173,19 @@ class ForwardPass:
             raise ContractError(f"empty {split} batch for domain {i}")
         return self.outputs[b, i, split]
 
-    def adversarial_loss(self, b: int) -> Tensor:
-        """`adversarial_loss` on the kept shared features, labeled rows first."""
-        def probs_of(i):
-            parts = [self.outputs[b, i, split].shared for split in SPLITS
-                     if (b, i, split) in self.outputs]
-            if not parts:
-                raise ContractError(f"empty combined batch for domain {i}")
-            feats = parts[0] if len(parts) == 1 else concat_rows(*parts)
-            return domain_head(self.tape, self.model, b, feats, mode=self.mode,
-                               rng=self.rng)
-        return _domain_nll(self.num_domains, probs_of)
+    def detached(self) -> "ForwardPass":
+        """This pass on a fresh tape, with its outputs held as constants.
+
+        Terms run on the copy bind their parameters on the new tape. A bind
+        on this tape would memoize the value, and the main phase must read
+        the discriminators as the discriminator phase's update leaves them.
+        """
+        fp = copy.copy(self)
+        fp.tape = Tape()
+        fp.outputs = {key: out._replace(shared=stop_gradient(out.shared),
+                                        probs=stop_gradient(out.probs))
+                      for key, out in self.outputs.items()}
+        return fp
 
 
 def _domain_sum(num_domains: int, term) -> Tensor:
@@ -197,38 +202,29 @@ def _nll(probs: Tensor, one_hot: np.ndarray) -> Tensor:
     return -mean(picked)
 
 
-def _domain_nll(num_domains: int, probs_of) -> Tensor:
-    """Sum over domains i of the discriminator NLL of label i on probs_of(i)."""
-    def term(i):
-        probs = probs_of(i)
-        one_hot = np.zeros((probs.shape[0], num_domains))
-        one_hot[:, i] = 1.0
-        return _nll(probs, one_hot)
-    return _domain_sum(num_domains, term)
-
-
 def classification_loss(fp: ForwardPass, b: int) -> Tensor:
     """Sum over domains of mean cross-entropy on the labeled batch."""
     return _domain_sum(fp.num_domains, lambda i: _nll(
         fp.get(b, i, "labeled").probs, fp.batch.labeled_y[i]))
 
 
-def adversarial_loss(tape: Tape, model: CralModel, b: int,
-                     batch: MultiDomainBatch, mode: str = "eval",
-                     rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Discriminator NLL over each domain's labeled+unlabeled samples.
+def adversarial_loss(fp: ForwardPass, b: int) -> Tensor:
+    """Discriminator NLL over each domain's labeled+unlabeled shared features.
 
-    Runs its own forward, for the discriminator phase; the main objective
-    reads the same NLL off its pass (`ForwardPass.adversarial_loss`).
+    Both phases read this one NLL: the main phase on its pass, the
+    discriminator phase on the pass's detached copy.
     """
-    _check_match(model, batch)
-
-    def probs_of(i):
-        x = np.concatenate([batch.labeled_x[i], batch.unlabeled_x[i]], axis=0)
-        if x.shape[0] == 0:
+    def term(i):
+        parts = [fp.outputs[b, i, split].shared for split in SPLITS
+                 if (b, i, split) in fp.outputs]
+        if not parts:
             raise ContractError(f"empty combined batch for domain {i}")
-        return domain_probs(tape, model, b, Tensor(x), mode=mode, rng=rng)
-    return _domain_nll(batch.num_domains, probs_of)
+        feats = parts[0] if len(parts) == 1 else concat_rows(*parts)
+        probs = domain_head(fp.tape, fp.model, b, feats, mode=fp.mode, rng=fp.rng)
+        one_hot = np.zeros((probs.shape[0], fp.num_domains))
+        one_hot[:, i] = 1.0
+        return _nll(probs, one_hot)
+    return _domain_sum(fp.num_domains, term)
 
 
 def disagreement_loss(fp: ForwardPass) -> Tensor:
@@ -334,19 +330,19 @@ def adversarial_sign_factor(adversarial_sign: str) -> float:
     return 1.0 if adversarial_sign == "standard" else -1.0
 
 
-def discriminator_objective(tape: Tape, model: CralModel, batch: MultiDomainBatch,
-                            weights: LossWeights, mode: str = "eval",
-                            rng: Optional[np.random.Generator] = None,
+def discriminator_objective(fp: ForwardPass, weights: LossWeights,
                             adversarial_sign: str = "standard") -> tuple:
     """Phase-1 objective: the weighted adversarial losses of both branches.
 
-    Returns (objective tensor, breakdown) where the breakdown holds the
-    raw per-branch NLL values. Descending the returned objective trains
-    the discriminators under the chosen sign convention.
+    Runs the discriminators on a fresh tape over the pass's shared
+    features held as constants, so its gradient reaches the discriminators
+    only. Returns (objective tensor, breakdown) where the breakdown holds
+    the raw per-branch NLL values. Descending the returned objective
+    trains the discriminators under the chosen sign convention.
     """
     sign = adversarial_sign_factor(adversarial_sign)
-    l1 = adversarial_loss(tape, model, 1, batch, mode=mode, rng=rng)
-    l2 = adversarial_loss(tape, model, 2, batch, mode=mode, rng=rng)
+    frozen = fp.detached()
+    l1, l2 = (adversarial_loss(frozen, b) for b in BRANCHES)
     breakdown = {"l_adv_b1": l1.item(), "l_adv_b2": l2.item()}
     return add(l1, l2) * (sign * weights.lambda_adv), breakdown
 
@@ -375,7 +371,7 @@ def objective_terms(weights: LossWeights, adversarial_sign: str = "standard",
         table += [
             (f"l_c_b{b}", 1.0, lambda fp, b=b: classification_loss(fp, b)),
             (f"l_adv_b{b}", -sign * weights.lambda_adv,
-             lambda fp, b=b: fp.adversarial_loss(b)),
+             lambda fp, b=b: adversarial_loss(fp, b)),
             (f"l_e_b{b}", lam_uvt, lambda fp, b=b: entropy_loss(fp, b)),
             (f"l_uvt_b{b}", lam_uvt,
              lambda fp, b=b: vat_loss(fp, b, labeled=False, weights=weights)),
@@ -395,9 +391,7 @@ class ObjectiveResult:
     breakdown: dict
 
 
-def total_objective(tape: Tape, model: CralModel, batch: MultiDomainBatch,
-                    weights: LossWeights, mode: str = "eval",
-                    rng: Optional[np.random.Generator] = None,
+def total_objective(fp: ForwardPass, weights: LossWeights,
                     adversarial_sign: str = "standard",
                     disabled: frozenset = frozenset()) -> ObjectiveResult:
     """Main objective plus the per-term breakdown.
@@ -408,12 +402,11 @@ def total_objective(tape: Tape, model: CralModel, batch: MultiDomainBatch,
 
     (the adversarial sign flips under the literal convention; the
     discriminators' side of the game is `discriminator_objective`).
-    Every term reads one `ForwardPass` of the batch. Terms whose weight
-    is zero, or that are named in `disabled`, are skipped entirely and
+    Every term reads `fp` and records on its tape. Terms whose weight is
+    zero, or that are named in `disabled`, are skipped entirely and
     reported as 0.0 in the breakdown.
     """
     table = objective_terms(weights, adversarial_sign, disabled)
-    fp = ForwardPass(tape, model, batch, mode=mode, rng=rng)
     breakdown = {}
     main = None
     for name, weight, term in table:

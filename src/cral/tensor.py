@@ -12,7 +12,7 @@ not only model parameters.
 
 Conventions:
   * all data is float64,
-  * relu/abs use subgradient 0 exactly at their kink,
+  * relu and l1_norm use subgradient 0 exactly at their kink,
   * clamp_min/clamp_max pass zero gradient where the clamp is active,
   * only equal-shape and scalar-with-tensor broadcasting is supported
     (bias addition has its own op, ``add_bias``).
@@ -86,9 +86,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, Tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
 
 def _wrap(value) -> Tensor:
@@ -261,19 +258,9 @@ def relu(t: Tensor) -> Tensor:
                    [(t, lambda g: g * mask)])
 
 
-def exp(t: Tensor) -> Tensor:
-    out = np.exp(t.data)
-    return _record(_tape_of(t), out, [(t, lambda g: g * out)])
-
-
 def log(t: Tensor) -> Tensor:
     """Natural log; callers that may see 0 clamp with ``clamp_min`` first."""
     return _record(_tape_of(t), np.log(t.data), [(t, lambda g: g / t.data)])
-
-
-def absolute(t: Tensor) -> Tensor:
-    return _record(_tape_of(t), np.abs(t.data),
-                   [(t, lambda g: g * np.sign(t.data))])
 
 
 def clamp_min(t: Tensor, floor: float) -> Tensor:

@@ -1,12 +1,13 @@
 """Training loop and evaluation protocols.
 
-One iteration alternates two phases over the same sampled batch:
-phase 1 steps only the two discriminators on the weighted adversarial
-losses; phase 2 recomputes the forward pass and steps every other
-parameter group on the main objective. Each domain's labeled and
-unlabeled pools are sampled as independent shuffled streams that
-recycle on exhaustion, so small domains cycle faster. An epoch is one
-pass over the largest domain's labeled pool.
+One iteration runs one forward pass of the sampled batch, and both of
+its alternating phases read that pass: phase 1 steps only the two
+discriminators on the weighted adversarial losses, with the pass's shared
+features held as constants; phase 2 steps every other parameter group on
+the main objective, reading the discriminators as phase 1 left them.
+Each domain's labeled and unlabeled pools are sampled as independent
+shuffled streams that recycle on exhaustion, so small domains cycle
+faster. An epoch is one pass over the largest domain's labeled pool.
 
 Evaluation uses the two-branch ensemble. Multi-domain accuracy is the
 unweighted mean of per-domain accuracies. Model selection, when a dev
@@ -32,6 +33,7 @@ import numpy as np
 from .data import DomainDataset, merge_labeled, one_hot, split_labeled
 from .errors import ConfigError, DataError, TrainingError
 from .losses import (
+    ForwardPass,
     LossWeights,
     MultiDomainBatch,
     discriminator_objective,
@@ -168,14 +170,10 @@ def _setup(model: CralModel, train_sets: list, config: TrainConfig) -> tuple:
     return sampler, loss_rng, opt_disc
 
 
-def _discriminator_step(model: CralModel, batch: MultiDomainBatch,
-                        config: TrainConfig, opt_disc: Adam,
-                        rng: np.random.Generator) -> dict:
+def _discriminator_step(fp: ForwardPass, config: TrainConfig, opt_disc: Adam) -> dict:
     """Phase-1 update; returns its objective and per-branch NLLs."""
-    tape = Tape()
-    objective, phase1 = discriminator_objective(
-        tape, model, batch, config.weights, mode="train", rng=rng,
-        adversarial_sign=config.adversarial_sign)
+    objective, phase1 = discriminator_objective(fp, config.weights,
+                                                config.adversarial_sign)
     terms = {**phase1, "disc_phase": objective.item()}
     _check_finite_terms(terms)
     opt_disc.step(backward(objective))
@@ -186,14 +184,13 @@ def train_step(model: CralModel, batch: MultiDomainBatch, config: TrainConfig,
                opt_disc: Adam, opt_main: Adam,
                rng: np.random.Generator) -> dict:
     """One alternating update; returns the loss-term breakdown."""
+    fp = ForwardPass(Tape(), model, batch, mode="train", rng=rng)
     terms = {"disc_phase": 0.0}
     if config.weights.lambda_adv > 0.0:
-        terms = _discriminator_step(model, batch, config, opt_disc, rng)
+        terms = _discriminator_step(fp, config, opt_disc)
 
-    tape = Tape()
-    result = total_objective(
-        tape, model, batch, config.weights, mode="train", rng=rng,
-        adversarial_sign=config.adversarial_sign, disabled=config.disabled)
+    result = total_objective(fp, config.weights, config.adversarial_sign,
+                             config.disabled)
     terms.update(result.breakdown)
     _check_finite_terms(terms)
     opt_main.step(backward(result.main))
@@ -296,8 +293,9 @@ def train_discriminator_only(model: CralModel, train_sets: list,
     sampler, loss_rng, opt_disc = _setup(model, train_sets, config)
     records = []
     for iteration in range(1, steps + 1):
-        terms = _discriminator_step(model, sampler.next_batch(), config,
-                                    opt_disc, loss_rng)
+        fp = ForwardPass(Tape(), model, sampler.next_batch(), mode="train",
+                         rng=loss_rng)
+        terms = _discriminator_step(fp, config, opt_disc)
         records.append(MetricsRecord(iteration=iteration, epoch=1, terms=terms))
     return records
 

@@ -24,7 +24,9 @@ from cral.losses import (
     vat_loss,
     vat_perturbation,
 )
-from cral.model import ModelConfig, init_model, predict_class, class_probs
+from cral.model import ModelConfig, init_model, predict_class, predict_domain, class_probs
+from cral.nn import Adam
+from cral.trainer import TrainConfig, train_step
 
 
 def toy_model(seed=0, m=2, input_dim=6):
@@ -127,7 +129,7 @@ class TestAdversarial:
         model = toy_model(m=4)
         rig_constant_output(model.branch(1).discriminator, np.zeros(4))
         batch = toy_batch(m=4)
-        got = adversarial_loss(tt.Tape(), model, 1, batch).item()
+        got = adversarial_loss(ForwardPass(tt.Tape(), model, batch), 1).item()
         assert got == pytest.approx(4.0 * math.log(4.0), rel=1e-12)
 
     def test_exactly_correct_discriminator_zero(self):
@@ -142,34 +144,65 @@ class TestAdversarial:
             full.labeled_x, full.labeled_y,
             [np.zeros((0, 6)) for _ in range(2)],
         )
-        a = adversarial_loss(tt.Tape(), model, 1, full).item()
-        b = adversarial_loss(tt.Tape(), model, 1, labeled_only).item()
+        a = adversarial_loss(ForwardPass(tt.Tape(), model, full), 1).item()
+        b = adversarial_loss(ForwardPass(tt.Tape(), model, labeled_only), 1).item()
         assert a != b
 
 
+@pytest.fixture
+def shared_rows(monkeypatch):
+    """Rows passed to shared_features, through the losses' and the model's lookups."""
+    import cral.losses
+    import cral.model
+
+    rows = []
+    original = cral.model.shared_features
+
+    def counting(tape, model, b, x, *args, **kwargs):
+        rows.append(x.shape[0])
+        return original(tape, model, b, x, *args, **kwargs)
+
+    for module in (cral.losses, cral.model):
+        monkeypatch.setattr(module, "shared_features", counting)
+    return rows
+
+
 class TestForwardPass:
-    def test_each_row_goes_through_each_shared_extractor_once(self, monkeypatch):
-        import cral.losses
-        import cral.model
-
-        rows = []
-        original = cral.model.shared_features
-
-        def counting(tape, model, b, x, *args, **kwargs):
-            rows.append(x.shape[0])
-            return original(tape, model, b, x, *args, **kwargs)
-
-        # Both the loss terms' and the model's own lookups are counted.
-        for module in (cral.losses, cral.model):
-            monkeypatch.setattr(module, "shared_features", counting)
+    def test_each_row_goes_through_each_shared_extractor_once(self, shared_rows):
         model = toy_model(41, m=3)
         batch = toy_batch(41, m=3, n_labeled=2, n_unlabeled=3)
         weights = LossWeights(lambda_d=0.3, lambda_div=0.2, lambda_uvt=0.0,
                               lambda_lvt=0.0)
-        result = total_objective(tt.Tape(), model, batch, weights, mode="train",
-                                 rng=np.random.default_rng(11))
+        fp = ForwardPass(tt.Tape(), model, batch, mode="train",
+                         rng=np.random.default_rng(11))
+        result = total_objective(fp, weights)
         assert result.breakdown["l_adv_b1"] > 0.0 and result.breakdown["l_d"] > 0.0
-        assert sum(rows) == 2 * (3 * 2 + 3 * 3)
+        assert sum(shared_rows) == 2 * (3 * 2 + 3 * 3)
+
+    def test_whole_step_sends_each_row_through_each_shared_extractor_once(
+            self, shared_rows):
+        # Phase 1 reads the pass's shared features instead of running its own.
+        model = toy_model(47, m=3)
+        batch = toy_batch(47, m=3, n_labeled=2, n_unlabeled=3)
+        config = TrainConfig(weights=LossWeights(lambda_adv=0.5, lambda_uvt=0.0,
+                                                 lambda_lvt=0.0))
+        terms = train_step(model, batch, config, Adam(model.discriminator_params()),
+                           Adam(model.main_params()), np.random.default_rng(12))
+        assert terms["disc_phase"] > 0.0
+        assert sum(shared_rows) == 2 * (3 * 2 + 3 * 3)
+
+    def test_main_phase_reads_discriminators_after_phase_one_step(self):
+        model = toy_model(53)
+        batch = toy_batch(53)
+        weights = LossWeights(lambda_uvt=0.0, lambda_lvt=0.0)
+        fp = ForwardPass(tt.Tape(), model, batch)
+        before = adversarial_loss(ForwardPass(tt.Tape(), model, batch), 1).item()
+        disc, _ = discriminator_objective(fp, weights)
+        Adam(model.discriminator_params(), lr=0.1).step(tt.backward(disc))
+        after = adversarial_loss(ForwardPass(tt.Tape(), model, batch), 1).item()
+        assert after != pytest.approx(before, rel=1e-6)
+        got = total_objective(fp, weights).breakdown["l_adv_b1"]
+        assert got == pytest.approx(after, rel=1e-12)
 
     def test_adversarial_matches_own_forward_in_eval_mode(self):
         model = toy_model(43)
@@ -177,8 +210,11 @@ class TestForwardPass:
         labeled_only = MultiDomainBatch(full.labeled_x, full.labeled_y,
                                         [np.zeros((0, 6)) for _ in range(2)])
         for batch in (full, labeled_only):
-            on_pass = ForwardPass(tt.Tape(), model, batch).adversarial_loss(2).item()
-            own = adversarial_loss(tt.Tape(), model, 2, batch).item()
+            on_pass = adversarial_loss(ForwardPass(tt.Tape(), model, batch), 2).item()
+            own = 0.0
+            for i in range(2):
+                x = np.concatenate([batch.labeled_x[i], batch.unlabeled_x[i]])
+                own += float(np.mean(-np.log(predict_domain(model, 2, x)[:, i])))
             assert on_pass == pytest.approx(own, rel=1e-12)
 
     def test_empty_split_named_by_the_term_that_needs_it(self):
@@ -398,9 +434,9 @@ class TestTotalObjective:
     def test_classification_only_when_all_lambdas_zero(self):
         model = toy_model(19)
         batch = toy_batch(19)
-        tape = tt.Tape()
-        result = total_objective(tape, model, batch, self.zero_weights())
-        disc, _ = discriminator_objective(tape, model, batch, self.zero_weights())
+        fp = ForwardPass(tt.Tape(), model, batch)
+        result = total_objective(fp, self.zero_weights())
+        disc, _ = discriminator_objective(fp, self.zero_weights())
         want = (classification_loss(ForwardPass(tt.Tape(), model, batch), 1).item()
                 + classification_loss(ForwardPass(tt.Tape(), model, batch), 2).item())
         assert result.main.item() == pytest.approx(want, rel=1e-12)
@@ -413,10 +449,9 @@ class TestTotalObjective:
         batch = toy_batch(23)
         w = LossWeights(lambda_d=0.3, lambda_div=0.2, lambda_uvt=0.7,
                         lambda_lvt=0.4, lambda_adv=1.5)
-        tape = tt.Tape()
-        result = total_objective(tape, model, batch, w,
-                                 rng=np.random.default_rng(9))
-        disc, disc_parts = discriminator_objective(tape, model, batch, w)
+        fp = ForwardPass(tt.Tape(), model, batch, rng=np.random.default_rng(9))
+        result = total_objective(fp, w)
+        disc, disc_parts = discriminator_objective(fp, w)
         bd = result.breakdown
         want = 0.0
         for b in (1, 2):
@@ -430,37 +465,40 @@ class TestTotalObjective:
         assert abs(disc.item() - disc_want) < 1e-10
 
     def test_gradient_reversal_identity(self):
-        # With only the adversarial weight active, main + discriminator
-        # gradients on shared parameters must cancel down to the
-        # classification part.
+        # With only the adversarial weight active, the two phases' gradients
+        # cancel on the discriminators; phase 1 holds the shared features
+        # constant, and the main phase reverses the adversarial gradient
+        # into the shared extractors.
         model = toy_model(29)
         batch = toy_batch(29)
         weights = self.zero_weights(lambda_adv=1.0)
-        tape = tt.Tape()
-        result = total_objective(tape, model, batch, weights)
-        disc, _ = discriminator_objective(tape, model, batch, weights)
+        fp = ForwardPass(tt.Tape(), model, batch)
+        result = total_objective(fp, weights)
+        disc, _ = discriminator_objective(fp, weights)
         g_main = tt.backward(result.main)
         g_disc = tt.backward(disc)
-        g_cls = tt.backward(
-            tt.add(classification_loss(ForwardPass(tape, model, batch), 1),
-                   classification_loss(ForwardPass(tape, model, batch), 2))
-        )
-        for p in model.branch(1).shared.params():
+        g_cls = tt.backward(tt.add(classification_loss(fp, 1), classification_loss(fp, 2)))
+        g_adv = tt.backward(tt.add(adversarial_loss(fp, 1), adversarial_loss(fp, 2)))
+        for p in model.discriminator_params():
             combined = g_main.wrt_key(p, p.value) + g_disc.wrt_key(p, p.value)
-            np.testing.assert_allclose(combined, g_cls.wrt_key(p, p.value),
-                                       atol=1e-12)
+            np.testing.assert_allclose(combined, 0.0, atol=1e-12)
+            assert np.any(g_disc.wrt_key(p, p.value) != 0.0)
+        for b in (1, 2):
+            for p in model.branch(b).shared.params():
+                np.testing.assert_array_equal(g_disc.wrt_key(p, p.value), 0.0)
+                np.testing.assert_allclose(
+                    g_main.wrt_key(p, p.value),
+                    g_cls.wrt_key(p, p.value) - g_adv.wrt_key(p, p.value), atol=1e-12)
 
     def test_literal_sign_flag_flips_both(self):
         model = toy_model(31)
         batch = toy_batch(31)
         weights = self.zero_weights(lambda_adv=1.0)
-        tape = tt.Tape()
-        std = total_objective(tape, model, batch, weights)
-        lit = total_objective(tape, model, batch, weights,
-                              adversarial_sign="literal")
-        std_disc, _ = discriminator_objective(tape, model, batch, weights)
-        lit_disc, _ = discriminator_objective(tape, model, batch, weights,
-                                              adversarial_sign="literal")
+        fp = ForwardPass(tt.Tape(), model, batch)
+        std = total_objective(fp, weights)
+        lit = total_objective(fp, weights, adversarial_sign="literal")
+        std_disc, _ = discriminator_objective(fp, weights)
+        lit_disc, _ = discriminator_objective(fp, weights, adversarial_sign="literal")
         assert lit_disc.item() == pytest.approx(-std_disc.item(), rel=1e-12)
         adv_total = std.breakdown["l_adv_b1"] + std.breakdown["l_adv_b2"]
         assert lit.main.item() - std.main.item() == pytest.approx(
@@ -469,8 +507,8 @@ class TestTotalObjective:
     def test_disabled_terms_report_zero(self):
         model = toy_model(37)
         batch = toy_batch(37)
-        result = total_objective(tt.Tape(), model, batch, LossWeights(),
-                                 rng=np.random.default_rng(10),
+        fp = ForwardPass(tt.Tape(), model, batch, rng=np.random.default_rng(10))
+        result = total_objective(fp, LossWeights(),
                                  disabled=frozenset({"l_d", "l_uvt"}))
         assert result.breakdown["l_d"] == 0.0
         assert result.breakdown["l_uvt_b1"] == 0.0
@@ -479,13 +517,13 @@ class TestTotalObjective:
 
     def test_unknown_switch_rejected(self):
         with pytest.raises(ContractError, match="l_dd"):
-            total_objective(tt.Tape(), toy_model(), toy_batch(), LossWeights(),
-                            disabled=frozenset({"l_dd"}))
+            total_objective(ForwardPass(tt.Tape(), toy_model(), toy_batch()),
+                            LossWeights(), disabled=frozenset({"l_dd"}))
 
     def test_bad_sign_flag_rejected(self):
         with pytest.raises(ContractError):
-            total_objective(tt.Tape(), toy_model(), toy_batch(), LossWeights(),
-                            adversarial_sign="flipped")
+            total_objective(ForwardPass(tt.Tape(), toy_model(), toy_batch()),
+                            LossWeights(), adversarial_sign="flipped")
 
 
 class TestBounds:
@@ -504,7 +542,7 @@ class TestBounds:
             l_div = diversity_loss(fp, weights.gamma).item()
             l_e = entropy_loss(fp, 1).item()
             l_c = classification_loss(fp, 1).item()
-            l_adv = adversarial_loss(tape, model, 2, batch).item()
+            l_adv = adversarial_loss(fp, 2).item()
             assert 0.0 <= l_d <= 2.0 * m
             assert 0.0 <= l_div <= weights.gamma
             assert 0.0 <= l_e <= m * math.log(2.0) + 1e-12

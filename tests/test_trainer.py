@@ -9,7 +9,7 @@ import pytest
 import cral.tensor as tt
 from cral.data import DomainDataset, SyntheticSpec, generate_synthetic
 from cral.errors import ConfigError, DataError, TrainingError
-from cral.losses import LossWeights, discriminator_objective, total_objective
+from cral.losses import ForwardPass, LossWeights, discriminator_objective, total_objective
 from cral.model import ModelConfig, init_model
 from cral.nn import Adam
 from cral.trainer import (
@@ -126,18 +126,14 @@ class TestTrainStep:
         opt_main = Adam(model.main_params(), lr=1e-3)
 
         before = self.snapshot(model.params())
-        tape = tt.Tape()
-        objective, _ = discriminator_objective(tape, model, batch,
-                                               config.weights, mode="train",
-                                               rng=rng)
+        fp = ForwardPass(tt.Tape(), model, batch, mode="train", rng=rng)
+        objective, _ = discriminator_objective(fp, config.weights)
         opt_disc.step(tt.backward(objective))
         disc_names = {p.name for p in model.discriminator_params()}
         assert self.changed(model.params(), before) == disc_names
 
         after_phase1 = self.snapshot(model.params())
-        tape = tt.Tape()
-        result = total_objective(tape, model, batch, config.weights,
-                                 mode="train", rng=rng)
+        result = total_objective(fp, config.weights)
         opt_main.step(tt.backward(result.main))
         changed = self.changed(model.params(), after_phase1)
         assert changed.isdisjoint(disc_names)
