@@ -22,7 +22,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ContractError, DimensionError, SpecError, TrainingError
-from .tensor import Tape, Tensor, add_bias, matmul, mul, relu, transpose
+from .tensor import (
+    Tape,
+    Tensor,
+    linear,
+    matmul,  # unused here; perfbench/workloads.py patches it for its matmul counters
+    mul,
+    relu,
+)
 
 MODES = ("train", "eval")
 
@@ -68,7 +75,7 @@ class LinearLayer:
     def apply(self, tape: Tape, x: Tensor) -> Tensor:
         w = tape.bind(self.weight, self.weight.value)
         b = tape.bind(self.bias, self.bias.value)
-        return add_bias(matmul(x, transpose(w)), b)
+        return linear(x, w, b)
 
 
 class Mlp:
@@ -182,19 +189,35 @@ class Adam:
         self._v = [np.zeros_like(p.value) for p in self.params]
 
     def step(self, grads) -> None:
-        """Apply one update from a Gradients object keyed by Parameter identity."""
+        """Apply one update from a Gradients object keyed by Parameter identity.
+
+        The moments are updated in place, in the float operations of
+        m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        p - lr*m_hat / (sqrt(v_hat) + eps). Each parameter gets a new
+        array: snapshots and tapes hold the old ones and must not change.
+        """
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self._m, self._v):
             g = grads.wrt_key(p, p.value)
-            if not np.all(np.isfinite(g)):
+            # min and max propagate NaN and +-inf, and allocate nothing.
+            if not (np.isfinite(g.min()) and np.isfinite(g.max())):
                 raise TrainingError(f"non-finite gradient for parameter {p.name}")
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self._m[i] / b1t
-            v_hat = self._v[i] / b2t
-            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # Array buffers: a 0-d ufunc result would be a numpy scalar.
+            scratch = np.empty_like(m)
+            m *= self.beta1
+            m += np.multiply(g, 1.0 - self.beta1, out=scratch)
+            v *= self.beta2
+            np.multiply(g, 1.0 - self.beta2, out=scratch)
+            v += np.multiply(scratch, g, out=scratch)
+            denom = np.divide(v, b2t, out=scratch)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step = np.divide(m, b1t, out=np.empty_like(m))
+            step *= self.lr
+            step /= denom
+            p.value = np.subtract(p.value, step, out=step)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,22 @@ gradient, which is also how :func:`stop_gradient` is realized.
 
 The tape is rebuilt on every use (nothing is retained between steps), and
 gradients are available with respect to any leaf, including plain inputs,
-not only model parameters.
+not only model parameters.  :func:`backward` keeps leaf gradients only: it
+drops each intermediate gradient once that node's vjps have run.  It adds a
+contribution in place only into a buffer it allocated itself, because a
+vjp may hand back another node's gradient or a read-only broadcast.
+
+A tape holds arrays and shapes, never a :class:`Tensor`: vjp closures
+capture the arrays they need, and bindings keep node ids.  A tensor points
+at its tape, so the tape, its activations and its bound parameter arrays
+are freed by reference counting once the last tensor on it goes away.
 
 Conventions:
   * all data is float64,
   * relu and l1_norm use subgradient 0 exactly at their kink,
   * clamp_min/clamp_max pass zero gradient where the clamp is active,
   * only equal-shape and scalar-with-tensor broadcasting is supported
-    (bias addition has its own op, ``add_bias``).
+    (the affine map x W^T + b has its own op, ``linear``).
 """
 
 from __future__ import annotations
@@ -112,7 +120,7 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[_Node] = []
-        self._bindings: dict[Hashable, Tensor] = {}
+        self._bindings: dict[Hashable, tuple[int, Array]] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -124,12 +132,14 @@ class Tape:
         return Tensor(data, self, node_id)
 
     def bind(self, key: Hashable, data) -> Tensor:
-        """Leaf memoized by ``key``; repeated binds return the same node."""
+        """Leaf memoized by ``key``; repeated binds return the same node and value."""
         bound = self._bindings.get(key)
         if bound is None:
-            bound = self.leaf(data)
-            self._bindings[key] = bound
-        return bound
+            t = self.leaf(data)
+            self._bindings[key] = (t.node_id, t.data)
+            return t
+        node_id, value = bound
+        return Tensor(value, self, node_id)
 
 
 def _tape_of(*tensors: Tensor) -> Optional[Tape]:
@@ -146,6 +156,8 @@ def _tape_of(*tensors: Tensor) -> Optional[Tape]:
 
 def _record(tape: Optional[Tape], out_data: Array,
             parents: list[tuple[Tensor, Callable[[Array], Array]]]) -> Tensor:
+    # The vjps must capture arrays and shapes only: a captured Tensor would
+    # point back at this tape and make it a reference cycle.
     if tape is None:
         return Tensor(out_data)
     edges = tuple((t.node_id, vjp) for t, vjp in parents if t.tape is not None)
@@ -155,9 +167,10 @@ def _record(tape: Optional[Tape], out_data: Array,
 
 
 class Gradients:
-    """Result of :func:`backward`: node-id -> gradient array.
+    """Result of :func:`backward`: leaf node-id -> gradient array.
 
-    Leaves that the loss never touched read back as zeros.
+    Leaves that the loss never touched read back as zeros. Gradients of
+    intermediate nodes are not kept.
     """
 
     def __init__(self, tape: Tape, grads: dict[int, Array]):
@@ -167,15 +180,17 @@ class Gradients:
     def wrt(self, t: Tensor) -> Array:
         if t.tape is not self._tape:
             raise ContractError("tensor is not on the tape these gradients came from")
+        if self._tape._nodes[t.node_id].parents:
+            raise ContractError(f"node {t.node_id} is not a leaf; backward keeps "
+                                "leaf gradients only")
         g = self._grads.get(t.node_id)
         return np.zeros_like(t.data) if g is None else g
 
     def wrt_key(self, key: Hashable, like: Array) -> Array:
         """Gradient for a ``Tape.bind`` key; zeros if the key was never bound."""
         bound = self._tape._bindings.get(key)
-        if bound is None:
-            return np.zeros_like(like)
-        return self.wrt(bound)
+        g = None if bound is None else self._grads.get(bound[0])
+        return np.zeros_like(like) if g is None else g
 
 
 def backward(loss: Tensor) -> Gradients:
@@ -189,14 +204,27 @@ def backward(loss: Tensor) -> Gradients:
         raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
     tape = loss.tape
     grads: dict[int, Array] = {loss.node_id: np.ones(())}
+    owned: set[int] = set()  # nodes whose gradient buffer this sweep allocated
     for node_id in range(loss.node_id, -1, -1):
-        g = grads.get(node_id)
+        parents = tape._nodes[node_id].parents
+        if not parents:
+            continue  # a leaf keeps its gradient
+        g = grads.pop(node_id, None)
         if g is None:
             continue
-        for parent_id, vjp in tape._nodes[node_id].parents:
+        for parent_id, vjp in parents:
             contribution = vjp(g)
             seen = grads.get(parent_id)
-            grads[parent_id] = contribution if seen is None else seen + contribution
+            if seen is None:
+                # May alias another node's gradient or be a read-only view.
+                grads[parent_id] = contribution
+            elif parent_id in owned:
+                np.add(seen, contribution, out=seen)
+            else:
+                # A 0-d sum is a numpy scalar, which `out=` rejects; np.shape
+                # gives every case an array buffer.
+                grads[parent_id] = np.add(seen, contribution, out=np.empty(np.shape(seen)))
+                owned.add(parent_id)
     return Gradients(tape, grads)
 
 
@@ -225,28 +253,28 @@ def _reduce_to(shape: tuple[int, ...], g: Array) -> Array:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "add")
-    out = a.data + b.data
-    return _record(_tape_of(a, b), out, [
-        (a, lambda g: _reduce_to(a.shape, g)),
-        (b, lambda g: _reduce_to(b.shape, g)),
+    a_shape, b_shape = a.shape, b.shape
+    return _record(_tape_of(a, b), a.data + b.data, [
+        (a, lambda g: _reduce_to(a_shape, g)),
+        (b, lambda g: _reduce_to(b_shape, g)),
     ])
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "sub")
-    out = a.data - b.data
-    return _record(_tape_of(a, b), out, [
-        (a, lambda g: _reduce_to(a.shape, g)),
-        (b, lambda g: _reduce_to(b.shape, -g)),
+    a_shape, b_shape = a.shape, b.shape
+    return _record(_tape_of(a, b), a.data - b.data, [
+        (a, lambda g: _reduce_to(a_shape, g)),
+        (b, lambda g: _reduce_to(b_shape, -g)),
     ])
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "mul")
-    out = a.data * b.data
-    return _record(_tape_of(a, b), out, [
-        (a, lambda g: _reduce_to(a.shape, g * b.data)),
-        (b, lambda g: _reduce_to(b.shape, g * a.data)),
+    a_data, b_data = a.data, b.data
+    return _record(_tape_of(a, b), a_data * b_data, [
+        (a, lambda g: _reduce_to(a_data.shape, g * b_data)),
+        (b, lambda g: _reduce_to(b_data.shape, g * a_data)),
     ])
 
 
@@ -260,7 +288,8 @@ def relu(t: Tensor) -> Tensor:
 
 def log(t: Tensor) -> Tensor:
     """Natural log; callers that may see 0 clamp with ``clamp_min`` first."""
-    return _record(_tape_of(t), np.log(t.data), [(t, lambda g: g / t.data)])
+    data = t.data
+    return _record(_tape_of(t), np.log(data), [(t, lambda g: g / data)])
 
 
 def clamp_min(t: Tensor, floor: float) -> Tensor:
@@ -282,26 +311,29 @@ def clamp_max(t: Tensor, ceiling: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
-    out = a.data @ b.data
-    return _record(_tape_of(a, b), out, [
-        (a, lambda g: g @ b.data.T),
-        (b, lambda g: a.data.T @ g),
+    a_data, b_data = a.data, b.data
+    return _record(_tape_of(a, b), a_data @ b_data, [
+        (a, lambda g: g @ b_data.T),
+        (b, lambda g: a_data.T @ g),
     ])
 
 
-def transpose(t: Tensor) -> Tensor:
-    if t.data.ndim != 2:
-        raise DimensionError(f"transpose: expected a matrix, got shape {t.shape}")
-    return _record(_tape_of(t), t.data.T, [(t, lambda g: g.T)])
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map x W^T + b: (n, in), (out, in), (out,) -> (n, out).
 
-
-def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Row-broadcast bias addition: (n, m) + (m,) -> (n, m)."""
-    if x.data.ndim != 2 or bias.data.ndim != 1 or x.shape[1] != bias.shape[0]:
-        raise DimensionError(f"add_bias: shapes {x.shape} and {bias.shape} do not align")
-    return _record(_tape_of(x, bias), x.data + bias.data, [
-        (x, lambda g: g),
-        (bias, lambda g: g.sum(axis=0)),
+    The weight gradient g^T x comes out C-contiguous in W's own layout.
+    """
+    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
+            or x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]):
+        raise DimensionError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} "
+                             "do not align")
+    x_data, w_data = x.data, w.data
+    out = x_data @ w_data.T
+    out += b.data
+    return _record(_tape_of(x, w, b), out, [
+        (x, lambda g: g @ w_data),
+        (w, lambda g: g.T @ x_data),
+        (b, lambda g: g.sum(axis=0)),
     ])
 
 
@@ -334,35 +366,39 @@ def _check_axis(t: Tensor, axis: Optional[int]) -> None:
         raise DimensionError(f"axis {axis} out of range for shape {t.shape}")
 
 
-def _expand(t: Tensor, g: Array, axis: Optional[int]) -> Array:
+def _expand(shape: tuple[int, ...], g: Array, axis: Optional[int]) -> Array:
     if axis is None:
-        return np.broadcast_to(g, t.shape)
-    return np.broadcast_to(np.expand_dims(g, axis), t.shape)
+        return np.broadcast_to(g, shape)
+    return np.broadcast_to(np.expand_dims(g, axis), shape)
 
 
 def sum(t: Tensor, axis: Optional[int] = None) -> Tensor:  # noqa: A001 - op name
     _check_axis(t, axis)
+    shape = t.shape
     return _record(_tape_of(t), np.sum(t.data, axis=axis),
-                   [(t, lambda g: _expand(t, g, axis))])
+                   [(t, lambda g: _expand(shape, g, axis))])
 
 
 def mean(t: Tensor, axis: Optional[int] = None) -> Tensor:
     _check_axis(t, axis)
-    count = t.data.size if axis is None else t.shape[axis]
+    shape = t.shape
+    count = t.data.size if axis is None else shape[axis]
     return _record(_tape_of(t), np.mean(t.data, axis=axis),
-                   [(t, lambda g: _expand(t, g, axis) / count)])
+                   [(t, lambda g: _expand(shape, g, axis) / count)])
 
 
 def l1_norm(t: Tensor, axis: Optional[int] = None) -> Tensor:
     _check_axis(t, axis)
-    return _record(_tape_of(t), np.sum(np.abs(t.data), axis=axis),
-                   [(t, lambda g: _expand(t, g, axis) * np.sign(t.data))])
+    data = t.data
+    return _record(_tape_of(t), np.sum(np.abs(data), axis=axis),
+                   [(t, lambda g: _expand(data.shape, g, axis) * np.sign(data))])
 
 
 def l2_norm_sq(t: Tensor, axis: Optional[int] = None) -> Tensor:
     _check_axis(t, axis)
-    return _record(_tape_of(t), np.sum(t.data * t.data, axis=axis),
-                   [(t, lambda g: _expand(t, g, axis) * 2.0 * t.data)])
+    data = t.data
+    return _record(_tape_of(t), np.sum(data * data, axis=axis),
+                   [(t, lambda g: _expand(data.shape, g, axis) * 2.0 * data)])
 
 
 def softmax_rows(logits: Tensor) -> Tensor:

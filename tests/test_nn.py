@@ -184,11 +184,31 @@ class TestAdam:
             assert abs(got - want) < 1e-12
 
     def test_nan_gradient_names_parameter(self):
-        p = Parameter("branch1/shared/layer0/weight", np.zeros(2))
-        opt = Adam([p])
-        bad = self.make_grads({p: np.array([np.nan, 0.0])})
-        with pytest.raises(TrainingError, match="branch1/shared/layer0/weight"):
-            opt.step(bad)
+        for bad_value in (np.nan, np.inf, -np.inf):
+            p = Parameter("branch1/shared/layer0/weight", np.zeros(2))
+            opt = Adam([p])
+            bad = self.make_grads({p: np.array([bad_value, 0.0])})
+            with pytest.raises(TrainingError, match="branch1/shared/layer0/weight"):
+                opt.step(bad)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (4, 5)])
+    def test_in_place_update_matches_reference_bit_for_bit(self, shape):
+        rng = np.random.default_rng(43)
+        p = Parameter("w", rng.standard_normal(shape))
+        opt = Adam([p], lr=1e-3)
+        value, m, v = p.value.copy(), np.zeros(shape), np.zeros(shape)
+        for t in range(1, 4):
+            g = np.asarray(rng.standard_normal(shape))
+            old = p.value
+            opt.step(self.make_grads({p: g}))
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            m_hat, v_hat = m / (1.0 - 0.9 ** t), v / (1.0 - 0.999 ** t)
+            before = value
+            value = value - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            np.testing.assert_array_equal(p.value, value)
+            # The old array is never written: snapshots and tapes hold it.
+            np.testing.assert_array_equal(old, before)
 
     def test_descends_quadratic(self):
         p = Parameter("w", np.array(1.0))

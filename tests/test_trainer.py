@@ -1,7 +1,9 @@
 """Sampler, alternating-update, evaluation, and experiment-harness tests."""
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -168,6 +170,31 @@ class TestTrainStep:
                        Adam(model.discriminator_params()),
                        Adam(model.main_params()),
                        np.random.default_rng(4))
+
+    def test_step_tapes_die_without_cyclic_collector(self, monkeypatch):
+        model, config, batch = self.make(LossWeights())
+        opt_disc = Adam(model.discriminator_params(), lr=1e-3)
+        opt_main = Adam(model.main_params(), lr=1e-3)
+        tapes = []
+        init = tt.Tape.__init__
+
+        def tracked_init(tape):
+            init(tape)
+            tapes.append(weakref.ref(tape))
+
+        monkeypatch.setattr(tt.Tape, "__init__", tracked_init)
+        gc.collect()
+        gc.disable()
+        try:
+            train_step(model, batch, config, opt_disc, opt_main,
+                       np.random.default_rng(5))
+            alive = sum(ref() is not None for ref in tapes)
+            collected = gc.collect()
+        finally:
+            gc.enable()
+        assert len(tapes) > 2  # the pass, phase 1 and the VAT probes
+        assert alive == 0
+        assert collected == 0
 
 
 class TestEvaluation:
