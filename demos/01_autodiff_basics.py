@@ -8,7 +8,7 @@ Adam steps on a toy least-squares problem.
 
 import numpy as np
 
-from cral.nn import Adam, MlpSpec, init_params, mlp_forward
+from cral.nn import Adam, MlpSpec, draw_dropout_masks, init_params, mlp_forward
 from cral.tensor import Tape, Tensor, backward, matmul, mean, mul, relu
 
 rng = np.random.default_rng(0)
@@ -43,10 +43,11 @@ spec = MlpSpec(input_dim=3, hidden_dims=(8,), output_dim=2, dropout_rate=0.5)
 mlp = init_params(spec, np.random.default_rng(1), name="demo")
 print("\nparameters:", [p.name for p in mlp.params()])
 
-# dropout only fires in train mode and needs its own rng
-out_train, _ = mlp_forward(Tape(), mlp, Tensor(x.data), mode="train",
-                           rng=np.random.default_rng(2))
-out_eval, _ = mlp_forward(Tape(), mlp, Tensor(x.data), mode="eval")
+# dropout masks are data: draw them from their own rng and pass them in;
+# without masks the forward runs without dropout (eval mode)
+masks = draw_dropout_masks(mlp, x.shape[0], np.random.default_rng(2))
+out_train = mlp_forward(Tape(), mlp, Tensor(x.data), masks)
+out_eval = mlp_forward(Tape(), mlp, Tensor(x.data))
 print("train-mode output differs from eval:",
       bool(np.any(out_train.data != out_eval.data)))
 
@@ -56,7 +57,7 @@ target = rng.standard_normal((4, 2))
 adam = Adam(mlp.params(), lr=0.05)
 for step in range(1, 201):
     tape = Tape()
-    out, _ = mlp_forward(tape, mlp, Tensor(x.data))
+    out = mlp_forward(tape, mlp, Tensor(x.data))
     err = out - Tensor(target)
     loss = mean(mul(err, err))
     adam.step(backward(loss))

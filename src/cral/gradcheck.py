@@ -75,7 +75,7 @@ def _frozen_vat_builder(model: CralModel, batch: MultiDomainBatch,
     def build(tape: Tape) -> Tensor:
         total = None
         for i, (x_pert, reference) in enumerate(frozen):
-            q, _ = class_probs(tape, model, b, i, Tensor(x_pert))
+            q = class_probs(tape, model, b, i, Tensor(x_pert))
             term = kl_divergence(Tensor(reference), q)
             total = term if total is None else total + term
         return total

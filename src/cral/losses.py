@@ -28,10 +28,12 @@ input direction and not against mask resampling. The perturbation
 itself is a constant in the outer gradient.
 
 RNG discipline: the caller's generator is consumed in a fixed order, so
-a run is reproducible from its seed. First the pass draws, per branch,
-domain and split (labeled, then unlabeled), the shared, specific and
-classifier masks. Then the discriminator phase draws, per branch and
-domain, its discriminator masks. Then the main phase's terms draw in
+a run is reproducible from its seed. Every dropout mask is drawn by
+`ForwardPass.dropout`, in train mode only, and no mask at rate 0. First
+the pass draws, per branch, domain and split (labeled, then unlabeled),
+the shared, specific and classifier masks, before it runs that split.
+Then the discriminator phase draws, per branch and domain, its
+discriminator masks. Then the main phase's terms draw in
 table order (per branch: adversarial, whose discriminator masks are per
 domain; unlabeled VAT, then labeled VAT, one probe direction per
 domain). Skipped terms draw nothing.
@@ -40,7 +42,7 @@ domain). Skipped terms draw nothing.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -55,6 +57,7 @@ from .model import (
     domain_probs,  # unused here; perfbench/workloads.py counts calls through it
     shared_features,
 )
+from .nn import Mlp, draw_dropout_masks
 from .tensor import (
     LOG_FLOOR,
     Tape,
@@ -77,6 +80,7 @@ from .tensor import (
 SIGN_CONVENTIONS = ("standard", "literal")
 ABLATABLE = ("l_d", "l_div", "l_uvt", "l_lvt")
 SPLITS = ("labeled", "unlabeled")
+MODES = ("train", "eval")
 
 
 @dataclass(frozen=True)
@@ -91,10 +95,9 @@ class LossWeights:
     vat_xi: float = 1e-6
 
     def __post_init__(self):
-        for name in ("gamma", "lambda_adv", "lambda_d", "lambda_div",
-                     "lambda_uvt", "lambda_lvt", "vat_epsilon", "vat_xi"):
-            if float(getattr(self, name)) < 0.0:
-                raise SpecError(f"{name} must be non-negative")
+        for f in fields(self):
+            if float(getattr(self, f.name)) < 0.0:
+                raise SpecError(f"{f.name} must be non-negative")
         if self.gamma <= 0.0:
             raise SpecError("gamma must be positive")
 
@@ -147,26 +150,40 @@ class ForwardPass:
 
     Each non-empty split runs once through its branch's shared extractor
     and class head, in the order branch, domain, split; the terms read
-    the kept outputs instead of running their own forward.
+    the kept outputs instead of running their own forward. The pass
+    decides dropout: in train mode `dropout` draws masks from `rng`, in
+    eval mode every forward runs without them. `rng` also draws the VAT
+    probe directions, in either mode.
     """
 
     def __init__(self, tape: Tape, model: CralModel, batch: MultiDomainBatch,
                  mode: str = "eval", rng: Optional[np.random.Generator] = None):
+        if mode not in MODES:
+            raise ContractError(f"mode must be one of {MODES}, got {mode!r}")
+        if mode == "train" and rng is None:
+            raise ContractError("train-mode dropout needs an rng")
         _check_match(model, batch)
         self.tape, self.model, self.batch = tape, model, batch
         self.mode, self.rng, self.num_domains = mode, rng, batch.num_domains
         self.outputs = {}
         for b in BRANCHES:
+            branch = model.branch(b)
             for i in range(batch.num_domains):
                 for split, x in zip(SPLITS, (batch.labeled_x[i], batch.unlabeled_x[i])):
                     if x.shape[0] == 0:
                         continue
-                    feats, shared_masks = shared_features(tape, model, b, Tensor(x),
-                                                          mode=mode, rng=rng)
-                    probs, masks = class_head(tape, model, b, i, feats, Tensor(x),
-                                              mode=mode, rng=rng)
-                    self.outputs[b, i, split] = SplitPass(
-                        x, feats, probs, {"shared": shared_masks, **masks})
+                    masks = {"shared": self.dropout(branch.shared, x.shape[0]),
+                             "specific": self.dropout(branch.specific[i], x.shape[0]),
+                             "classifier": self.dropout(branch.classifier, x.shape[0])}
+                    feats = shared_features(tape, model, b, Tensor(x), masks["shared"])
+                    probs = class_head(tape, model, b, i, feats, Tensor(x), masks=masks)
+                    self.outputs[b, i, split] = SplitPass(x, feats, probs, masks)
+
+    def dropout(self, mlp: Mlp, n: int) -> Optional[list]:
+        """Fresh dropout masks for n rows through mlp in train mode, else None."""
+        if self.mode == "eval":
+            return None
+        return draw_dropout_masks(mlp, n, self.rng)
 
     def get(self, b: int, i: int, split: str) -> SplitPass:
         if (b, i, split) not in self.outputs:
@@ -220,7 +237,8 @@ def adversarial_loss(fp: ForwardPass, b: int) -> Tensor:
         if not parts:
             raise ContractError(f"empty combined batch for domain {i}")
         feats = parts[0] if len(parts) == 1 else concat_rows(*parts)
-        probs = domain_head(fp.tape, fp.model, b, feats, mode=fp.mode, rng=fp.rng)
+        probs = domain_head(fp.tape, fp.model, b, feats,
+                            fp.dropout(fp.model.branch(b).discriminator, feats.shape[0]))
         one_hot = np.zeros((probs.shape[0], fp.num_domains))
         one_hot[:, i] = 1.0
         return _nll(probs, one_hot)
@@ -269,7 +287,7 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
 
 def vat_perturbation(model: CralModel, b: int, i: int, x: np.ndarray,
                      clean: np.ndarray, epsilon: float, xi: float,
-                     rng: np.random.Generator, mode: str = "eval",
+                     rng: np.random.Generator,
                      masks: Optional[dict] = None) -> np.ndarray:
     """One-step power iteration for the most KL-sensitive input direction.
 
@@ -288,7 +306,7 @@ def vat_perturbation(model: CralModel, b: int, i: int, x: np.ndarray,
 
     tape = Tape()
     probe = tape.leaf(x + xi * d)
-    perturbed, _ = class_probs(tape, model, b, i, probe, mode=mode, masks=masks)
+    perturbed = class_probs(tape, model, b, i, probe, masks=masks)
     grads = tape_backward(kl_divergence(Tensor(clean), perturbed))
     g = grads.wrt(probe)
     norms = np.linalg.norm(g, axis=1, keepdims=True)
@@ -310,9 +328,8 @@ def vat_loss(fp: ForwardPass, b: int, labeled: bool, weights: LossWeights) -> Te
         if weights.vat_epsilon == 0.0:
             return Tensor(0.0)
         r = vat_perturbation(fp.model, b, i, x, clean.data, epsilon=weights.vat_epsilon,
-                             xi=weights.vat_xi, rng=fp.rng, mode=fp.mode, masks=masks)
-        perturbed, _ = class_probs(fp.tape, fp.model, b, i, Tensor(x + r),
-                                   mode=fp.mode, masks=masks)
+                             xi=weights.vat_xi, rng=fp.rng, masks=masks)
+        perturbed = class_probs(fp.tape, fp.model, b, i, Tensor(x + r), masks=masks)
         return kl_divergence(stop_gradient(clean), perturbed)
     return _domain_sum(fp.num_domains, term)
 

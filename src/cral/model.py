@@ -159,10 +159,13 @@ def init_model(config: ModelConfig, seed: int) -> CralModel:
 
 
 # ---------------------------------------------------------------------------
-# Tape-level forward passes. The heads run on given shared features, so one
-# shared forward can feed several heads; the class path returns (probs,
-# masks) where masks holds the dropout masks actually used, so a caller
-# can replay the same stochastic pass (None entries mean no dropout).
+# Tape-level forward passes. Each returns one Tensor. The heads run on given
+# shared features, so one shared forward can feed several heads. Dropout
+# masks are data, drawn by `losses.ForwardPass`: each forward applies the
+# masks it is given (see nn.mlp_forward) and runs without dropout when given
+# none, so passing the same masks again replays the same stochastic pass.
+# The class path takes a dict from "shared", "specific" and "classifier" to
+# those MLPs' masks.
 # ---------------------------------------------------------------------------
 
 
@@ -173,62 +176,45 @@ def _check_domain(model: CralModel, i: int) -> None:
         )
 
 
-def shared_features(tape: Tape, model: CralModel, b: int, x: Tensor, mode: str = "eval",
-                    rng: Optional[np.random.Generator] = None,
-                    masks: Optional[list] = None) -> tuple:
-    return mlp_forward(tape, model.branch(b).shared, x, mode=mode, rng=rng, masks=masks)
+def shared_features(tape: Tape, model: CralModel, b: int, x: Tensor,
+                    masks: Optional[list] = None) -> Tensor:
+    return mlp_forward(tape, model.branch(b).shared, x, masks)
 
 
-def domain_head(tape: Tape, model: CralModel, b: int, feats: Tensor, mode: str = "eval",
-                rng: Optional[np.random.Generator] = None) -> Tensor:
+def domain_head(tape: Tape, model: CralModel, b: int, feats: Tensor,
+                masks: Optional[list] = None) -> Tensor:
     """Discriminator distribution over domains from given shared features."""
-    logits, _ = mlp_forward(tape, model.branch(b).discriminator, feats,
-                            mode=mode, rng=rng)
-    return softmax_rows(logits)
+    return softmax_rows(mlp_forward(tape, model.branch(b).discriminator, feats, masks))
 
 
-def domain_probs(tape: Tape, model: CralModel, b: int, x: Tensor, mode: str = "eval",
-                 rng: Optional[np.random.Generator] = None) -> Tensor:
+def domain_probs(tape: Tape, model: CralModel, b: int, x: Tensor) -> Tensor:
     """Discriminator distribution over domains from shared features only."""
-    feats, _ = shared_features(tape, model, b, x, mode=mode, rng=rng)
-    return domain_head(tape, model, b, feats, mode=mode, rng=rng)
+    return domain_head(tape, model, b, shared_features(tape, model, b, x))
 
 
 def class_head(tape: Tape, model: CralModel, b: int, i: Optional[int], feats: Tensor,
-               x: Tensor, mode: str = "eval", msuda: bool = False,
-               rng: Optional[np.random.Generator] = None,
-               masks: Optional[dict] = None) -> tuple:
+               x: Tensor, msuda: bool = False, masks: Optional[dict] = None) -> Tensor:
     """Classifier over [given shared features, private features of x]."""
     branch = model.branch(b)
     masks = masks or {}
     if msuda:
         private = Tensor(np.zeros((x.shape[0], model.config.specific_dim)))
-        specific_masks = None
     else:
         if i is None:
             raise ContractError("domain index required unless msuda is set")
         _check_domain(model, i)
-        private, specific_masks = mlp_forward(
-            tape, branch.specific[i], x, mode=mode, rng=rng, masks=masks.get("specific")
-        )
-    logits, clf_masks = mlp_forward(
-        tape, branch.classifier, concat_cols(feats, private),
-        mode=mode, rng=rng, masks=masks.get("classifier"),
-    )
-    return softmax_rows(logits), {"specific": specific_masks, "classifier": clf_masks}
+        private = mlp_forward(tape, branch.specific[i], x, masks.get("specific"))
+    logits = mlp_forward(tape, branch.classifier, concat_cols(feats, private),
+                         masks.get("classifier"))
+    return softmax_rows(logits)
 
 
 def class_probs(tape: Tape, model: CralModel, b: int, i: Optional[int], x: Tensor,
-                mode: str = "eval", msuda: bool = False,
-                rng: Optional[np.random.Generator] = None,
-                masks: Optional[dict] = None) -> tuple:
+                msuda: bool = False, masks: Optional[dict] = None) -> Tensor:
     """Composite per-domain predictor: classifier over [shared, private]."""
     masks = masks or {}
-    feats, shared_masks = shared_features(tape, model, b, x, mode=mode, rng=rng,
-                                          masks=masks.get("shared"))
-    probs, head_masks = class_head(tape, model, b, i, feats, x, mode=mode,
-                                   msuda=msuda, rng=rng, masks=masks)
-    return probs, {"shared": shared_masks, **head_masks}
+    feats = shared_features(tape, model, b, x, masks.get("shared"))
+    return class_head(tape, model, b, i, feats, x, msuda=msuda, masks=masks)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +230,7 @@ def predict_domain(model: CralModel, b: int, x: np.ndarray) -> np.ndarray:
 def predict_class(model: CralModel, b: int, i: Optional[int], x: np.ndarray,
                   msuda: bool = False) -> np.ndarray:
     tape = Tape()
-    return class_probs(tape, model, b, i, tape.leaf(x), msuda=msuda)[0].data
+    return class_probs(tape, model, b, i, tape.leaf(x), msuda=msuda).data
 
 
 def predict_ensemble(model: CralModel, x: np.ndarray, i: Optional[int] = None,

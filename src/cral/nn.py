@@ -4,11 +4,13 @@ Provides named parameters, linear layers, relu MLPs with inverted
 dropout, Glorot-uniform initialization, the Adam optimizer, and a
 versioned binary checkpoint container.
 
-Dropout contract: in train mode each hidden activation is multiplied by
-a mask whose entries are 0 (dropped) or 1/(1-rate) (kept), so eval mode
-needs no rescaling. Callers may pass masks explicitly to replay the
-exact same forward stochasticity across several passes; virtual
-adversarial perturbations depend on this.
+Dropout contract: masks are data. `draw_dropout_masks` draws one array
+per hidden layer whose entries are 0 (dropped) or 1/(1-rate) (kept), and
+`mlp_forward` multiplies each hidden activation by the mask it is given,
+so running without masks needs no rescaling. Passing the same masks again
+replays the exact same stochastic forward; virtual adversarial
+perturbations depend on this. Which passes drop, and with which
+generator, is the caller's decision (`losses.ForwardPass.dropout`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,8 +32,6 @@ from .tensor import (
     mul,
     relu,
 )
-
-MODES = ("train", "eval")
 
 
 class Parameter:
@@ -110,46 +110,28 @@ def init_params(spec: MlpSpec, rng: np.random.Generator, name: str = "mlp") -> M
     return Mlp(spec, layers)
 
 
-def draw_dropout_masks(mlp: Mlp, n: int, rng: np.random.Generator) -> list:
-    """One inverted-dropout mask per hidden layer for a batch of n rows."""
-    rate = mlp.spec.dropout_rate
-    masks = []
-    for width in mlp.spec.hidden_dims:
-        if rate == 0.0:
-            masks.append(np.ones((n, int(width))))
-        else:
-            keep = rng.random((n, int(width))) >= rate
-            masks.append(keep.astype(np.float64) / (1.0 - rate))
-    return masks
+def draw_dropout_masks(mlp: Mlp, n: int, rng: np.random.Generator) -> Optional[list]:
+    """One inverted-dropout mask per hidden layer for a batch of n rows.
 
-
-def mlp_forward(
-    tape: Tape,
-    mlp: Mlp,
-    x: Tensor,
-    mode: str = "eval",
-    rng: Optional[np.random.Generator] = None,
-    masks: Optional[list] = None,
-) -> tuple:
-    """Run the MLP; returns (output, masks_used).
-
-    masks_used is None in eval mode (or rate 0) and otherwise the list of
-    per-hidden-layer mask arrays, suitable for passing back in to repeat
-    the identical stochastic forward pass.
+    Returns None at rate 0 and then draws nothing from rng.
     """
-    if mode not in MODES:
-        raise ContractError(f"mode must be one of {MODES}, got {mode!r}")
+    rate = mlp.spec.dropout_rate
+    if rate == 0.0:
+        return None
+    return [(rng.random((n, int(width))) >= rate).astype(np.float64) / (1.0 - rate)
+            for width in mlp.spec.hidden_dims]
+
+
+def mlp_forward(tape: Tape, mlp: Mlp, x: Tensor, masks: Optional[list] = None) -> Tensor:
+    """Run the MLP, multiplying hidden activation k by masks[k].
+
+    Without masks the forward has no dropout (eval mode, or rate 0).
+    """
     if x.data.ndim != 2 or x.shape[1] != mlp.spec.input_dim:
         raise DimensionError(
             f"mlp expects input width {mlp.spec.input_dim}, got shape {x.shape}"
         )
-    rate = mlp.spec.dropout_rate
-    dropping = mode == "train" and rate > 0.0
-    if dropping and masks is None:
-        if rng is None:
-            raise ContractError("train-mode dropout needs an rng or explicit masks")
-        masks = draw_dropout_masks(mlp, x.shape[0], rng)
-    if dropping and len(masks) != len(mlp.spec.hidden_dims):
+    if masks is not None and len(masks) != len(mlp.spec.hidden_dims):
         raise ContractError(
             f"expected {len(mlp.spec.hidden_dims)} dropout masks, got {len(masks)}"
         )
@@ -157,15 +139,14 @@ def mlp_forward(
     h = x
     for k, layer in enumerate(mlp.layers[:-1]):
         h = relu(layer.apply(tape, h))
-        if dropping:
+        if masks is not None:
             mask = np.asarray(masks[k], dtype=np.float64)
             if mask.shape != h.shape:
                 raise DimensionError(
                     f"dropout mask {k} has shape {mask.shape}, activations {h.shape}"
                 )
             h = mul(h, Tensor(mask))
-    out = mlp.layers[-1].apply(tape, h)
-    return out, (masks if dropping else None)
+    return mlp.layers[-1].apply(tape, h)
 
 
 class Adam:

@@ -222,6 +222,9 @@ def evaluate_msuda(model: CralModel, target: DomainDataset) -> float:
 def discriminator_accuracy(model: CralModel, datasets: list,
                            include_unlabeled: bool = False) -> float:
     """Pooled accuracy of the branch-averaged discriminator."""
+    if len(datasets) != model.config.num_domains:
+        raise DataError(
+            f"expected {model.config.num_domains} domain sets, got {len(datasets)}")
     hits, total = 0, 0
     for i, ds in enumerate(datasets):
         x = ds.labeled_x

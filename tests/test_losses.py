@@ -25,7 +25,7 @@ from cral.losses import (
     vat_perturbation,
 )
 from cral.model import ModelConfig, init_model, predict_class, predict_domain, class_probs
-from cral.nn import Adam
+from cral.nn import Adam, draw_dropout_masks
 from cral.trainer import TrainConfig, train_step
 
 
@@ -216,6 +216,49 @@ class TestForwardPass:
                 x = np.concatenate([batch.labeled_x[i], batch.unlabeled_x[i]])
                 own += float(np.mean(-np.log(predict_domain(model, 2, x)[:, i])))
             assert on_pass == pytest.approx(own, rel=1e-12)
+
+    def test_bad_mode_rejected(self):
+        with pytest.raises(ContractError, match="mode must be one of"):
+            ForwardPass(tt.Tape(), toy_model(8), toy_batch(8), mode="test")
+
+    def test_train_without_rng_rejected(self):
+        with pytest.raises(ContractError, match="needs an rng"):
+            ForwardPass(tt.Tape(), toy_model(8), toy_batch(8), mode="train")
+
+    def test_masks_follow_documented_rng_order(self):
+        # Replays the order at the top of cral.losses on a second generator.
+        config = ModelConfig(num_domains=3, input_dim=6, shared_dim=4, specific_dim=3,
+                             extractor_hidden=(5,), dropout_rate=0.3)
+        model = init_model(config, 59)
+        batch = toy_batch(59, m=3, n_labeled=2, n_unlabeled=3)
+        batch.unlabeled_x[1] = np.zeros((0, 6))  # an empty split draws nothing
+        fp = ForwardPass(tt.Tape(), model, batch, mode="train",
+                         rng=np.random.default_rng(61))
+        replay = np.random.default_rng(61)
+        order = []
+        for b in (1, 2):
+            branch = model.branch(b)
+            for i in range(3):
+                for split, x in (("labeled", batch.labeled_x[i]),
+                                 ("unlabeled", batch.unlabeled_x[i])):
+                    if x.shape[0] == 0:
+                        continue
+                    order.append((b, i, split))
+                    stored = fp.get(b, i, split).masks
+                    for part, mlp in (("shared", branch.shared),
+                                      ("specific", branch.specific[i]),
+                                      ("classifier", branch.classifier)):
+                        expected = draw_dropout_masks(mlp, x.shape[0], replay)
+                        assert len(stored[part]) == len(expected) == 1
+                        np.testing.assert_array_equal(stored[part][0], expected[0])
+        assert list(fp.outputs) == order
+
+        discriminator_objective(fp, LossWeights())
+        for b in (1, 2):
+            for i in range(3):
+                rows = batch.labeled_x[i].shape[0] + batch.unlabeled_x[i].shape[0]
+                draw_dropout_masks(model.branch(b).discriminator, rows, replay)
+        assert fp.rng.bit_generator.state == replay.bit_generator.state
 
     def test_empty_split_named_by_the_term_that_needs_it(self):
         model = toy_model()
@@ -411,12 +454,12 @@ class TestVat:
             for p, a in zip(clf_params, arrs):
                 p.value = a
             tape = tt.Tape()
-            q, _ = class_probs(tape, model, 1, 0, tt.Tensor(x + r))
+            q = class_probs(tape, model, 1, 0, tt.Tensor(x + r))
             return kl_divergence(tt.Tensor(p_ref), q).item()
 
         tape = tt.Tape()
-        clean, _ = class_probs(tape, model, 1, 0, tt.Tensor(x))
-        q, _ = class_probs(tape, model, 1, 0, tt.Tensor(x + r))
+        clean = class_probs(tape, model, 1, 0, tt.Tensor(x))
+        q = class_probs(tape, model, 1, 0, tt.Tensor(x + r))
         grads = tt.backward(kl_divergence(tt.stop_gradient(clean), q))
         for k, p in enumerate(clf_params):
             analytic = grads.wrt_key(p, p.value)

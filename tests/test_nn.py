@@ -23,8 +23,7 @@ from cral.nn import (
 
 def eval_forward(mlp, x):
     tape = tt.Tape()
-    out, _ = mlp_forward(tape, mlp, tape.leaf(x), mode="eval")
-    return out.data
+    return mlp_forward(tape, mlp, tape.leaf(x)).data
 
 
 class TestInit:
@@ -67,33 +66,19 @@ class TestForward:
         x = np.random.default_rng(4).standard_normal((5, 4))
         np.testing.assert_array_equal(eval_forward(mlp, x), eval_forward(mlp, x))
 
-    def test_rate_zero_train_equals_eval(self):
+    def test_rate_zero_draws_no_masks_and_consumes_no_rng(self):
         mlp = init_params(MlpSpec(4, (8,), 2, dropout_rate=0.0),
                           np.random.default_rng(5))
-        x = np.random.default_rng(6).standard_normal((5, 4))
-        tape = tt.Tape()
-        out, masks = mlp_forward(tape, mlp, tape.leaf(x), mode="train",
-                                 rng=np.random.default_rng(7))
-        assert masks is None
-        np.testing.assert_array_equal(out.data, eval_forward(mlp, x))
+        rng = np.random.default_rng(7)
+        before = rng.bit_generator.state
+        assert draw_dropout_masks(mlp, 5, rng) is None
+        assert rng.bit_generator.state == before
 
     def test_width_mismatch(self):
         mlp = init_params(MlpSpec(4, (8,), 2), np.random.default_rng(8))
         tape = tt.Tape()
         with pytest.raises(DimensionError):
             mlp_forward(tape, mlp, tape.leaf(np.zeros((3, 5))))
-
-    def test_bad_mode_rejected(self):
-        mlp = init_params(MlpSpec(4, (8,), 2), np.random.default_rng(8))
-        tape = tt.Tape()
-        with pytest.raises(ContractError):
-            mlp_forward(tape, mlp, tape.leaf(np.zeros((3, 4))), mode="test")
-
-    def test_train_without_rng_rejected(self):
-        mlp = init_params(MlpSpec(4, (8,), 2), np.random.default_rng(8))
-        tape = tt.Tape()
-        with pytest.raises(ContractError):
-            mlp_forward(tape, mlp, tape.leaf(np.zeros((3, 4))), mode="train")
 
     def test_explicit_masks_replayed_verbatim(self):
         mlp = init_params(MlpSpec(4, (8,), 2), np.random.default_rng(9))
@@ -102,9 +87,7 @@ class TestForward:
         runs = []
         for _ in range(2):
             tape = tt.Tape()
-            out, used = mlp_forward(tape, mlp, tape.leaf(x), mode="train", masks=masks)
-            assert used is masks
-            runs.append(out.data)
+            runs.append(mlp_forward(tape, mlp, tape.leaf(x), masks).data)
         np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_inverted_dropout_expectation(self):
@@ -117,8 +100,8 @@ class TestForward:
         draws = 10_000
         for _ in range(draws):
             tape = tt.Tape()
-            out, _ = mlp_forward(tape, mlp, tape.leaf(x), mode="train", rng=rng)
-            total += out.data
+            total += mlp_forward(tape, mlp, tape.leaf(x),
+                                 draw_dropout_masks(mlp, 1, rng)).data
         averaged = total / draws
         assert np.max(np.abs(averaged - reference)) <= 0.02 * max(
             1.0, float(np.max(np.abs(reference)))
@@ -136,13 +119,11 @@ class TestForward:
             mlp.layers[1].weight.value = arrs[3]
             mlp.layers[1].bias.value = arrs[4]
             tape = tt.Tape()
-            out, _ = mlp_forward(tape, mlp, tape.leaf(arrs[0]), mode="eval")
-            return tt.l2_norm_sq(out).item()
+            return tt.l2_norm_sq(mlp_forward(tape, mlp, tape.leaf(arrs[0]))).item()
 
         tape = tt.Tape()
         leaf = tape.leaf(x)
-        out, _ = mlp_forward(tape, mlp, leaf, mode="eval")
-        grads = tt.backward(tt.l2_norm_sq(out))
+        grads = tt.backward(tt.l2_norm_sq(mlp_forward(tape, mlp, leaf)))
         got = [grads.wrt(leaf)] + [grads.wrt_key(p, p.value) for p in mlp.params()]
         for i, analytic in enumerate(got):
             assert rel_err(analytic, fd_grad(f, arrays, i)) < 1e-4

@@ -252,6 +252,11 @@ class TestEvaluation:
         acc = discriminator_accuracy(model, toy_data(seed=2))
         assert 0.0 <= acc <= 1.0
 
+    def test_discriminator_accuracy_needs_one_set_per_domain(self):
+        model = init_model(TOY_MODEL, 5)
+        with pytest.raises(DataError, match="expected 2 domain sets, got 3"):
+            discriminator_accuracy(model, toy_data(m=3, seed=2))
+
 
 class TestRunTraining:
     def test_metric_stream_byte_identical(self):
