@@ -60,6 +60,7 @@ from .model import (
 from .nn import Mlp, draw_dropout_masks
 from .tensor import (
     LOG_FLOOR,
+    InputTape,
     Tape,
     Tensor,
     add,
@@ -293,8 +294,9 @@ def vat_perturbation(model: CralModel, b: int, i: int, x: np.ndarray,
 
     `clean` is the prediction on x under `masks`, the dropout masks the
     probe replays. Returns r with per-sample L2 norm epsilon (zero rows
-    where the probe gradient vanishes). Runs on its own tape; the caller
-    treats r as data.
+    where the probe gradient vanishes). Runs on its own tape, which reads
+    the parameters as constants, so its backward computes the input
+    gradient only; the caller treats r as data.
     """
     if epsilon < 0.0:
         raise SpecError("epsilon must be non-negative")
@@ -304,7 +306,7 @@ def vat_perturbation(model: CralModel, b: int, i: int, x: np.ndarray,
     d = rng.standard_normal(x.shape)
     d /= np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-30)
 
-    tape = Tape()
+    tape = InputTape()
     probe = tape.leaf(x + xi * d)
     perturbed = class_probs(tape, model, b, i, probe, masks=masks)
     grads = tape_backward(kl_divergence(Tensor(clean), perturbed))

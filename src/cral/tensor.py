@@ -142,6 +142,17 @@ class Tape:
         return Tensor(value, self, node_id)
 
 
+class InputTape(Tape):
+    """A tape that reads bound parameters as constants.
+
+    ``bind`` returns a constant tensor, so no op records a parameter edge
+    and :func:`backward` computes gradients for this tape's leaves only.
+    """
+
+    def bind(self, key: Hashable, data) -> Tensor:
+        return Tensor(data)
+
+
 def _tape_of(*tensors: Tensor) -> Optional[Tape]:
     tape = None
     for t in tensors:

@@ -429,6 +429,31 @@ class TestVat:
                                  epsilon=eps, xi=1e-6, rng=np.random.default_rng(5))
             np.testing.assert_allclose(np.linalg.norm(r, axis=1), eps, atol=1e-9)
 
+    def test_probe_backward_holds_the_probe_gradient_only(self, monkeypatch):
+        import cral.losses
+
+        sweeps = []
+        original = cral.losses.tape_backward
+
+        def recording(loss):
+            grads = original(loss)
+            sweeps.append(grads)
+            return grads
+
+        monkeypatch.setattr(cral.losses, "tape_backward", recording)
+        model = init_model(ModelConfig(num_domains=2, input_dim=6, shared_dim=4,
+                                       specific_dim=3, extractor_hidden=(5,)), 67)
+        x = np.random.default_rng(68).standard_normal((3, 6))
+        r = vat_perturbation(model, 2, 1, x, predict_class(model, 2, 1, x),
+                             epsilon=1.0, xi=1e-6, rng=np.random.default_rng(69))
+        assert np.all(np.linalg.norm(r, axis=1) > 0.0)
+        (grads,) = sweeps
+        assert list(grads._grads) == [0]  # the probe is the tape's first leaf
+        assert grads._grads[0].shape == x.shape
+        assert not grads._tape._bindings
+        for p in model.params():
+            np.testing.assert_array_equal(grads.wrt_key(p, p.value), 0.0)
+
     def test_loss_nonnegative_and_seed_deterministic(self):
         model = toy_model(13)
         batch = toy_batch(13)
