@@ -154,11 +154,14 @@ class ForwardPass:
     the kept outputs instead of running their own forward. The pass
     decides dropout: in train mode `dropout` draws masks from `rng`, in
     eval mode every forward runs without them. `rng` also draws the VAT
-    probe directions, in either mode.
+    probe directions, in either mode. With `classify=False` the pass runs
+    the shared extractors only, for the discriminator phase, but draws
+    every mask as a full pass would.
     """
 
     def __init__(self, tape: Tape, model: CralModel, batch: MultiDomainBatch,
-                 mode: str = "eval", rng: Optional[np.random.Generator] = None):
+                 mode: str = "eval", rng: Optional[np.random.Generator] = None,
+                 classify: bool = True):
         if mode not in MODES:
             raise ContractError(f"mode must be one of {MODES}, got {mode!r}")
         if mode == "train" and rng is None:
@@ -177,7 +180,8 @@ class ForwardPass:
                              "specific": self.dropout(branch.specific[i], x.shape[0]),
                              "classifier": self.dropout(branch.classifier, x.shape[0])}
                     feats = shared_features(tape, model, b, Tensor(x), masks["shared"])
-                    probs = class_head(tape, model, b, i, feats, Tensor(x), masks=masks)
+                    probs = (class_head(tape, model, b, i, feats, Tensor(x), masks=masks)
+                             if classify else None)
                     self.outputs[b, i, split] = SplitPass(x, feats, probs, masks)
 
     def dropout(self, mlp: Mlp, n: int) -> Optional[list]:
@@ -201,7 +205,7 @@ class ForwardPass:
         fp = copy.copy(self)
         fp.tape = Tape()
         fp.outputs = {key: out._replace(shared=stop_gradient(out.shared),
-                                        probs=stop_gradient(out.probs))
+                                        probs=out.probs and stop_gradient(out.probs))
                       for key, out in self.outputs.items()}
         return fp
 

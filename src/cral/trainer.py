@@ -297,7 +297,7 @@ def train_discriminator_only(model: CralModel, train_sets: list,
     records = []
     for iteration in range(1, steps + 1):
         fp = ForwardPass(Tape(), model, sampler.next_batch(), mode="train",
-                         rng=loss_rng)
+                         rng=loss_rng, classify=False)
         terms = _discriminator_step(fp, config, opt_disc)
         records.append(MetricsRecord(iteration=iteration, epoch=1, terms=terms))
     return records

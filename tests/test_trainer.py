@@ -320,6 +320,24 @@ class TestRunTraining:
         after = discriminator_accuracy(model, data)
         assert after > 0.9 > before + 0.3
 
+    def test_discriminator_only_runs_shared_extractors_and_discriminators(
+            self, monkeypatch):
+        import cral.model
+
+        ran = []
+        original = cral.model.mlp_forward
+
+        def recording(tape, mlp, *args, **kwargs):
+            ran.append(mlp)
+            return original(tape, mlp, *args, **kwargs)
+
+        monkeypatch.setattr(cral.model, "mlp_forward", recording)
+        model = init_model(TOY_MODEL, 23)
+        train_discriminator_only(model, toy_data(seed=23), TrainConfig(seed=23), steps=2)
+        allowed = [mlp for br in model.branches for mlp in (br.shared, br.discriminator)]
+        assert ran and all(any(mlp is a for a in allowed) for mlp in ran)
+        assert {id(mlp) for mlp in ran} == {id(mlp) for mlp in allowed}
+
 
 class TestHarnesses:
     def quick_config(self, **kw):
