@@ -333,6 +333,11 @@ def vat_loss(fp: ForwardPass, b: int, labeled: bool, weights: LossWeights) -> Te
         x, _, clean, masks = fp.get(b, i, split)
         if weights.vat_epsilon == 0.0:
             return Tensor(0.0)
+        if fp.rng is None:
+            raise ContractError(
+                f"l_{'lvt' if labeled else 'uvt'}_b{b}: the {split} VAT term of "
+                f"branch {b} draws probe directions and needs an rng; pass one "
+                "to ForwardPass")
         r = vat_perturbation(fp.model, b, i, x, clean.data, epsilon=weights.vat_epsilon,
                              xi=weights.vat_xi, rng=fp.rng, masks=masks)
         perturbed = class_probs(fp.tape, fp.model, b, i, Tensor(x + r), masks=masks)

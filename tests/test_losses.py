@@ -421,6 +421,20 @@ class TestVat:
         got = vat_loss(fp, 1, labeled=False, weights=weights).item()
         assert got == 0.0
 
+    def test_eval_pass_without_rng_named_by_the_vat_term(self):
+        model = toy_model(71)
+        fp = ForwardPass(tt.Tape(), model, toy_batch(71))
+        for b, labeled, name in ((1, False, "l_uvt_b1"), (2, True, "l_lvt_b2")):
+            split = "labeled" if labeled else "unlabeled"
+            with pytest.raises(ContractError, match=f"{name}: the {split} VAT term "
+                               f"of branch {b} .*needs an rng"):
+                vat_loss(fp, b, labeled=labeled, weights=LossWeights())
+        with pytest.raises(ContractError, match="l_uvt_b1: .*needs an rng"):
+            total_objective(fp, LossWeights())
+        zero = LossWeights(vat_epsilon=0.0)
+        assert vat_loss(fp, 1, labeled=True, weights=zero).item() == 0.0
+        assert np.isfinite(total_objective(fp, zero).main.item())
+
     def test_perturbation_norm_equals_epsilon(self):
         model = toy_model(11)
         x = np.random.default_rng(4).standard_normal((5, 6))
