@@ -61,24 +61,24 @@ def _params(model: CralModel, branches, parts) -> list:
 
 def _frozen_vat_builder(model: CralModel, batch: MultiDomainBatch,
                         b: int, labeled: bool, seed: int):
-    """Framework for the outer VAT objective with (r, reference) pinned."""
+    """Framework for the outer VAT objective with (r, reference) pinned.
+
+    Like the trainer's VAT term, one perturbed pass covers every domain's
+    rows of the split.
+    """
     weights = LossWeights()
     rng = derive_rng(seed, f"gradcheck/vat/b{b}/{labeled}")
+    split = "labeled" if labeled else "unlabeled"
     fp = ForwardPass(Tape(), model, batch)
-    frozen = []
-    for i in range(batch.num_domains):
-        x, _, clean, _ = fp.get(b, i, "labeled" if labeled else "unlabeled")
-        r = vat_perturbation(model, b, i, x, clean.data, epsilon=weights.vat_epsilon,
-                             xi=weights.vat_xi, rng=rng)
-        frozen.append((x + r, clean.data))
+    index, row_map = fp.layout([key for key in fp.rows if key[1] == split])
+    x, reference = fp.x[index], fp.probs(b).data[index]
+    r = vat_perturbation(model, b, row_map, x, reference, epsilon=weights.vat_epsilon,
+                         xi=weights.vat_xi, directions=rng.standard_normal(x.shape))
+    row_weights = fp.row_weights(split)[index]
 
     def build(tape: Tape) -> Tensor:
-        total = None
-        for i, (x_pert, reference) in enumerate(frozen):
-            q = class_probs(tape, model, b, i, Tensor(x_pert))
-            term = kl_divergence(Tensor(reference), q)
-            total = term if total is None else total + term
-        return total
+        q = class_probs(tape, model, b, row_map, Tensor(x + r))
+        return kl_divergence(Tensor(reference), q, row_weights)
 
     return build
 

@@ -1,14 +1,19 @@
 """Objective terms over a multi-domain mini-batch.
 
-Every term of both phases is a reduction over one `ForwardPass`, which
-runs each (branch, domain, split) of the batch once through the shared
-extractor and the class head and keeps the shared features, class
-probabilities and dropout masks, so all terms share one dropout mask per
-(branch, domain, split) and step. The discriminator phase holds the
-pass's shared features as constants and records on its own tape, so its
-gradient reaches only the discriminators. Expectations are realized as
-per-domain mini-batch means and then summed over domains. Probabilities
-are clamped at 1e-12 before any log.
+Every term of both phases is a reduction over one `ForwardPass`. The
+pass stacks the batch's rows domain by domain, each domain's labeled
+rows before its unlabeled ones, and maps each (domain, split) to its
+slice of the stack. Per branch it runs the shared extractor and the
+classifier once over all rows and each private extractor once over its
+domain's rows, so each weight sees all of its rows in one product. It
+keeps the shared features, class probabilities and dropout masks, so
+all terms share one dropout mask per row and step. Terms reduce the
+stacked outputs with row weights: 1/n on each domain's n rows of a
+split, so a weighted row sum is the sum over domains of per-domain
+mini-batch means. The discriminator phase holds the pass's shared
+features as constants and records on its own tape, so its gradient
+reaches only the discriminators. Probabilities are clamped at 1e-12
+before any log.
 
 Adversarial sign conventions. The discriminator objective and the
 adversarial contribution to the main objective are opposite in sign by
@@ -24,26 +29,32 @@ construction:
 Virtual adversarial terms take the clean prediction and its dropout
 masks from the pass and reuse the masks for the power-iteration probe
 and the perturbed pass, so the perturbation competes only against the
-input direction and not against mask resampling. The perturbation
-itself is a constant in the outer gradient.
+input direction and not against mask resampling. Per branch, one probe
+and one perturbed pass cover the rows of both VAT terms. The probe reads
+the parameters as constants, so it computes the input gradient only.
+The perturbation itself is a constant in the outer gradient.
 
 RNG discipline: the caller's generator is consumed in a fixed order, so
 a run is reproducible from its seed. Every dropout mask is drawn by
 `ForwardPass.dropout`, in train mode only, and no mask at rate 0. First
 the pass draws, per branch, domain and split (labeled, then unlabeled),
-the shared, specific and classifier masks, before it runs that split.
-Then the discriminator phase draws, per branch and domain, its
-discriminator masks. Then the main phase's terms draw in
-table order (per branch: adversarial, whose discriminator masks are per
-domain; unlabeled VAT, then labeled VAT, one probe direction per
-domain). Skipped terms draw nothing.
+the shared, specific and classifier masks, and stacks them in row order
+before it runs the branch. Then the discriminator phase draws, per
+branch and domain, its discriminator masks. Then the main phase's terms
+draw in table order. Per branch, that is the adversarial term's
+discriminator masks, per domain; then, when the branch's first VAT term
+runs, the probe directions of every VAT term in force: per domain for
+the unlabeled rows, then per domain for the labeled rows. Skipped terms
+and empty splits draw nothing. Draws are stacked only after they are
+made, so the order is the one of a pass that runs each (domain, split)
+on its own.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, fields
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, fields, replace
+from typing import Optional
 
 import numpy as np
 
@@ -67,7 +78,6 @@ from .tensor import (
     backward as tape_backward,
     clamp_max,
     clamp_min,
-    concat_rows,
     l1_norm,
     l2_norm_sq,
     log,
@@ -139,21 +149,23 @@ def _check_match(model: CralModel, batch: MultiDomainBatch) -> None:
         )
 
 
-class SplitPass(NamedTuple):
-    x: np.ndarray
-    shared: Tensor
-    probs: Tensor
-    masks: dict
+def _stack(mask_lists: list) -> Optional[list]:
+    """Per hidden layer, the given masks stacked in order (None without masks)."""
+    if mask_lists[0] is None:
+        return None
+    return [np.concatenate(layer) for layer in zip(*mask_lists)]
 
 
 class ForwardPass:
-    """One forward of every (branch, domain, split) of a batch on one tape.
+    """One forward of a batch's stacked rows on one tape.
 
-    Each non-empty split runs once through its branch's shared extractor
-    and class head, in the order branch, domain, split; the terms read
-    the kept outputs instead of running their own forward. The pass
-    decides dropout: in train mode `dropout` draws masks from `rng`, in
-    eval mode every forward runs without them. `rng` also draws the VAT
+    The rows are stacked domain by domain, each domain's labeled rows
+    before its unlabeled ones, and `rows` maps each non-empty (domain,
+    split) to its slice of that stack. Per branch, the shared extractor
+    and the classifier run once over all rows and each private extractor
+    once over its domain's rows; the terms reduce the kept outputs. The
+    pass decides dropout: in train mode `dropout` draws masks from `rng`,
+    in eval mode every forward runs without them. `rng` also draws the VAT
     probe directions, in either mode. With `classify=False` the pass runs
     the shared extractors only, for the discriminator phase, but draws
     every mask as a full pass would.
@@ -169,20 +181,37 @@ class ForwardPass:
         _check_match(model, batch)
         self.tape, self.model, self.batch = tape, model, batch
         self.mode, self.rng, self.num_domains = mode, rng, batch.num_domains
-        self.outputs = {}
+        parts = {(i, split): x for i in range(batch.num_domains)
+                 for split, x in zip(SPLITS, (batch.labeled_x[i], batch.unlabeled_x[i]))
+                 if x.shape[0]}
+        if not parts:
+            raise ContractError("batch has no rows")
+        self.x = np.concatenate(list(parts.values()))
+        self.rows, start = {}, 0
+        for key, x in parts.items():
+            self.rows[key] = slice(start, start + x.shape[0])
+            start += x.shape[0]
+        _, row_map = self.layout(list(self.rows))
+        self.domain_rows = dict(row_map)
+        # Drawn per (domain, split) in row order, then stacked.
+        self.masks = {}
         for b in BRANCHES:
             branch = model.branch(b)
-            for i in range(batch.num_domains):
-                for split, x in zip(SPLITS, (batch.labeled_x[i], batch.unlabeled_x[i])):
-                    if x.shape[0] == 0:
-                        continue
-                    masks = {"shared": self.dropout(branch.shared, x.shape[0]),
-                             "specific": self.dropout(branch.specific[i], x.shape[0]),
-                             "classifier": self.dropout(branch.classifier, x.shape[0])}
-                    feats = shared_features(tape, model, b, Tensor(x), masks["shared"])
-                    probs = (class_head(tape, model, b, i, feats, Tensor(x), masks=masks)
-                             if classify else None)
-                    self.outputs[b, i, split] = SplitPass(x, feats, probs, masks)
+            drawn = [(i, [self.dropout(mlp, x.shape[0]) for mlp in (
+                branch.shared, branch.specific[i], branch.classifier)])
+                for (i, _), x in parts.items()]
+            self.masks[b] = {
+                "shared": _stack([m[0] for _, m in drawn]),
+                "specific": {i: _stack([m[1] for j, m in drawn if j == i])
+                             for i in self.domain_rows},
+                "classifier": _stack([m[2] for _, m in drawn])}
+        self.shared, self._probs, self.vat_passes = {}, {}, {}
+        x = Tensor(self.x)
+        for b in BRANCHES:
+            self.shared[b] = shared_features(tape, model, b, x, self.masks[b]["shared"])
+            if classify:
+                self._probs[b] = class_head(tape, model, b, row_map, self.shared[b], x,
+                                            masks=self.masks[b])
 
     def dropout(self, mlp: Mlp, n: int) -> Optional[list]:
         """Fresh dropout masks for n rows through mlp in train mode, else None."""
@@ -190,13 +219,68 @@ class ForwardPass:
             return None
         return draw_dropout_masks(mlp, n, self.rng)
 
-    def get(self, b: int, i: int, split: str) -> SplitPass:
-        if (b, i, split) not in self.outputs:
-            raise ContractError(f"empty {split} batch for domain {i}")
-        return self.outputs[b, i, split]
+    def probs(self, b: int) -> Tensor:
+        """Branch b's class probabilities over the stacked rows."""
+        if b not in self._probs:
+            raise ContractError("this pass ran the shared extractors only")
+        return self._probs[b]
+
+    def row_weights(self, *splits: str) -> np.ndarray:
+        """1/n on each domain's n rows of `splits`, 0 on every other row.
+
+        A row sum weighted by these is the sum over domains of per-domain
+        means. Raises if a domain has no such rows.
+        """
+        weights = np.zeros(self.x.shape[0])
+        for i in range(self.num_domains):
+            keys = [(i, split) for split in splits if (i, split) in self.rows]
+            n = self.count(keys)
+            if n == 0:
+                name = splits[0] if len(splits) == 1 else "combined"
+                raise ContractError(f"empty {name} batch for domain {i}")
+            for key in keys:
+                weights[self.rows[key]] = 1.0 / n
+        return weights
+
+    def count(self, keys) -> int:
+        """Number of rows of the given (domain, split) keys."""
+        return sum(self.rows[key].stop - self.rows[key].start for key in keys)
+
+    def layout(self, keys: list) -> tuple:
+        """Where `keys`' rows sit when stacked in key order.
+
+        Returns an index into the pass's rows (a slice, so a view, when
+        that is all of them) and the stack's row map (see
+        `model.class_head`).
+        """
+        if keys == list(self.rows):
+            index = slice(None)
+        else:
+            index = np.concatenate([np.arange(self.rows[key].start, self.rows[key].stop)
+                                    for key in keys])
+        row_map, start = [], 0
+        for i in dict.fromkeys(i for i, _ in keys):
+            n = self.count(key for key in keys if key[0] == i)
+            row_map.append((i, slice(start, start + n)))
+            start += n
+        return index, row_map
+
+    def masks_at(self, b: int, index) -> dict:
+        """Branch b's masks for the pass's rows at `index` (see `layout`)."""
+        masks = self.masks[b]
+        if isinstance(index, slice) or masks["shared"] is None:
+            return masks
+        take = lambda arrays, rows: [a[rows] for a in arrays]
+        specific = {}
+        for i, rows in self.domain_rows.items():
+            mine = index[(index >= rows.start) & (index < rows.stop)] - rows.start
+            if mine.size:
+                specific[i] = take(masks["specific"][i], mine)
+        return {"shared": take(masks["shared"], index), "specific": specific,
+                "classifier": take(masks["classifier"], index)}
 
     def detached(self) -> "ForwardPass":
-        """This pass on a fresh tape, with its outputs held as constants.
+        """This pass's shared features as constants on a fresh tape.
 
         Terms run on the copy bind their parameters on the new tape. A bind
         on this tape would memoize the value, and the main phase must read
@@ -204,30 +288,32 @@ class ForwardPass:
         """
         fp = copy.copy(self)
         fp.tape = Tape()
-        fp.outputs = {key: out._replace(shared=stop_gradient(out.shared),
-                                        probs=out.probs and stop_gradient(out.probs))
-                      for key, out in self.outputs.items()}
+        fp.shared = {b: stop_gradient(t) for b, t in self.shared.items()}
+        fp._probs, fp.vat_passes = {}, {}
         return fp
 
 
-def _domain_sum(num_domains: int, term) -> Tensor:
-    """term(0) + term(1) + ... in domain order."""
-    total = term(0)
-    for i in range(1, num_domains):
-        total = add(total, term(i))
-    return total
+def _weighted_sum(t: Tensor, row_weights: np.ndarray, axis: Optional[int] = None) -> Tensor:
+    """Sum of t with each row scaled by its weight (see `ForwardPass.row_weights`)."""
+    shape = (-1,) + (1,) * (t.data.ndim - 1)
+    return tsum(mul(t, Tensor(np.broadcast_to(row_weights.reshape(shape), t.shape))),
+                axis=axis)
 
 
-def _nll(probs: Tensor, one_hot: np.ndarray) -> Tensor:
-    """Mean over rows of -sum(one_hot * log probs)."""
+def _nll(probs: Tensor, one_hot: np.ndarray, row_weights: np.ndarray) -> Tensor:
+    """-sum(one_hot * log probs) per row, summed with the row weights."""
     picked = tsum(mul(log(clamp_min(probs, LOG_FLOOR)), Tensor(one_hot)), axis=1)
-    return -mean(picked)
+    return -_weighted_sum(picked, row_weights)
 
 
 def classification_loss(fp: ForwardPass, b: int) -> Tensor:
     """Sum over domains of mean cross-entropy on the labeled batch."""
-    return _domain_sum(fp.num_domains, lambda i: _nll(
-        fp.get(b, i, "labeled").probs, fp.batch.labeled_y[i]))
+    row_weights = fp.row_weights("labeled")
+    probs = fp.probs(b)
+    labels = np.zeros(probs.shape)
+    for i in range(fp.num_domains):
+        labels[fp.rows[i, "labeled"]] = fp.batch.labeled_y[i]
+    return _nll(probs, labels, row_weights)
 
 
 def adversarial_loss(fp: ForwardPass, b: int) -> Tensor:
@@ -236,24 +322,20 @@ def adversarial_loss(fp: ForwardPass, b: int) -> Tensor:
     Both phases read this one NLL: the main phase on its pass, the
     discriminator phase on the pass's detached copy.
     """
-    def term(i):
-        parts = [fp.outputs[b, i, split].shared for split in SPLITS
-                 if (b, i, split) in fp.outputs]
-        if not parts:
-            raise ContractError(f"empty combined batch for domain {i}")
-        feats = parts[0] if len(parts) == 1 else concat_rows(*parts)
-        probs = domain_head(fp.tape, fp.model, b, feats,
-                            fp.dropout(fp.model.branch(b).discriminator, feats.shape[0]))
-        one_hot = np.zeros((probs.shape[0], fp.num_domains))
-        one_hot[:, i] = 1.0
-        return _nll(probs, one_hot)
-    return _domain_sum(fp.num_domains, term)
+    row_weights = fp.row_weights(*SPLITS)
+    domains = np.zeros((fp.x.shape[0], fp.num_domains))
+    for (i, _), rows in fp.rows.items():
+        domains[rows, i] = 1.0
+    disc = fp.model.branch(b).discriminator
+    masks = _stack([fp.dropout(disc, int(n)) for n in domains.sum(axis=0)])
+    probs = domain_head(fp.tape, fp.model, b, fp.shared[b], masks)
+    return _nll(probs, domains, row_weights)
 
 
 def disagreement_loss(fp: ForwardPass) -> Tensor:
     """L1 distance between the branches' predictions on unlabeled data."""
-    return _domain_sum(fp.num_domains, lambda i: mean(l1_norm(sub(
-        fp.get(1, i, "unlabeled").probs, fp.get(2, i, "unlabeled").probs), axis=1)))
+    row_weights = fp.row_weights("unlabeled")
+    return _weighted_sum(l1_norm(sub(fp.probs(1), fp.probs(2)), axis=1), row_weights)
 
 
 def diversity_loss(fp: ForwardPass, gamma: float) -> Tensor:
@@ -265,84 +347,113 @@ def diversity_loss(fp: ForwardPass, gamma: float) -> Tensor:
     """
     if gamma <= 0.0:
         raise SpecError("gamma must be positive")
-    gap_sum = _domain_sum(fp.num_domains, lambda i: mean(sub(
-        fp.get(1, i, "labeled").shared, fp.get(2, i, "labeled").shared), axis=0))
+    row_weights = fp.row_weights("labeled")
+    gap_sum = _weighted_sum(sub(fp.shared[1], fp.shared[2]), row_weights, axis=0)
     centroid_gap = gap_sum * (1.0 / fp.num_domains)
     return clamp_max(l2_norm_sq(centroid_gap), gamma)
 
 
 def entropy_loss(fp: ForwardPass, b: int) -> Tensor:
     """Prediction entropy on unlabeled data (0 log 0 taken as 0)."""
-    def term(i):
-        p = fp.get(b, i, "unlabeled").probs
-        return -mean(tsum(mul(p, log(clamp_min(p, LOG_FLOOR))), axis=1))
-    return _domain_sum(fp.num_domains, term)
+    row_weights = fp.row_weights("unlabeled")
+    p = fp.probs(b)
+    return -_weighted_sum(tsum(mul(p, log(clamp_min(p, LOG_FLOOR))), axis=1), row_weights)
 
 
-def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
-    """Row KL(p || q) averaged over rows; rows must be distributions."""
+def kl_divergence(p: Tensor, q: Tensor, row_weights: Optional[np.ndarray] = None) -> Tensor:
+    """Row KL(p || q), averaged over rows or summed with the given row
+    weights; rows must be distributions."""
     if p.shape != q.shape or p.data.ndim != 2:
         raise DimensionError(f"kl needs matching 2-d shapes, got {p.shape}, {q.shape}")
     for name, t in (("p", p), ("q", q)):
         if np.min(t.data) < -1e-6 or np.max(np.abs(t.data.sum(axis=1) - 1.0)) > 1e-6:
             raise ContractError(f"{name} rows are not probability vectors")
     log_ratio = sub(log(clamp_min(p, LOG_FLOOR)), log(clamp_min(q, LOG_FLOOR)))
-    return mean(tsum(mul(p, log_ratio), axis=1))
+    rows = tsum(mul(p, log_ratio), axis=1)
+    return mean(rows) if row_weights is None else _weighted_sum(rows, row_weights)
 
 
-def vat_perturbation(model: CralModel, b: int, i: int, x: np.ndarray,
-                     clean: np.ndarray, epsilon: float, xi: float,
-                     rng: np.random.Generator,
-                     masks: Optional[dict] = None) -> np.ndarray:
+def vat_perturbation(model: CralModel, b: int, i, x: np.ndarray, clean: np.ndarray,
+                     epsilon: float, xi: float, directions: np.ndarray,
+                     masks: Optional[dict] = None,
+                     row_weights: Optional[np.ndarray] = None) -> np.ndarray:
     """One-step power iteration for the most KL-sensitive input direction.
 
-    `clean` is the prediction on x under `masks`, the dropout masks the
-    probe replays. Returns r with per-sample L2 norm epsilon (zero rows
-    where the probe gradient vanishes). Runs on its own tape, which reads
-    the parameters as constants, so its backward computes the input
-    gradient only; the caller treats r as data.
+    `i` is a domain index or a row map (see `model.class_head`), `clean`
+    the prediction on x under `masks`, the dropout masks the probe
+    replays, and `directions` one standard-normal draw per entry of x.
+    The probe differentiates the KL averaged over rows, or summed with
+    `row_weights`, as `kl_divergence` takes them. Returns r with
+    per-sample L2 norm epsilon (zero rows where the probe gradient
+    vanishes). Runs on its own tape, which reads the parameters as
+    constants, so its backward computes the input gradient only; the
+    caller treats r as data.
     """
     if epsilon < 0.0:
         raise SpecError("epsilon must be non-negative")
     x = np.asarray(x, dtype=np.float64)
     if epsilon == 0.0:
         return np.zeros_like(x)
-    d = rng.standard_normal(x.shape)
-    d /= np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-30)
+    if directions.shape != x.shape:
+        raise DimensionError(f"probe directions {directions.shape} do not match x {x.shape}")
+    d = directions / np.maximum(np.linalg.norm(directions, axis=1, keepdims=True), 1e-30)
 
     tape = InputTape()
     probe = tape.leaf(x + xi * d)
     perturbed = class_probs(tape, model, b, i, probe, masks=masks)
-    grads = tape_backward(kl_divergence(Tensor(clean), perturbed))
+    grads = tape_backward(kl_divergence(Tensor(clean), perturbed, row_weights))
     g = grads.wrt(probe)
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     scale = np.where(norms < 1e-20, 0.0, epsilon / np.maximum(norms, 1e-30))
     return g * scale
 
 
+def _vat_pass(fp: ForwardPass, b: int, weights: LossWeights, split: str) -> tuple:
+    """(row index, clean prediction, perturbed prediction) of branch b's VAT pass.
+
+    One probe and one perturbed pass cover the rows of `split` and of each
+    split whose VAT weight is non-zero, and the pass keeps them for every
+    VAT term of the branch that reads the same weights.
+    """
+    splits = tuple(s for s, weight in (("unlabeled", weights.lambda_uvt),
+                                       ("labeled", weights.lambda_lvt))
+                   if weight > 0.0 or s == split)
+    if (b, weights, splits) not in fp.vat_passes:
+        if fp.rng is None:
+            raise ContractError(
+                f"l_{'lvt' if split == 'labeled' else 'uvt'}_b{b}: the {split} VAT term of "
+                f"branch {b} draws probe directions and needs an rng; pass one "
+                "to ForwardPass")
+        drawn = [key for s in splits for key in fp.rows if key[1] == s]
+        directions = {key: fp.rng.standard_normal(fp.x[fp.rows[key]].shape) for key in drawn}
+        keys = [key for key in fp.rows if key in directions]
+        index, row_map = fp.layout(keys)
+        x, clean = fp.x[index], fp.probs(b).data[index]
+        masks = fp.masks_at(b, index)
+        # Each row's KL keeps its term's weight, 1/n for its domain's n rows.
+        row_weights = sum(fp.row_weights(s) for s in splits)[index]
+        r = vat_perturbation(fp.model, b, row_map, x, clean, epsilon=weights.vat_epsilon,
+                             xi=weights.vat_xi, masks=masks, row_weights=row_weights,
+                             directions=np.concatenate([directions[key] for key in keys]))
+        perturbed = class_probs(fp.tape, fp.model, b, row_map, Tensor(x + r), masks=masks)
+        fp.vat_passes[b, weights, splits] = (index, clean, perturbed)
+    return fp.vat_passes[b, weights, splits]
+
+
 def vat_loss(fp: ForwardPass, b: int, labeled: bool, weights: LossWeights) -> Tensor:
     """KL between clean and adversarially perturbed predictions.
 
     The clean prediction is the pass's, taken as a constant reference
-    (stop-gradient); the perturbation direction is recomputed per domain
-    with the pass's dropout masks.
+    (stop-gradient); the perturbation reuses the pass's dropout masks.
+    The branch's VAT terms share one probe and one perturbed pass (see
+    `_vat_pass`).
     """
     split = "labeled" if labeled else "unlabeled"
-
-    def term(i):
-        x, _, clean, masks = fp.get(b, i, split)
-        if weights.vat_epsilon == 0.0:
-            return Tensor(0.0)
-        if fp.rng is None:
-            raise ContractError(
-                f"l_{'lvt' if labeled else 'uvt'}_b{b}: the {split} VAT term of "
-                f"branch {b} draws probe directions and needs an rng; pass one "
-                "to ForwardPass")
-        r = vat_perturbation(fp.model, b, i, x, clean.data, epsilon=weights.vat_epsilon,
-                             xi=weights.vat_xi, rng=fp.rng, masks=masks)
-        perturbed = class_probs(fp.tape, fp.model, b, i, Tensor(x + r), masks=masks)
-        return kl_divergence(stop_gradient(clean), perturbed)
-    return _domain_sum(fp.num_domains, term)
+    row_weights = fp.row_weights(split)
+    if weights.vat_epsilon == 0.0:
+        return Tensor(0.0)
+    index, clean, perturbed = _vat_pass(fp, b, weights, split)
+    return kl_divergence(Tensor(clean), perturbed, row_weights[index])
 
 
 def adversarial_sign_factor(adversarial_sign: str) -> float:
@@ -393,18 +504,21 @@ def objective_terms(weights: LossWeights, adversarial_sign: str = "standard",
     def on(switch, weight):
         return 0.0 if switch in disabled else weight
 
-    lam_uvt = on("l_uvt", weights.lambda_uvt)
+    # The VAT terms read the weights in force, which decide the rows of
+    # their shared perturbed pass.
+    vat = replace(weights, lambda_uvt=on("l_uvt", weights.lambda_uvt),
+                  lambda_lvt=on("l_lvt", weights.lambda_lvt))
     table = []
     for b in BRANCHES:
         table += [
             (f"l_c_b{b}", 1.0, lambda fp, b=b: classification_loss(fp, b)),
             (f"l_adv_b{b}", -sign * weights.lambda_adv,
              lambda fp, b=b: adversarial_loss(fp, b)),
-            (f"l_e_b{b}", lam_uvt, lambda fp, b=b: entropy_loss(fp, b)),
-            (f"l_uvt_b{b}", lam_uvt,
-             lambda fp, b=b: vat_loss(fp, b, labeled=False, weights=weights)),
-            (f"l_lvt_b{b}", on("l_lvt", weights.lambda_lvt),
-             lambda fp, b=b: vat_loss(fp, b, labeled=True, weights=weights)),
+            (f"l_e_b{b}", vat.lambda_uvt, lambda fp, b=b: entropy_loss(fp, b)),
+            (f"l_uvt_b{b}", vat.lambda_uvt,
+             lambda fp, b=b: vat_loss(fp, b, labeled=False, weights=vat)),
+            (f"l_lvt_b{b}", vat.lambda_lvt,
+             lambda fp, b=b: vat_loss(fp, b, labeled=True, weights=vat)),
         ]
     return table + [
         ("l_d", on("l_d", weights.lambda_d), disagreement_loss),

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ContractError, SpecError
 from .nn import Mlp, MlpSpec, init_params, load_checkpoint, mlp_forward, save_checkpoint
 from .seeding import derive_rng
-from .tensor import Tape, Tensor, concat_cols, softmax_rows
+from .tensor import Tape, Tensor, concat_cols, concat_rows, slice_rows, softmax_rows
 
 BRANCHES = (1, 2)
 
@@ -164,8 +164,9 @@ def init_model(config: ModelConfig, seed: int) -> CralModel:
 # masks are data, drawn by `losses.ForwardPass`: each forward applies the
 # masks it is given (see nn.mlp_forward) and runs without dropout when given
 # none, so passing the same masks again replays the same stochastic pass.
-# The class path takes a dict from "shared", "specific" and "classifier" to
-# those MLPs' masks.
+# The class path takes a dict from "shared" and "classifier" to those MLPs'
+# masks and from "specific" to a dict from domain to its private
+# extractor's masks.
 # ---------------------------------------------------------------------------
 
 
@@ -192,9 +193,14 @@ def domain_probs(tape: Tape, model: CralModel, b: int, x: Tensor) -> Tensor:
     return domain_head(tape, model, b, shared_features(tape, model, b, x))
 
 
-def class_head(tape: Tape, model: CralModel, b: int, i: Optional[int], feats: Tensor,
+def class_head(tape: Tape, model: CralModel, b: int, i, feats: Tensor,
                x: Tensor, msuda: bool = False, masks: Optional[dict] = None) -> Tensor:
-    """Classifier over [given shared features, private features of x]."""
+    """Classifier over [given shared features, private features of x].
+
+    `i` is the domain of every row of x, or a row map: (domain, slice)
+    pairs whose slices tile x's rows in order, so each listed domain's
+    private extractor runs once over its own rows.
+    """
     branch = model.branch(b)
     masks = masks or {}
     if msuda:
@@ -202,14 +208,25 @@ def class_head(tape: Tape, model: CralModel, b: int, i: Optional[int], feats: Te
     else:
         if i is None:
             raise ContractError("domain index required unless msuda is set")
-        _check_domain(model, i)
-        private = mlp_forward(tape, branch.specific[i], x, masks.get("specific"))
+        row_map = [(i, slice(0, x.shape[0]))] if isinstance(i, (int, np.integer)) else i
+        specific = masks.get("specific") or {}
+        parts, stop = [], 0
+        for d, rows in row_map:
+            _check_domain(model, d)
+            if rows.start != stop:
+                raise ContractError(f"row map {row_map} does not tile {x.shape[0]} rows")
+            stop = rows.stop
+            rows_x = x if rows == slice(0, x.shape[0]) else slice_rows(x, rows)
+            parts.append(mlp_forward(tape, branch.specific[d], rows_x, specific.get(d)))
+        if stop != x.shape[0]:
+            raise ContractError(f"row map {row_map} does not tile {x.shape[0]} rows")
+        private = concat_rows(*parts)
     logits = mlp_forward(tape, branch.classifier, concat_cols(feats, private),
                          masks.get("classifier"))
     return softmax_rows(logits)
 
 
-def class_probs(tape: Tape, model: CralModel, b: int, i: Optional[int], x: Tensor,
+def class_probs(tape: Tape, model: CralModel, b: int, i, x: Tensor,
                 msuda: bool = False, masks: Optional[dict] = None) -> Tensor:
     """Composite per-domain predictor: classifier over [shared, private]."""
     masks = masks or {}

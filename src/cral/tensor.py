@@ -358,14 +358,36 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     ])
 
 
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise DimensionError(f"concat_rows: shapes {a.shape} and {b.shape} do not stack")
-    split = a.shape[0]
-    return _record(_tape_of(a, b), np.concatenate([a.data, b.data], axis=0), [
-        (a, lambda g: g[:split]),
-        (b, lambda g: g[split:]),
-    ])
+def concat_rows(*parts: Tensor) -> Tensor:
+    """Stack matrices of one width, in order; a single part comes back as is."""
+    if (not parts or any(p.data.ndim != 2 for p in parts)
+            or len({p.shape[1] for p in parts}) != 1):
+        raise DimensionError(f"concat_rows: shapes {[p.shape for p in parts]} do not stack")
+    if len(parts) == 1:
+        return parts[0]
+    edges, start = [], 0
+    for p in parts:
+        stop = start + p.shape[0]
+        edges.append((p, lambda g, start=start, stop=stop: g[start:stop]))
+        start = stop
+    return _record(_tape_of(*parts), np.concatenate([p.data for p in parts], axis=0),
+                   edges)
+
+
+def slice_rows(t: Tensor, rows: slice) -> Tensor:
+    """Rows ``rows.start:rows.stop`` of a matrix; the slice must lie inside it."""
+    start, stop, step = rows.start, rows.stop, rows.step
+    if (t.data.ndim != 2 or step not in (None, 1) or not isinstance(start, int)
+            or not isinstance(stop, int) or not 0 <= start <= stop <= t.shape[0]):
+        raise DimensionError(f"slice_rows: {rows} does not select rows of shape {t.shape}")
+    shape = t.shape
+
+    def vjp(g: Array) -> Array:
+        out = np.zeros(shape)
+        out[start:stop] = g
+        return out
+
+    return _record(_tape_of(t), t.data[start:stop], [(t, vjp)])
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def test_primary_vat_direction_beats_random_directions():
         x = rng.standard_normal((1, 6))
         reference = Tensor(predict_class(model, 1, i, x))
         r = vat_perturbation(model, 1, i, x, reference.data, epsilon=epsilon,
-                             xi=1e-6, rng=rng)
+                             xi=1e-6, directions=rng.standard_normal(x.shape))
         kl_vat = kl_divergence(
             reference, Tensor(predict_class(model, 1, i, x + r))).item()
         random_kls = []

@@ -24,7 +24,8 @@ from cral.losses import (
     vat_loss,
     vat_perturbation,
 )
-from cral.model import ModelConfig, init_model, predict_class, predict_domain, class_probs
+from cral.model import (ModelConfig, class_probs, init_model, predict_class, predict_domain,
+                        shared_features)
 from cral.nn import Adam, draw_dropout_masks
 from cral.trainer import TrainConfig, train_step
 
@@ -81,11 +82,11 @@ class TestBatchValidation:
 class TestClassification:
     def test_perfect_predictions_zero(self):
         probs = tt.Tensor([[1.0, 0.0], [0.0, 1.0]])
-        assert _nll(probs, np.array([[1.0, 0.0], [0.0, 1.0]])).item() == 0.0
+        assert _nll(probs, np.array([[1.0, 0.0], [0.0, 1.0]]), np.full(2, 0.5)).item() == 0.0
 
     def test_frozen_two_sample_value(self):
         probs = tt.Tensor([[0.9, 0.1], [0.2, 0.8]])
-        got = _nll(probs, np.array([[1.0, 0.0], [0.0, 1.0]])).item()
+        got = _nll(probs, np.array([[1.0, 0.0], [0.0, 1.0]]), np.full(2, 0.5)).item()
         want = (-math.log(0.9) - math.log(0.8)) / 2.0  # = 0.16425203...
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(0.164252033, abs=1e-9)
@@ -121,7 +122,7 @@ class TestClassification:
 class TestAdversarial:
     def test_frozen_single_sample_value(self):
         probs = tt.Tensor([[0.7, 0.1, 0.1, 0.1]])
-        got = _nll(probs, np.array([[1.0, 0.0, 0.0, 0.0]])).item()
+        got = _nll(probs, np.array([[1.0, 0.0, 0.0, 0.0]]), np.ones(1)).item()
         assert got == pytest.approx(-math.log(0.7), rel=1e-12)
         assert got == pytest.approx(0.356674944, abs=1e-9)
 
@@ -135,7 +136,7 @@ class TestAdversarial:
     def test_exactly_correct_discriminator_zero(self):
         probs = tt.Tensor(np.eye(4)[:2])
         one_hot = np.eye(4)[:2]
-        assert _nll(probs, one_hot).item() == 0.0
+        assert _nll(probs, one_hot, np.full(2, 0.5)).item() == 0.0
 
     def test_uses_labeled_and_unlabeled(self):
         model = toy_model(3)
@@ -225,40 +226,155 @@ class TestForwardPass:
         with pytest.raises(ContractError, match="needs an rng"):
             ForwardPass(tt.Tape(), toy_model(8), toy_batch(8), mode="train")
 
-    def test_masks_follow_documented_rng_order(self):
+    @pytest.mark.parametrize("empty_split", [True, False])
+    def test_masks_follow_documented_rng_order(self, empty_split):
         # Replays the order at the top of cral.losses on a second generator.
         config = ModelConfig(num_domains=3, input_dim=6, shared_dim=4, specific_dim=3,
                              extractor_hidden=(5,), dropout_rate=0.3)
         model = init_model(config, 59)
         batch = toy_batch(59, m=3, n_labeled=2, n_unlabeled=3)
-        batch.unlabeled_x[1] = np.zeros((0, 6))  # an empty split draws nothing
+        weights = LossWeights(lambda_d=0.5)
+        if empty_split:
+            batch.unlabeled_x[1] = np.zeros((0, 6))  # an empty split draws nothing
+            weights = LossWeights(lambda_uvt=0.0, lambda_d=0.0)  # and no term reads it
         fp = ForwardPass(tt.Tape(), model, batch, mode="train",
                          rng=np.random.default_rng(61))
         replay = np.random.default_rng(61)
-        order = []
+        order = [(i, split) for i in range(3) for split, xs in (
+            ("labeled", batch.labeled_x), ("unlabeled", batch.unlabeled_x))
+            if xs[i].shape[0]]
+        assert list(fp.rows) == order  # the stacking order
         for b in (1, 2):
             branch = model.branch(b)
+            drawn = {"shared": [], "specific": {i: [] for i in range(3)}, "classifier": []}
+            for i, split in order:
+                rows = fp.rows[i, split].stop - fp.rows[i, split].start
+                drawn["shared"] += draw_dropout_masks(branch.shared, rows, replay)
+                drawn["specific"][i] += draw_dropout_masks(branch.specific[i], rows, replay)
+                drawn["classifier"] += draw_dropout_masks(branch.classifier, rows, replay)
+            stored = fp.masks[b]
+            for part in ("shared", "classifier"):
+                assert len(stored[part]) == 1
+                np.testing.assert_array_equal(stored[part][0], np.concatenate(drawn[part]))
             for i in range(3):
-                for split, x in (("labeled", batch.labeled_x[i]),
-                                 ("unlabeled", batch.unlabeled_x[i])):
-                    if x.shape[0] == 0:
-                        continue
-                    order.append((b, i, split))
-                    stored = fp.get(b, i, split).masks
-                    for part, mlp in (("shared", branch.shared),
-                                      ("specific", branch.specific[i]),
-                                      ("classifier", branch.classifier)):
-                        expected = draw_dropout_masks(mlp, x.shape[0], replay)
-                        assert len(stored[part]) == len(expected) == 1
-                        np.testing.assert_array_equal(stored[part][0], expected[0])
-        assert list(fp.outputs) == order
+                assert len(stored["specific"][i]) == 1
+                np.testing.assert_array_equal(stored["specific"][i][0],
+                                              np.concatenate(drawn["specific"][i]))
 
-        discriminator_objective(fp, LossWeights())
-        for b in (1, 2):
+        def replay_discriminator_masks(b):
             for i in range(3):
                 rows = batch.labeled_x[i].shape[0] + batch.unlabeled_x[i].shape[0]
                 draw_dropout_masks(model.branch(b).discriminator, rows, replay)
+
+        discriminator_objective(fp, weights)
+        for b in (1, 2):
+            replay_discriminator_masks(b)
         assert fp.rng.bit_generator.state == replay.bit_generator.state
+
+        total_objective(fp, weights)
+        vat_splits = [("unlabeled", batch.unlabeled_x)] * (weights.lambda_uvt > 0.0)
+        vat_splits.append(("labeled", batch.labeled_x))
+        for b in (1, 2):
+            replay_discriminator_masks(b)
+            for _, xs in vat_splits:
+                for x in xs:
+                    if x.shape[0]:
+                        replay.standard_normal(x.shape)
+        assert fp.rng.bit_generator.state == replay.bit_generator.state
+
+    @pytest.mark.parametrize("empty_split", [False, True])
+    def test_clean_terms_match_per_domain_numpy(self, empty_split):
+        model = init_model(ModelConfig(num_domains=3, input_dim=6, shared_dim=4,
+                                       specific_dim=3, extractor_hidden=(5,)), 73)
+        batch = toy_batch(73, m=3, n_labeled=2, n_unlabeled=3)
+        if empty_split:
+            batch.unlabeled_x[1] = np.zeros((0, 6))
+        lab, unl, y = batch.labeled_x, batch.unlabeled_x, batch.labeled_y
+        fp = ForwardPass(tt.Tape(), model, batch)
+
+        def close(term, want):
+            assert term.item() == pytest.approx(want, rel=1e-12, abs=0.0)
+
+        def shared(b, x):
+            return shared_features(tt.Tape(), model, b, tt.Tensor(x)).data
+
+        for b in (1, 2):
+            close(classification_loss(fp, b), sum(
+                np.mean(-np.log((predict_class(model, b, i, lab[i]) * y[i]).sum(axis=1)))
+                for i in range(3)))
+            close(adversarial_loss(fp, b), sum(
+                np.mean(-np.log(predict_domain(model, b, np.concatenate([lab[i], unl[i]]))[:, i]))
+                for i in range(3)))
+        gap = sum(np.mean(shared(1, lab[i]) - shared(2, lab[i]), axis=0) for i in range(3)) / 3
+        close(diversity_loss(fp, 10.0), min(float(np.sum(gap * gap)), 10.0))
+        needs_unlabeled = [lambda: entropy_loss(fp, 2), lambda: disagreement_loss(fp),
+                           lambda: vat_loss(fp, 1, labeled=False, weights=LossWeights())]
+        if empty_split:
+            for term in needs_unlabeled:
+                with pytest.raises(ContractError, match="empty unlabeled batch for domain 1"):
+                    term()
+            return
+        p = {b: [predict_class(model, b, i, unl[i]) for i in range(3)] for b in (1, 2)}
+        close(entropy_loss(fp, 2), sum(np.mean(-np.sum(q * np.log(q), axis=1)) for q in p[2]))
+        close(disagreement_loss(fp), sum(np.mean(np.sum(np.abs(p1 - p2), axis=1))
+                                         for p1, p2 in zip(p[1], p[2])))
+
+    def test_vat_terms_match_per_domain_probes(self):
+        # One probe and one perturbed pass per branch serve both VAT terms;
+        # per domain, they must give what a probe of that domain alone gives.
+        model = init_model(ModelConfig(num_domains=3, input_dim=6, shared_dim=4,
+                                       specific_dim=3, extractor_hidden=(5,)), 79)
+        batch = toy_batch(79, m=3, n_labeled=2, n_unlabeled=3)
+        weights = LossWeights(vat_epsilon=0.7)
+        fp = ForwardPass(tt.Tape(), model, batch, rng=np.random.default_rng(83))
+        replay = np.random.default_rng(83)
+        for b in (1, 2):
+            got = {labeled: vat_loss(fp, b, labeled=labeled, weights=weights).item()
+                   for labeled in (False, True)}
+            for labeled, xs in ((False, batch.unlabeled_x), (True, batch.labeled_x)):
+                want = 0.0
+                for i, x in enumerate(xs):
+                    clean = predict_class(model, b, i, x)
+                    r = vat_perturbation(model, b, i, x, clean, epsilon=0.7, xi=weights.vat_xi,
+                                         directions=replay.standard_normal(x.shape))
+                    want += kl_divergence(tt.Tensor(clean),
+                                          tt.Tensor(predict_class(model, b, i, x + r))).item()
+                # The probe differentiates at x + xi d with xi = 1e-6, so r
+                # carries about ten significant digits.
+                assert got[labeled] == pytest.approx(want, rel=1e-6)
+        assert fp.rng.bit_generator.state == replay.bit_generator.state
+
+    def test_whole_step_runs_each_first_layer_once_per_pass(self, monkeypatch):
+        import cral.nn
+
+        calls = []
+        original = cral.nn.linear
+
+        def recording(x, w, b):
+            calls.append((x.tape or w.tape, w.data, x.shape[0]))
+            return original(x, w, b)
+
+        monkeypatch.setattr(cral.nn, "linear", recording)
+        model = init_model(ModelConfig(num_domains=3, input_dim=6, shared_dim=4,
+                                       specific_dim=3, extractor_hidden=(5,),
+                                       dropout_rate=0.3), 89)
+        batch = toy_batch(89, m=3, n_labeled=2, n_unlabeled=3)
+        # The step's Adam update gives each parameter a new array.
+        firsts = [[mlp.layers[0].weight.value for mlp in (br.shared, *br.specific)]
+                  for br in model.branches]
+        config = TrainConfig(weights=LossWeights(lambda_d=0.5, lambda_div=0.1))
+        train_step(model, batch, config, Adam(model.discriminator_params()),
+                   Adam(model.main_params()), np.random.default_rng(97))
+        probes = {id(tape) for tape, *_ in calls if isinstance(tape, tt.InputTape)}
+        assert len(probes) == 2  # one probe per branch serves both VAT terms
+        for weights in firsts:
+            for k, w in enumerate(weights):
+                uses = [(tape, n) for tape, data, n in calls if data is w]
+                main = [n for tape, n in uses if not isinstance(tape, tt.InputTape)]
+                probe = [n for tape, n in uses if isinstance(tape, tt.InputTape)]
+                # the clean pass and the one perturbed pass, each over all rows
+                assert main == [15, 15] if k == 0 else main == [5, 5]
+                assert probe == [15] if k == 0 else probe == [5]
 
     def test_empty_split_named_by_the_term_that_needs_it(self):
         model = toy_model()
@@ -414,7 +530,8 @@ class TestVat:
         model = toy_model()
         x = np.random.default_rng(1).standard_normal((3, 6))
         r = vat_perturbation(model, 1, 0, x, predict_class(model, 1, 0, x),
-                             epsilon=0.0, xi=1e-6, rng=np.random.default_rng(2))
+                             epsilon=0.0, xi=1e-6,
+                             directions=np.random.default_rng(2).standard_normal(x.shape))
         np.testing.assert_array_equal(r, 0.0)
         weights = LossWeights(vat_epsilon=0.0)
         fp = ForwardPass(tt.Tape(), model, toy_batch(), rng=np.random.default_rng(3))
@@ -440,7 +557,8 @@ class TestVat:
         x = np.random.default_rng(4).standard_normal((5, 6))
         for eps in (0.5, 1.0, 3.0):
             r = vat_perturbation(model, 1, 1, x, predict_class(model, 1, 1, x),
-                                 epsilon=eps, xi=1e-6, rng=np.random.default_rng(5))
+                                 epsilon=eps, xi=1e-6,
+                                 directions=np.random.default_rng(5).standard_normal(x.shape))
             np.testing.assert_allclose(np.linalg.norm(r, axis=1), eps, atol=1e-9)
 
     def test_probe_backward_holds_the_probe_gradient_only(self, monkeypatch):
@@ -459,7 +577,8 @@ class TestVat:
                                        specific_dim=3, extractor_hidden=(5,)), 67)
         x = np.random.default_rng(68).standard_normal((3, 6))
         r = vat_perturbation(model, 2, 1, x, predict_class(model, 2, 1, x),
-                             epsilon=1.0, xi=1e-6, rng=np.random.default_rng(69))
+                             epsilon=1.0, xi=1e-6,
+                             directions=np.random.default_rng(69).standard_normal(x.shape))
         assert np.all(np.linalg.norm(r, axis=1) > 0.0)
         (grads,) = sweeps
         assert list(grads._grads) == [0]  # the probe is the tape's first leaf
@@ -485,7 +604,7 @@ class TestVat:
         x = np.random.default_rng(7).standard_normal((2, 6))
         p_ref = predict_class(model, 1, 0, x)
         r = vat_perturbation(model, 1, 0, x, p_ref, epsilon=1.0, xi=1e-6,
-                             rng=np.random.default_rng(8))
+                             directions=np.random.default_rng(8).standard_normal(x.shape))
         clf_params = model.branch(1).classifier.params()
         arrays = [p.value for p in clf_params]
 

@@ -252,6 +252,51 @@ class TestStructuralOps:
         with pytest.raises(DimensionError):
             tt.concat_rows(tt.Tensor(np.ones((1, 2))), tt.Tensor(np.ones((1, 3))))
 
+    def test_concat_rows_of_three_and_of_one(self):
+        tape = tt.Tape()
+        parts = [tape.leaf(np.full((n, 2), float(n))) for n in (2, 1, 3)]
+        out = tt.concat_rows(*parts)
+        weights = np.arange(12.0).reshape(6, 2)
+        grads = tt.backward(tt.sum(out * tt.Tensor(weights)))
+        for part, rows in zip(parts, (slice(0, 2), slice(2, 3), slice(3, 6))):
+            np.testing.assert_array_equal(grads.wrt(part), weights[rows])
+        assert tt.concat_rows(parts[0]) is parts[0]
+        with pytest.raises(DimensionError):
+            tt.concat_rows()
+
+    def test_slice_rows_gradient_matches_fd(self):
+        rng = np.random.default_rng(29)
+        x = rng.standard_normal((5, 3))
+        weights = rng.standard_normal((2, 3))
+
+        def f(arrays):
+            rows = tt.slice_rows(tt.Tape().leaf(arrays[0]), slice(1, 3))
+            return tt.l2_norm_sq(rows * tt.Tensor(weights)).item()
+
+        tape = tt.Tape()
+        tx = tape.leaf(x)
+        rows = tt.slice_rows(tx, slice(1, 3))
+        np.testing.assert_array_equal(rows.data, x[1:3])
+        grads = tt.backward(tt.l2_norm_sq(rows * tt.Tensor(weights)))
+        assert rel_err(grads.wrt(tx), fd_grad(f, [x], 0)) < 1e-6
+        np.testing.assert_array_equal(grads.wrt(tx)[[0, 3, 4]], 0.0)
+
+    def test_slice_rows_of_a_constant_is_a_constant(self):
+        rows = tt.slice_rows(tt.Tensor(np.ones((3, 2))), slice(0, 3))
+        assert rows.is_constant and rows.shape == (3, 2)
+
+    @pytest.mark.parametrize("shape,rows", [
+        ((4, 2), slice(2, 5)),      # past the last row
+        ((4, 2), slice(-1, 2)),     # negative start
+        ((4, 2), slice(3, 1)),      # start after stop
+        ((4, 2), slice(0, 4, 2)),   # not every row
+        ((4, 2), slice(None, 2)),   # open start
+        ((4,), slice(0, 2)),        # not a matrix
+    ])
+    def test_slice_rows_rejects_out_of_range_or_misaligned(self, shape, rows):
+        with pytest.raises(DimensionError, match="slice_rows"):
+            tt.slice_rows(tt.Tensor(np.zeros(shape)), rows)
+
 
 class TestBackward:
     def test_constant_branch_gets_zero(self):
