@@ -114,7 +114,13 @@ class LossWeights:
 
 
 class MultiDomainBatch:
-    """Per-domain labeled inputs with one-hot labels plus unlabeled inputs."""
+    """Per-domain labeled inputs with one-hot labels plus unlabeled inputs.
+
+    The inputs are kept once, stacked in `x` domain by domain, each
+    domain's labeled rows before its unlabeled ones. `rows` maps each
+    non-empty (domain, split) to its slice of `x`, and the per-domain
+    tuples `labeled_x` and `unlabeled_x` hold views of it.
+    """
 
     def __init__(self, labeled_x: list, labeled_y: list, unlabeled_x: list):
         if not len(labeled_x) == len(labeled_y) == len(unlabeled_x):
@@ -135,6 +141,24 @@ class MultiDomainBatch:
             if y.size and (y.ndim != 2 or not np.isin(y, (0.0, 1.0)).all()
                            or not (y.sum(axis=1) == 1.0).all()):
                 raise ContractError(f"domain {i}: label rows must be one-hot")
+        parts = {(i, split): x for i in range(len(self.labeled_x))
+                 for split, x in zip(SPLITS, (self.labeled_x[i], self.unlabeled_x[i]))
+                 if x.shape[0]}
+        if not parts:
+            raise ContractError("batch has no rows")
+        self.x = np.concatenate(list(parts.values()))
+        self.rows, start = {}, 0
+        for key, x in parts.items():
+            self.rows[key] = slice(start, start + x.shape[0])
+            start += x.shape[0]
+
+        def views(split, xs):
+            return tuple(self.x[self.rows[i, split]] if (i, split) in self.rows else x
+                         for i, x in enumerate(xs))
+
+        self.labeled_x = views("labeled", self.labeled_x)
+        self.unlabeled_x = views("unlabeled", self.unlabeled_x)
+        self.labeled_y = tuple(self.labeled_y)
 
     @property
     def num_domains(self) -> int:
@@ -157,18 +181,16 @@ def _stack(mask_lists: list) -> Optional[list]:
 
 
 class ForwardPass:
-    """One forward of a batch's stacked rows on one tape.
+    """One forward of a batch's stacked rows (`MultiDomainBatch.x`) on one tape.
 
-    The rows are stacked domain by domain, each domain's labeled rows
-    before its unlabeled ones, and `rows` maps each non-empty (domain,
-    split) to its slice of that stack. Per branch, the shared extractor
-    and the classifier run once over all rows and each private extractor
-    once over its domain's rows; the terms reduce the kept outputs. The
-    pass decides dropout: in train mode `dropout` draws masks from `rng`,
-    in eval mode every forward runs without them. `rng` also draws the VAT
-    probe directions, in either mode. With `classify=False` the pass runs
-    the shared extractors only, for the discriminator phase, but draws
-    every mask as a full pass would.
+    Per branch, the shared extractor and the classifier run once over all
+    rows and each private extractor once over its domain's rows; the
+    terms reduce the kept outputs. The pass decides dropout: in train
+    mode `dropout` draws masks from `rng`, in eval mode every forward
+    runs without them. `rng` also draws the VAT probe directions, in
+    either mode. With `classify=False` the pass runs the shared
+    extractors only, for the discriminator phase, but draws every mask as
+    a full pass would.
     """
 
     def __init__(self, tape: Tape, model: CralModel, batch: MultiDomainBatch,
@@ -181,30 +203,21 @@ class ForwardPass:
         _check_match(model, batch)
         self.tape, self.model, self.batch = tape, model, batch
         self.mode, self.rng, self.num_domains = mode, rng, batch.num_domains
-        parts = {(i, split): x for i in range(batch.num_domains)
-                 for split, x in zip(SPLITS, (batch.labeled_x[i], batch.unlabeled_x[i]))
-                 if x.shape[0]}
-        if not parts:
-            raise ContractError("batch has no rows")
-        self.x = np.concatenate(list(parts.values()))
-        self.rows, start = {}, 0
-        for key, x in parts.items():
-            self.rows[key] = slice(start, start + x.shape[0])
-            start += x.shape[0]
+        self.x, self.rows = batch.x, batch.rows
         _, row_map = self.layout(list(self.rows))
         self.domain_rows = dict(row_map)
         # Drawn per (domain, split) in row order, then stacked.
         self.masks = {}
         for b in BRANCHES:
             branch = model.branch(b)
-            drawn = [(i, [self.dropout(mlp, x.shape[0]) for mlp in (
-                branch.shared, branch.specific[i], branch.classifier)])
-                for (i, _), x in parts.items()]
-            self.masks[b] = {
-                "shared": _stack([m[0] for _, m in drawn]),
-                "specific": {i: _stack([m[1] for j, m in drawn if j == i])
-                             for i in self.domain_rows},
-                "classifier": _stack([m[2] for _, m in drawn])}
+            shared, specific, classifier = [], {i: [] for i in self.domain_rows}, []
+            for (i, _), rows in self.rows.items():
+                n = rows.stop - rows.start
+                shared.append(self.dropout(branch.shared, n))
+                specific[i].append(self.dropout(branch.specific[i], n))
+                classifier.append(self.dropout(branch.classifier, n))
+            self.masks[b] = {"shared": _stack(shared), "classifier": _stack(classifier),
+                             "specific": {i: _stack(m) for i, m in specific.items()}}
         self.shared, self._probs, self.vat_passes = {}, {}, {}
         x = Tensor(self.x)
         for b in BRANCHES:
@@ -322,12 +335,13 @@ def adversarial_loss(fp: ForwardPass, b: int) -> Tensor:
     Both phases read this one NLL: the main phase on its pass, the
     discriminator phase on the pass's detached copy.
     """
-    row_weights = fp.row_weights(*SPLITS)
+    row_weights = fp.row_weights(*SPLITS)  # every domain has rows
     domains = np.zeros((fp.x.shape[0], fp.num_domains))
-    for (i, _), rows in fp.rows.items():
+    for i, rows in fp.domain_rows.items():
         domains[rows, i] = 1.0
     disc = fp.model.branch(b).discriminator
-    masks = _stack([fp.dropout(disc, int(n)) for n in domains.sum(axis=0)])
+    masks = _stack([fp.dropout(disc, rows.stop - rows.start)
+                    for rows in fp.domain_rows.values()])
     probs = domain_head(fp.tape, fp.model, b, fp.shared[b], masks)
     return _nll(probs, domains, row_weights)
 
@@ -361,8 +375,10 @@ def entropy_loss(fp: ForwardPass, b: int) -> Tensor:
 
 
 def kl_divergence(p: Tensor, q: Tensor, row_weights: Optional[np.ndarray] = None) -> Tensor:
-    """Row KL(p || q), averaged over rows or summed with the given row
-    weights; rows must be distributions."""
+    """Row KL(p || q), averaged over rows, or summed with `row_weights`.
+
+    Rows must be distributions.
+    """
     if p.shape != q.shape or p.data.ndim != 2:
         raise DimensionError(f"kl needs matching 2-d shapes, got {p.shape}, {q.shape}")
     for name, t in (("p", p), ("q", q)):

@@ -209,17 +209,15 @@ def class_head(tape: Tape, model: CralModel, b: int, i, feats: Tensor,
         if i is None:
             raise ContractError("domain index required unless msuda is set")
         row_map = [(i, slice(0, x.shape[0]))] if isinstance(i, (int, np.integer)) else i
+        bounds = [0] + [rows.stop for _, rows in row_map]
+        if [rows.start for _, rows in row_map] != bounds[:-1] or bounds[-1] != x.shape[0]:
+            raise ContractError(f"row map {row_map} does not tile {x.shape[0]} rows")
         specific = masks.get("specific") or {}
-        parts, stop = [], 0
+        parts = []
         for d, rows in row_map:
             _check_domain(model, d)
-            if rows.start != stop:
-                raise ContractError(f"row map {row_map} does not tile {x.shape[0]} rows")
-            stop = rows.stop
-            rows_x = x if rows == slice(0, x.shape[0]) else slice_rows(x, rows)
+            rows_x = x if len(row_map) == 1 else slice_rows(x, rows)
             parts.append(mlp_forward(tape, branch.specific[d], rows_x, specific.get(d)))
-        if stop != x.shape[0]:
-            raise ContractError(f"row map {row_map} does not tile {x.shape[0]} rows")
         private = concat_rows(*parts)
     logits = mlp_forward(tape, branch.classifier, concat_cols(feats, private),
                          masks.get("classifier"))

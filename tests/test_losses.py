@@ -49,6 +49,17 @@ def toy_batch(seed=0, m=2, n_labeled=2, n_unlabeled=2, dim=6):
     return MultiDomainBatch(labeled_x, labeled_y, unlabeled_x)
 
 
+def emptied(batch, split, i):
+    """The batch with domain i's split emptied (batches are immutable)."""
+    labeled_x, labeled_y, unlabeled_x = map(list, (batch.labeled_x, batch.labeled_y,
+                                                  batch.unlabeled_x))
+    if split == "labeled":
+        labeled_x[i], labeled_y[i] = labeled_x[i][:0], labeled_y[i][:0]
+    else:
+        unlabeled_x[i] = unlabeled_x[i][:0]
+    return MultiDomainBatch(labeled_x, labeled_y, unlabeled_x)
+
+
 def rig_constant_output(mlp, bias):
     """Zero the final layer's weights and pin its bias, fixing the output."""
     mlp.layers[-1].weight.value = np.zeros_like(mlp.layers[-1].weight.value)
@@ -112,9 +123,7 @@ class TestClassification:
 
     def test_empty_domain_rejected(self):
         model = toy_model()
-        batch = toy_batch()
-        batch.labeled_x[1] = np.zeros((0, 6))
-        batch.labeled_y[1] = np.zeros((0, 2))
+        batch = emptied(toy_batch(), "labeled", 1)
         with pytest.raises(ContractError, match="domain 1"):
             classification_loss(ForwardPass(tt.Tape(), model, batch), 1)
 
@@ -235,7 +244,7 @@ class TestForwardPass:
         batch = toy_batch(59, m=3, n_labeled=2, n_unlabeled=3)
         weights = LossWeights(lambda_d=0.5)
         if empty_split:
-            batch.unlabeled_x[1] = np.zeros((0, 6))  # an empty split draws nothing
+            batch = emptied(batch, "unlabeled", 1)  # an empty split draws nothing
             weights = LossWeights(lambda_uvt=0.0, lambda_d=0.0)  # and no term reads it
         fp = ForwardPass(tt.Tape(), model, batch, mode="train",
                          rng=np.random.default_rng(61))
@@ -288,7 +297,7 @@ class TestForwardPass:
                                        specific_dim=3, extractor_hidden=(5,)), 73)
         batch = toy_batch(73, m=3, n_labeled=2, n_unlabeled=3)
         if empty_split:
-            batch.unlabeled_x[1] = np.zeros((0, 6))
+            batch = emptied(batch, "unlabeled", 1)
         lab, unl, y = batch.labeled_x, batch.unlabeled_x, batch.labeled_y
         fp = ForwardPass(tt.Tape(), model, batch)
 
@@ -378,8 +387,7 @@ class TestForwardPass:
 
     def test_empty_split_named_by_the_term_that_needs_it(self):
         model = toy_model()
-        batch = toy_batch()
-        batch.unlabeled_x[1] = np.zeros((0, 6))
+        batch = emptied(toy_batch(), "unlabeled", 1)
         fp = ForwardPass(tt.Tape(), model, batch)
         assert classification_loss(fp, 1).item() > 0.0
         with pytest.raises(ContractError, match="empty unlabeled batch for domain 1"):
