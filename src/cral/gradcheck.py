@@ -29,7 +29,7 @@ from .losses import (
     MultiDomainBatch,
     kl_divergence,
     objective_terms,
-    vat_perturbation,
+    vat_inputs,
 )
 from .model import BRANCHES, CralModel, ModelConfig, class_probs, init_model
 from .seeding import derive_rng
@@ -63,21 +63,15 @@ def _frozen_vat_builder(model: CralModel, batch: MultiDomainBatch,
                         b: int, labeled: bool, seed: int):
     """Framework for the outer VAT objective with (r, reference) pinned.
 
-    Like the trainer's VAT term, one perturbed pass covers every domain's
-    rows of the split.
+    Like the trainer's VAT term, one perturbed pass covers every domain.
     """
-    weights = LossWeights()
-    rng = derive_rng(seed, f"gradcheck/vat/b{b}/{labeled}")
     split = "labeled" if labeled else "unlabeled"
-    fp = ForwardPass(Tape(), model, batch)
-    index, row_map = fp.layout([key for key in fp.rows if key[1] == split])
-    x, reference = fp.x[index], fp.probs(b).data[index]
-    r = vat_perturbation(model, b, row_map, x, reference, epsilon=weights.vat_epsilon,
-                         xi=weights.vat_xi, directions=rng.standard_normal(x.shape))
-    row_weights = fp.row_weights(split)[index]
+    fp = ForwardPass(Tape(), model, batch, rng=derive_rng(seed, f"gradcheck/vat/b{b}/{labeled}"))
+    perturbed_x = vat_inputs(fp, b, LossWeights(), (split,))
+    reference, row_weights = fp.probs(b).data, fp.row_weights(split)
 
     def build(tape: Tape) -> Tensor:
-        q = class_probs(tape, model, b, row_map, Tensor(x + r))
+        q = class_probs(tape, model, b, fp.row_map, Tensor(perturbed_x))
         return kl_divergence(Tensor(reference), q, row_weights)
 
     return build

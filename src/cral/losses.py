@@ -118,8 +118,9 @@ class MultiDomainBatch:
 
     The inputs are kept once, stacked in `x` domain by domain, each
     domain's labeled rows before its unlabeled ones. `rows` maps each
-    non-empty (domain, split) to its slice of `x`, and the per-domain
-    tuples `labeled_x` and `unlabeled_x` hold views of it.
+    non-empty (domain, split) to its slice of `x`, `row_map` lists each
+    domain with rows and its slice (see `model.class_head`), and the
+    per-domain tuples `labeled_x` and `unlabeled_x` hold views of `x`.
     """
 
     def __init__(self, labeled_x: list, labeled_y: list, unlabeled_x: list):
@@ -147,10 +148,12 @@ class MultiDomainBatch:
         if not parts:
             raise ContractError("batch has no rows")
         self.x = np.concatenate(list(parts.values()))
-        self.rows, start = {}, 0
-        for key, x in parts.items():
-            self.rows[key] = slice(start, start + x.shape[0])
+        self.rows, domains, start = {}, {}, 0
+        for (i, split), x in parts.items():
+            self.rows[i, split] = slice(start, start + x.shape[0])
+            domains[i] = slice(domains.get(i, self.rows[i, split]).start, start + x.shape[0])
             start += x.shape[0]
+        self.row_map = list(domains.items())
 
         def views(split, xs):
             return tuple(self.x[self.rows[i, split]] if (i, split) in self.rows else x
@@ -203,14 +206,12 @@ class ForwardPass:
         _check_match(model, batch)
         self.tape, self.model, self.batch = tape, model, batch
         self.mode, self.rng, self.num_domains = mode, rng, batch.num_domains
-        self.x, self.rows = batch.x, batch.rows
-        _, row_map = self.layout(list(self.rows))
-        self.domain_rows = dict(row_map)
+        self.x, self.rows, self.row_map = batch.x, batch.rows, batch.row_map
         # Drawn per (domain, split) in row order, then stacked.
         self.masks = {}
         for b in BRANCHES:
             branch = model.branch(b)
-            shared, specific, classifier = [], {i: [] for i in self.domain_rows}, []
+            shared, specific, classifier = [], {i: [] for i, _ in self.row_map}, []
             for (i, _), rows in self.rows.items():
                 n = rows.stop - rows.start
                 shared.append(self.dropout(branch.shared, n))
@@ -223,8 +224,8 @@ class ForwardPass:
         for b in BRANCHES:
             self.shared[b] = shared_features(tape, model, b, x, self.masks[b]["shared"])
             if classify:
-                self._probs[b] = class_head(tape, model, b, row_map, self.shared[b], x,
-                                            masks=self.masks[b])
+                self._probs[b] = class_head(tape, model, b, self.row_map, self.shared[b],
+                                            x, masks=self.masks[b])
 
     def dropout(self, mlp: Mlp, n: int) -> Optional[list]:
         """Fresh dropout masks for n rows through mlp in train mode, else None."""
@@ -247,50 +248,13 @@ class ForwardPass:
         weights = np.zeros(self.x.shape[0])
         for i in range(self.num_domains):
             keys = [(i, split) for split in splits if (i, split) in self.rows]
-            n = self.count(keys)
+            n = sum(self.rows[key].stop - self.rows[key].start for key in keys)
             if n == 0:
                 name = splits[0] if len(splits) == 1 else "combined"
                 raise ContractError(f"empty {name} batch for domain {i}")
             for key in keys:
                 weights[self.rows[key]] = 1.0 / n
         return weights
-
-    def count(self, keys) -> int:
-        """Number of rows of the given (domain, split) keys."""
-        return sum(self.rows[key].stop - self.rows[key].start for key in keys)
-
-    def layout(self, keys: list) -> tuple:
-        """Where `keys`' rows sit when stacked in key order.
-
-        Returns an index into the pass's rows (a slice, so a view, when
-        that is all of them) and the stack's row map (see
-        `model.class_head`).
-        """
-        if keys == list(self.rows):
-            index = slice(None)
-        else:
-            index = np.concatenate([np.arange(self.rows[key].start, self.rows[key].stop)
-                                    for key in keys])
-        row_map, start = [], 0
-        for i in dict.fromkeys(i for i, _ in keys):
-            n = self.count(key for key in keys if key[0] == i)
-            row_map.append((i, slice(start, start + n)))
-            start += n
-        return index, row_map
-
-    def masks_at(self, b: int, index) -> dict:
-        """Branch b's masks for the pass's rows at `index` (see `layout`)."""
-        masks = self.masks[b]
-        if isinstance(index, slice) or masks["shared"] is None:
-            return masks
-        take = lambda arrays, rows: [a[rows] for a in arrays]
-        specific = {}
-        for i, rows in self.domain_rows.items():
-            mine = index[(index >= rows.start) & (index < rows.stop)] - rows.start
-            if mine.size:
-                specific[i] = take(masks["specific"][i], mine)
-        return {"shared": take(masks["shared"], index), "specific": specific,
-                "classifier": take(masks["classifier"], index)}
 
     def detached(self) -> "ForwardPass":
         """This pass's shared features as constants on a fresh tape.
@@ -337,11 +301,10 @@ def adversarial_loss(fp: ForwardPass, b: int) -> Tensor:
     """
     row_weights = fp.row_weights(*SPLITS)  # every domain has rows
     domains = np.zeros((fp.x.shape[0], fp.num_domains))
-    for i, rows in fp.domain_rows.items():
+    for i, rows in fp.row_map:
         domains[rows, i] = 1.0
     disc = fp.model.branch(b).discriminator
-    masks = _stack([fp.dropout(disc, rows.stop - rows.start)
-                    for rows in fp.domain_rows.values()])
+    masks = _stack([fp.dropout(disc, rows.stop - rows.start) for _, rows in fp.row_map])
     probs = domain_head(fp.tape, fp.model, b, fp.shared[b], masks)
     return _nll(probs, domains, row_weights)
 
@@ -424,36 +387,25 @@ def vat_perturbation(model: CralModel, b: int, i, x: np.ndarray, clean: np.ndarr
     return g * scale
 
 
-def _vat_pass(fp: ForwardPass, b: int, weights: LossWeights, split: str) -> tuple:
-    """(row index, clean prediction, perturbed prediction) of branch b's VAT pass.
+def vat_inputs(fp: ForwardPass, b: int, weights: LossWeights, splits: tuple) -> np.ndarray:
+    """The pass's rows, with branch b's VAT perturbation on the rows of `splits`.
 
-    One probe and one perturbed pass cover the rows of `split` and of each
-    split whose VAT weight is non-zero, and the pass keeps them for every
-    VAT term of the branch that reads the same weights.
+    Draws the probe directions from the pass's rng in the documented
+    order: per split, then per domain. Rows of other splits stay as they
+    are. In the probe, each row's KL keeps its term's weight, 1/n for its
+    domain's n rows.
     """
-    splits = tuple(s for s, weight in (("unlabeled", weights.lambda_uvt),
-                                       ("labeled", weights.lambda_lvt))
-                   if weight > 0.0 or s == split)
-    if (b, weights, splits) not in fp.vat_passes:
-        if fp.rng is None:
-            raise ContractError(
-                f"l_{'lvt' if split == 'labeled' else 'uvt'}_b{b}: the {split} VAT term of "
-                f"branch {b} draws probe directions and needs an rng; pass one "
-                "to ForwardPass")
-        drawn = [key for s in splits for key in fp.rows if key[1] == s]
-        directions = {key: fp.rng.standard_normal(fp.x[fp.rows[key]].shape) for key in drawn}
-        keys = [key for key in fp.rows if key in directions]
-        index, row_map = fp.layout(keys)
-        x, clean = fp.x[index], fp.probs(b).data[index]
-        masks = fp.masks_at(b, index)
-        # Each row's KL keeps its term's weight, 1/n for its domain's n rows.
-        row_weights = sum(fp.row_weights(s) for s in splits)[index]
-        r = vat_perturbation(fp.model, b, row_map, x, clean, epsilon=weights.vat_epsilon,
-                             xi=weights.vat_xi, masks=masks, row_weights=row_weights,
-                             directions=np.concatenate([directions[key] for key in keys]))
-        perturbed = class_probs(fp.tape, fp.model, b, row_map, Tensor(x + r), masks=masks)
-        fp.vat_passes[b, weights, splits] = (index, clean, perturbed)
-    return fp.vat_passes[b, weights, splits]
+    directions, probe_weights = np.zeros(fp.x.shape), np.zeros(fp.x.shape[0])
+    for split in splits:
+        for (_, row_split), rows in fp.rows.items():
+            if row_split == split:
+                directions[rows] = fp.rng.standard_normal(fp.x[rows].shape)
+                probe_weights[rows] = 1.0 / (rows.stop - rows.start)
+    r = vat_perturbation(fp.model, b, fp.row_map, fp.x, fp.probs(b).data,
+                         epsilon=weights.vat_epsilon, xi=weights.vat_xi,
+                         directions=directions, masks=fp.masks[b],
+                         row_weights=probe_weights)
+    return fp.x + r
 
 
 def vat_loss(fp: ForwardPass, b: int, labeled: bool, weights: LossWeights) -> Tensor:
@@ -461,15 +413,27 @@ def vat_loss(fp: ForwardPass, b: int, labeled: bool, weights: LossWeights) -> Te
 
     The clean prediction is the pass's, taken as a constant reference
     (stop-gradient); the perturbation reuses the pass's dropout masks.
-    The branch's VAT terms share one probe and one perturbed pass (see
-    `_vat_pass`).
+    The branch's first VAT term runs one probe and one perturbed pass for
+    its own split and each split whose VAT weight is non-zero, and the
+    pass keeps the result for the branch's other VAT term.
     """
     split = "labeled" if labeled else "unlabeled"
     row_weights = fp.row_weights(split)
     if weights.vat_epsilon == 0.0:
         return Tensor(0.0)
-    index, clean, perturbed = _vat_pass(fp, b, weights, split)
-    return kl_divergence(Tensor(clean), perturbed, row_weights[index])
+    splits = tuple(s for s, weight in (("unlabeled", weights.lambda_uvt),
+                                       ("labeled", weights.lambda_lvt))
+                   if weight > 0.0 or s == split)
+    if (b, weights, splits) not in fp.vat_passes:
+        if fp.rng is None:
+            raise ContractError(
+                f"l_{'lvt' if labeled else 'uvt'}_b{b}: the {split} VAT term of branch "
+                f"{b} draws probe directions and needs an rng; pass one to ForwardPass")
+        fp.vat_passes[b, weights, splits] = class_probs(
+            fp.tape, fp.model, b, fp.row_map, Tensor(vat_inputs(fp, b, weights, splits)),
+            masks=fp.masks[b])
+    perturbed = fp.vat_passes[b, weights, splits]
+    return kl_divergence(Tensor(fp.probs(b).data), perturbed, row_weights)
 
 
 def adversarial_sign_factor(adversarial_sign: str) -> float:

@@ -328,19 +328,24 @@ class TestForwardPass:
         close(disagreement_loss(fp), sum(np.mean(np.sum(np.abs(p1 - p2), axis=1))
                                          for p1, p2 in zip(p[1], p[2])))
 
-    def test_vat_terms_match_per_domain_probes(self):
-        # One probe and one perturbed pass per branch serve both VAT terms;
-        # per domain, they must give what a probe of that domain alone gives.
+    @pytest.mark.parametrize("lambda_uvt", [1.0, 0.0])
+    def test_vat_terms_match_per_domain_probes(self, lambda_uvt):
+        # One probe and one perturbed pass per branch serve the VAT terms in
+        # force; per domain, they must give what a probe of that domain
+        # alone gives, and draw what it draws.
         model = init_model(ModelConfig(num_domains=3, input_dim=6, shared_dim=4,
                                        specific_dim=3, extractor_hidden=(5,)), 79)
         batch = toy_batch(79, m=3, n_labeled=2, n_unlabeled=3)
-        weights = LossWeights(vat_epsilon=0.7)
+        weights = LossWeights(vat_epsilon=0.7, lambda_uvt=lambda_uvt)
         fp = ForwardPass(tt.Tape(), model, batch, rng=np.random.default_rng(83))
         replay = np.random.default_rng(83)
+        terms = [(True, batch.labeled_x)]
+        if lambda_uvt > 0.0:
+            terms.insert(0, (False, batch.unlabeled_x))
         for b in (1, 2):
             got = {labeled: vat_loss(fp, b, labeled=labeled, weights=weights).item()
-                   for labeled in (False, True)}
-            for labeled, xs in ((False, batch.unlabeled_x), (True, batch.labeled_x)):
+                   for labeled, _ in terms}
+            for labeled, xs in terms:
                 want = 0.0
                 for i, x in enumerate(xs):
                     clean = predict_class(model, b, i, x)
