@@ -484,8 +484,8 @@ def objective_terms(weights: LossWeights, adversarial_sign: str = "standard",
     def on(switch, weight):
         return 0.0 if switch in disabled else weight
 
-    # The VAT terms read the weights in force, which decide the rows of
-    # their shared perturbed pass.
+    # The VAT terms read the weights in force: they decide which splits
+    # the branch's one probe perturbs, and so which directions it draws.
     vat = replace(weights, lambda_uvt=on("l_uvt", weights.lambda_uvt),
                   lambda_lvt=on("l_lvt", weights.lambda_lvt))
     table = []

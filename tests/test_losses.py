@@ -235,8 +235,13 @@ class TestForwardPass:
         with pytest.raises(ContractError, match="needs an rng"):
             ForwardPass(tt.Tape(), toy_model(8), toy_batch(8), mode="train")
 
-    @pytest.mark.parametrize("empty_split", [True, False])
-    def test_masks_follow_documented_rng_order(self, empty_split):
+    def test_masks_follow_documented_rng_order(self):
+        self.replay_documented_rng_order(empty_split=True)
+
+    def test_whole_step_follows_documented_rng_order(self):
+        self.replay_documented_rng_order(empty_split=False)
+
+    def replay_documented_rng_order(self, empty_split):
         # Replays the order at the top of cral.losses on a second generator.
         config = ModelConfig(num_domains=3, input_dim=6, shared_dim=4, specific_dim=3,
                              extractor_hidden=(5,), dropout_rate=0.3)
