@@ -195,6 +195,10 @@ def _validate(config: RunConfig) -> None:
                     f"config key 'data_paths': missing required path {path!r}")
     if config.target_domain < 0:
         raise ConfigError("config key 'target_domain': must be >= 0")
+    if config.folds < 2:
+        raise ConfigError("config key 'folds': must be >= 2")
+    if not config.sweep_grid:
+        raise ConfigError("config key 'sweep_grid': needs at least one value")
     # Any valid (num_domains, input_dim) checks the model keys before data loads.
     model_config(config, 2, 1)
     if not config.data_paths:

@@ -36,24 +36,23 @@ The perturbation itself is a constant in the outer gradient.
 
 RNG discipline: the caller's generator is consumed in a fixed order, so
 a run is reproducible from its seed. Every dropout mask is drawn by
-`ForwardPass.dropout`, in train mode only, and no mask at rate 0. First
-the pass draws, per branch, domain and split (labeled, then unlabeled),
-the shared, specific and classifier masks, and stacks them in row order
-before it runs the branch. Then the discriminator phase draws, per
-branch and domain, its discriminator masks. Then the main phase's terms
-draw in table order. Per branch, that is the adversarial term's
-discriminator masks, per domain; then, when the branch's first VAT term
-runs, the probe directions of every VAT term in force: per domain for
-the unlabeled rows, then per domain for the labeled rows. Skipped terms
-and empty splits draw nothing. Draws are stacked only after they are
-made, so the order is the one of a pass that runs each (domain, split)
-on its own.
+`ForwardPass.dropout`, in train mode only, and no mask at rate 0; each
+draw covers all the rows its network serves. First the pass draws, per
+branch, the shared extractor's masks over all stacked rows, each
+domain's private-extractor masks over that domain's rows (in row-map
+order), and the classifier's masks over all rows. Then the discriminator
+phase draws, per branch, the discriminator's masks over all rows. Then
+the main phase's terms draw in table order: per branch, the adversarial
+term's discriminator masks over all rows; then, when the branch's first
+VAT term runs, the probe directions: one standard-normal draw shaped
+like the stacked input, whichever VAT terms are in force. Skipped terms
+draw nothing.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -174,13 +173,12 @@ def _check_match(model: CralModel, batch: MultiDomainBatch) -> None:
             f"batch has {batch.num_domains} domains, model expects "
             f"{model.config.num_domains}"
         )
-
-
-def _stack(mask_lists: list) -> Optional[list]:
-    """Per hidden layer, the given masks stacked in order (None without masks)."""
-    if mask_lists[0] is None:
-        return None
-    return [np.concatenate(layer) for layer in zip(*mask_lists)]
+    for i, y in enumerate(batch.labeled_y):
+        if y.size and y.shape[1] != model.config.num_classes:
+            raise ContractError(
+                f"domain {i}: label rows are {y.shape[1]} wide, model has "
+                f"{model.config.num_classes} classes"
+            )
 
 
 class ForwardPass:
@@ -207,18 +205,14 @@ class ForwardPass:
         self.tape, self.model, self.batch = tape, model, batch
         self.mode, self.rng, self.num_domains = mode, rng, batch.num_domains
         self.x, self.rows, self.row_map = batch.x, batch.rows, batch.row_map
-        # Drawn per (domain, split) in row order, then stacked.
-        self.masks = {}
+        n, self.masks = self.x.shape[0], {}
         for b in BRANCHES:
             branch = model.branch(b)
-            shared, specific, classifier = [], {i: [] for i, _ in self.row_map}, []
-            for (i, _), rows in self.rows.items():
-                n = rows.stop - rows.start
-                shared.append(self.dropout(branch.shared, n))
-                specific[i].append(self.dropout(branch.specific[i], n))
-                classifier.append(self.dropout(branch.classifier, n))
-            self.masks[b] = {"shared": _stack(shared), "classifier": _stack(classifier),
-                             "specific": {i: _stack(m) for i, m in specific.items()}}
+            self.masks[b] = {
+                "shared": self.dropout(branch.shared, n),
+                "specific": {i: self.dropout(branch.specific[i], rows.stop - rows.start)
+                             for i, rows in self.row_map},
+                "classifier": self.dropout(branch.classifier, n)}
         self.shared, self._probs, self.vat_passes = {}, {}, {}
         x = Tensor(self.x)
         for b in BRANCHES:
@@ -304,8 +298,7 @@ def adversarial_loss(fp: ForwardPass, b: int) -> Tensor:
     for i, rows in fp.row_map:
         domains[rows, i] = 1.0
     disc = fp.model.branch(b).discriminator
-    masks = _stack([fp.dropout(disc, rows.stop - rows.start) for _, rows in fp.row_map])
-    probs = domain_head(fp.tape, fp.model, b, fp.shared[b], masks)
+    probs = domain_head(fp.tape, fp.model, b, fp.shared[b], fp.dropout(disc, fp.x.shape[0]))
     return _nll(probs, domains, row_weights)
 
 
@@ -354,16 +347,15 @@ def kl_divergence(p: Tensor, q: Tensor, row_weights: Optional[np.ndarray] = None
 
 def vat_perturbation(model: CralModel, b: int, i, x: np.ndarray, clean: np.ndarray,
                      epsilon: float, xi: float, directions: np.ndarray,
-                     masks: Optional[dict] = None,
-                     row_weights: Optional[np.ndarray] = None) -> np.ndarray:
+                     masks: Optional[dict] = None) -> np.ndarray:
     """One-step power iteration for the most KL-sensitive input direction.
 
     `i` is a domain index or a row map (see `model.class_head`), `clean`
     the prediction on x under `masks`, the dropout masks the probe
     replays, and `directions` one standard-normal draw per entry of x.
-    The probe differentiates the KL averaged over rows, or summed with
-    `row_weights`, as `kl_divergence` takes them. Returns r with
-    per-sample L2 norm epsilon (zero rows where the probe gradient
+    Rows pass through the networks independently, so the probe gradient
+    of the row-averaged KL gives each row its own direction. Returns r
+    with per-sample L2 norm epsilon (zero rows where the probe gradient
     vanishes). Runs on its own tape, which reads the parameters as
     constants, so its backward computes the input gradient only; the
     caller treats r as data.
@@ -380,31 +372,21 @@ def vat_perturbation(model: CralModel, b: int, i, x: np.ndarray, clean: np.ndarr
     tape = InputTape()
     probe = tape.leaf(x + xi * d)
     perturbed = class_probs(tape, model, b, i, probe, masks=masks)
-    grads = tape_backward(kl_divergence(Tensor(clean), perturbed, row_weights))
+    grads = tape_backward(kl_divergence(Tensor(clean), perturbed))
     g = grads.wrt(probe)
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     scale = np.where(norms < 1e-20, 0.0, epsilon / np.maximum(norms, 1e-30))
     return g * scale
 
 
-def vat_inputs(fp: ForwardPass, b: int, weights: LossWeights, splits: tuple) -> np.ndarray:
-    """The pass's rows, with branch b's VAT perturbation on the rows of `splits`.
+def vat_inputs(fp: ForwardPass, b: int, weights: LossWeights) -> np.ndarray:
+    """The pass's rows plus branch b's VAT perturbation.
 
-    Draws the probe directions from the pass's rng in the documented
-    order: per split, then per domain. Rows of other splits stay as they
-    are. In the probe, each row's KL keeps its term's weight, 1/n for its
-    domain's n rows.
+    Draws one probe direction per row from the pass's rng, in one call.
     """
-    directions, probe_weights = np.zeros(fp.x.shape), np.zeros(fp.x.shape[0])
-    for split in splits:
-        for (_, row_split), rows in fp.rows.items():
-            if row_split == split:
-                directions[rows] = fp.rng.standard_normal(fp.x[rows].shape)
-                probe_weights[rows] = 1.0 / (rows.stop - rows.start)
     r = vat_perturbation(fp.model, b, fp.row_map, fp.x, fp.probs(b).data,
                          epsilon=weights.vat_epsilon, xi=weights.vat_xi,
-                         directions=directions, masks=fp.masks[b],
-                         row_weights=probe_weights)
+                         directions=fp.rng.standard_normal(fp.x.shape), masks=fp.masks[b])
     return fp.x + r
 
 
@@ -413,27 +395,23 @@ def vat_loss(fp: ForwardPass, b: int, labeled: bool, weights: LossWeights) -> Te
 
     The clean prediction is the pass's, taken as a constant reference
     (stop-gradient); the perturbation reuses the pass's dropout masks.
-    The branch's first VAT term runs one probe and one perturbed pass for
-    its own split and each split whose VAT weight is non-zero, and the
-    pass keeps the result for the branch's other VAT term.
+    The branch's first VAT term runs one probe and one perturbed pass over
+    all rows, and the pass keeps the result for the branch's other VAT
+    term.
     """
     split = "labeled" if labeled else "unlabeled"
     row_weights = fp.row_weights(split)
     if weights.vat_epsilon == 0.0:
         return Tensor(0.0)
-    splits = tuple(s for s, weight in (("unlabeled", weights.lambda_uvt),
-                                       ("labeled", weights.lambda_lvt))
-                   if weight > 0.0 or s == split)
-    if (b, weights, splits) not in fp.vat_passes:
+    if (b, weights) not in fp.vat_passes:
         if fp.rng is None:
             raise ContractError(
                 f"l_{'lvt' if labeled else 'uvt'}_b{b}: the {split} VAT term of branch "
                 f"{b} draws probe directions and needs an rng; pass one to ForwardPass")
-        fp.vat_passes[b, weights, splits] = class_probs(
-            fp.tape, fp.model, b, fp.row_map, Tensor(vat_inputs(fp, b, weights, splits)),
+        fp.vat_passes[b, weights] = class_probs(
+            fp.tape, fp.model, b, fp.row_map, Tensor(vat_inputs(fp, b, weights)),
             masks=fp.masks[b])
-    perturbed = fp.vat_passes[b, weights, splits]
-    return kl_divergence(Tensor(fp.probs(b).data), perturbed, row_weights)
+    return kl_divergence(Tensor(fp.probs(b).data), fp.vat_passes[b, weights], row_weights)
 
 
 def adversarial_sign_factor(adversarial_sign: str) -> float:
@@ -484,21 +462,18 @@ def objective_terms(weights: LossWeights, adversarial_sign: str = "standard",
     def on(switch, weight):
         return 0.0 if switch in disabled else weight
 
-    # The VAT terms read the weights in force: they decide which splits
-    # the branch's one probe perturbs, and so which directions it draws.
-    vat = replace(weights, lambda_uvt=on("l_uvt", weights.lambda_uvt),
-                  lambda_lvt=on("l_lvt", weights.lambda_lvt))
+    uvt, lvt = on("l_uvt", weights.lambda_uvt), on("l_lvt", weights.lambda_lvt)
     table = []
     for b in BRANCHES:
         table += [
             (f"l_c_b{b}", 1.0, lambda fp, b=b: classification_loss(fp, b)),
             (f"l_adv_b{b}", -sign * weights.lambda_adv,
              lambda fp, b=b: adversarial_loss(fp, b)),
-            (f"l_e_b{b}", vat.lambda_uvt, lambda fp, b=b: entropy_loss(fp, b)),
-            (f"l_uvt_b{b}", vat.lambda_uvt,
-             lambda fp, b=b: vat_loss(fp, b, labeled=False, weights=vat)),
-            (f"l_lvt_b{b}", vat.lambda_lvt,
-             lambda fp, b=b: vat_loss(fp, b, labeled=True, weights=vat)),
+            (f"l_e_b{b}", uvt, lambda fp, b=b: entropy_loss(fp, b)),
+            (f"l_uvt_b{b}", uvt,
+             lambda fp, b=b: vat_loss(fp, b, labeled=False, weights=weights)),
+            (f"l_lvt_b{b}", lvt,
+             lambda fp, b=b: vat_loss(fp, b, labeled=True, weights=weights)),
         ]
     return table + [
         ("l_d", on("l_d", weights.lambda_d), disagreement_loss),

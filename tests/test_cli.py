@@ -125,6 +125,18 @@ class TestParseConfig:
         assert code == 1
         assert not (out / "config.resolved").exists()
 
+    @pytest.mark.parametrize("command, override, key", [
+        ("kfold", "folds=1", "folds"), ("sweep", "sweep_grid=", "sweep_grid")])
+    def test_bad_protocol_key_rejected_before_writing(self, tmp_path, tiny_cfg,
+                                                      command, override, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config(tiny_cfg, overrides=(override,))
+        out = tmp_path / "run"
+        code = main([command, "--config", str(tiny_cfg), "--set", override,
+                     "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
     def test_bad_synthetic_key_rejected_at_parse(self):
         with pytest.raises(SpecError, match="label_noise"):
             parse_config(None, overrides=("synthetic_noise=0.7",))

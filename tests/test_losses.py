@@ -89,6 +89,12 @@ class TestBatchValidation:
                 [np.zeros((0, 3)), np.zeros((0, 4))],
             )
 
+    def test_label_width_must_match_the_model_classes(self):
+        batch = MultiDomainBatch([np.zeros((1, 6))] * 2, [np.array([[0.0, 1.0, 0.0]])] * 2,
+                                 [np.zeros((1, 6))] * 2)
+        with pytest.raises(ContractError, match="3 wide, model has 2 classes"):
+            ForwardPass(tt.Tape(), toy_model(), batch)
+
 
 class TestClassification:
     def test_perfect_predictions_zero(self):
@@ -258,27 +264,27 @@ class TestForwardPass:
             ("labeled", batch.labeled_x), ("unlabeled", batch.unlabeled_x))
             if xs[i].shape[0]]
         assert list(fp.rows) == order  # the stacking order
+        n = batch.x.shape[0]
+        domain_rows = [batch.labeled_x[i].shape[0] + batch.unlabeled_x[i].shape[0]
+                       for i in range(3)]
+        assert [(i, r.stop - r.start) for i, r in fp.row_map] == list(enumerate(domain_rows))
         for b in (1, 2):
             branch = model.branch(b)
-            drawn = {"shared": [], "specific": {i: [] for i in range(3)}, "classifier": []}
-            for i, split in order:
-                rows = fp.rows[i, split].stop - fp.rows[i, split].start
-                drawn["shared"] += draw_dropout_masks(branch.shared, rows, replay)
-                drawn["specific"][i] += draw_dropout_masks(branch.specific[i], rows, replay)
-                drawn["classifier"] += draw_dropout_masks(branch.classifier, rows, replay)
+            drawn = {"shared": draw_dropout_masks(branch.shared, n, replay),
+                     "specific": {i: draw_dropout_masks(branch.specific[i], rows, replay)
+                                  for i, rows in enumerate(domain_rows)},
+                     "classifier": draw_dropout_masks(branch.classifier, n, replay)}
             stored = fp.masks[b]
             for part in ("shared", "classifier"):
                 assert len(stored[part]) == 1
-                np.testing.assert_array_equal(stored[part][0], np.concatenate(drawn[part]))
+                np.testing.assert_array_equal(stored[part][0], drawn[part][0])
             for i in range(3):
                 assert len(stored["specific"][i]) == 1
                 np.testing.assert_array_equal(stored["specific"][i][0],
-                                              np.concatenate(drawn["specific"][i]))
+                                              drawn["specific"][i][0])
 
         def replay_discriminator_masks(b):
-            for i in range(3):
-                rows = batch.labeled_x[i].shape[0] + batch.unlabeled_x[i].shape[0]
-                draw_dropout_masks(model.branch(b).discriminator, rows, replay)
+            draw_dropout_masks(model.branch(b).discriminator, n, replay)
 
         discriminator_objective(fp, weights)
         for b in (1, 2):
@@ -286,14 +292,9 @@ class TestForwardPass:
         assert fp.rng.bit_generator.state == replay.bit_generator.state
 
         total_objective(fp, weights)
-        vat_splits = [("unlabeled", batch.unlabeled_x)] * (weights.lambda_uvt > 0.0)
-        vat_splits.append(("labeled", batch.labeled_x))
         for b in (1, 2):
             replay_discriminator_masks(b)
-            for _, xs in vat_splits:
-                for x in xs:
-                    if x.shape[0]:
-                        replay.standard_normal(x.shape)
+            replay.standard_normal(batch.x.shape)  # the probe directions
         assert fp.rng.bit_generator.state == replay.bit_generator.state
 
     @pytest.mark.parametrize("empty_split", [False, True])
@@ -335,27 +336,30 @@ class TestForwardPass:
 
     @pytest.mark.parametrize("lambda_uvt", [1.0, 0.0])
     def test_vat_terms_match_per_domain_probes(self, lambda_uvt):
-        # One probe and one perturbed pass per branch serve the VAT terms in
-        # force; per domain, they must give what a probe of that domain
-        # alone gives, and draw what it draws.
+        # One probe and one perturbed pass per branch serve both VAT terms;
+        # per domain, they must give what a probe of that domain alone gives
+        # with that domain's rows of the branch's one direction draw.
         model = init_model(ModelConfig(num_domains=3, input_dim=6, shared_dim=4,
                                        specific_dim=3, extractor_hidden=(5,)), 79)
         batch = toy_batch(79, m=3, n_labeled=2, n_unlabeled=3)
         weights = LossWeights(vat_epsilon=0.7, lambda_uvt=lambda_uvt)
         fp = ForwardPass(tt.Tape(), model, batch, rng=np.random.default_rng(83))
         replay = np.random.default_rng(83)
-        terms = [(True, batch.labeled_x)]
+        terms = [(True, "labeled")]
         if lambda_uvt > 0.0:
-            terms.insert(0, (False, batch.unlabeled_x))
+            terms.insert(0, (False, "unlabeled"))
         for b in (1, 2):
             got = {labeled: vat_loss(fp, b, labeled=labeled, weights=weights).item()
                    for labeled, _ in terms}
-            for labeled, xs in terms:
+            directions = replay.standard_normal(batch.x.shape)
+            for labeled, split in terms:
                 want = 0.0
-                for i, x in enumerate(xs):
+                for i in range(3):
+                    rows = batch.rows[i, split]
+                    x = batch.x[rows]
                     clean = predict_class(model, b, i, x)
                     r = vat_perturbation(model, b, i, x, clean, epsilon=0.7, xi=weights.vat_xi,
-                                         directions=replay.standard_normal(x.shape))
+                                         directions=directions[rows])
                     want += kl_divergence(tt.Tensor(clean),
                                           tt.Tensor(predict_class(model, b, i, x + r))).item()
                 # The probe differentiates at x + xi d with xi = 1e-6, so r
@@ -733,6 +737,22 @@ class TestTotalObjective:
         assert result.breakdown["l_uvt_b1"] == 0.0
         assert result.breakdown["l_e_b1"] == 0.0  # entropy rides lambda_uvt
         assert result.breakdown["l_lvt_b1"] != 0.0
+
+    def test_disabling_lvt_keeps_the_draws_and_the_unlabeled_vat_terms(self):
+        # The branch's one probe draws a direction for every row whichever
+        # VAT terms are in force.
+        model = init_model(ModelConfig(num_domains=3, input_dim=6, shared_dim=4,
+                                       specific_dim=3, extractor_hidden=(5,),
+                                       dropout_rate=0.3), 101)
+        batch = toy_batch(101, m=3, n_labeled=2, n_unlabeled=3)
+        runs = []
+        for disabled in (frozenset(), frozenset({"l_lvt"})):
+            fp = ForwardPass(tt.Tape(), model, batch, mode="train",
+                             rng=np.random.default_rng(103))
+            bd = total_objective(fp, LossWeights(), disabled=disabled).breakdown
+            runs.append((fp.rng.bit_generator.state, bd["l_uvt_b1"], bd["l_uvt_b2"]))
+        assert runs[0] == runs[1]
+        assert runs[0][1] > 0.0 and runs[0][2] > 0.0
 
     def test_unknown_switch_rejected(self):
         with pytest.raises(ContractError, match="l_dd"):
