@@ -1,7 +1,7 @@
 """Ablation table and a weight sweep on one synthetic problem.
 
 Five paired runs share the same init and data order: the full objective,
-then each co-regularization term disabled in turn. The disagreement term
+then each co-regularization weight set to 0 in turn. The disagreement term
 needs room to matter, so this uses a wider input (dim 40), a 50/50
 train/test split that leaves the classifiers able to overfit, and a
 disagreement weight large enough to couple the branches. At smaller

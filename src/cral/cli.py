@@ -6,7 +6,8 @@ train       one multi-domain run; splits labeled data into train/dev/test
 kfold       rotated cross-validation over stratified labeled folds
 msuda       train on all domains except ``target_domain``, evaluate the
             held-out domain with the private pathway zeroed
-ablate      five runs: full objective and one disabled term each
+ablate      five runs: full objective, then each co-regularization weight
+            (lambda_d, lambda_div, lambda_uvt, lambda_lvt) set to 0 in turn
 sweep       one run per ``sweep_grid`` value of ``sweep_parameter``
 gen-data    write the configured synthetic domains as sparse text files
 grad-check  finite-difference audit of every objective term's gradient
@@ -49,9 +50,6 @@ from .trainer import (
     run_sweep,
     run_training,
 )
-
-COMMANDS = ("train", "kfold", "msuda", "ablate", "sweep", "gen-data", "grad-check")
-
 
 def _write_summary(out: Path, header: list, rows: list) -> None:
     lines = ["\t".join(str(cell) for cell in row) for row in [header] + rows]
@@ -234,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Co-regularized adversarial multi-domain text classification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in DISPATCH:
         p = sub.add_parser(name, help=f"run the {name} workflow")
         p.add_argument("--config", default=None, help="flat key=value file")
         p.add_argument("--set", dest="overrides", action="append", default=[],

@@ -26,13 +26,13 @@ from the ``synthetic_*`` keys.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
 from .data import SyntheticSpec, generate_synthetic, load_sparse_dataset
 from .errors import ConfigError
-from .losses import ABLATABLE, SIGN_CONVENTIONS, LossWeights
+from .losses import LossWeights
 from .model import ModelConfig
 from .trainer import SWEEPABLE, TrainConfig
 
@@ -122,20 +122,8 @@ def _str_list(key: str, raw: str) -> tuple:
     return tuple(_split(raw))
 
 
-def _term_set(key: str, raw: str) -> frozenset:
-    terms = _split(raw)
-    for term in terms:
-        if term not in ABLATABLE:
-            raise ConfigError(
-                f"config key '{key}': unknown term {term!r}; "
-                f"pick from {', '.join(ABLATABLE)}")
-    return frozenset(terms)
-
-
 _SCALARS = {int: _int, float: _float}
 _EXPLICIT = {
-    "adversarial_sign": _choice(SIGN_CONVENTIONS),
-    "disabled": _term_set,
     "data_paths": _str_list,
     "sweep_parameter": _choice(SWEEPABLE),
 }
@@ -199,6 +187,8 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("config key 'folds': must be >= 2")
     if not config.sweep_grid:
         raise ConfigError("config key 'sweep_grid': needs at least one value")
+    for value in config.sweep_grid:  # fail here, not after the first sweep runs
+        replace(config.train.weights, **{config.sweep_parameter: value})
     # Any valid (num_domains, input_dim) checks the model keys before data loads.
     model_config(config, 2, 1)
     if not config.data_paths:
@@ -232,9 +222,7 @@ def resolved_text(config: RunConfig) -> str:
               for key, value in section.items()}
     for key in sorted(REGISTRY):
         value = values[key]
-        if isinstance(value, frozenset):
-            rendered = ",".join(sorted(value))
-        elif isinstance(value, tuple):
+        if isinstance(value, tuple):
             rendered = ",".join(str(v) for v in value)
         else:
             rendered = repr(value) if isinstance(value, float) else str(value)

@@ -90,8 +90,9 @@ class SyntheticSpec:
                 raise SpecError(f"{name} must be even to balance the classes")
         if not 0.0 <= self.label_noise < 0.5:
             raise SpecError("label_noise must lie in [0, 0.5)")
-        if self.class_separation < 0 or self.domain_shift < 0:
-            raise SpecError("separation and shift must be non-negative")
+        for name in ("class_separation", "domain_shift"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise SpecError(f"{name} must be finite and non-negative")
 
 
 def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:

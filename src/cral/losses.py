@@ -15,16 +15,11 @@ features as constants and records on its own tape, so its gradient
 reaches only the discriminators. Probabilities are clamped at 1e-12
 before any log.
 
-Adversarial sign conventions. The discriminator objective and the
-adversarial contribution to the main objective are opposite in sign by
-construction:
-
-  standard  disc phase descends the discriminator NLL (D learns to
-            classify domains); the main phase carries -lambda_adv * NLL
-            so extractors make domains indistinguishable.
-  literal   the published min/max orientation read at face value, which
-            swaps both signs (D ascends its NLL). Kept switchable for
-            comparison; standard is the default.
+Adversarial sign convention (MAN's standard game): the discriminator
+phase descends +lambda_adv * NLL, so the discriminators learn to tell
+domains apart, and the main objective carries -lambda_adv * NLL, so the
+extractors make domains indistinguishable. A term is dropped by setting
+its weight to 0.
 
 Virtual adversarial terms take the clean prediction and its dropout
 masks from the pass and reuse the masks for the power-iteration probe
@@ -87,8 +82,6 @@ from .tensor import (
     sum as tsum,
 )
 
-SIGN_CONVENTIONS = ("standard", "literal")
-ABLATABLE = ("l_d", "l_div", "l_uvt", "l_lvt")
 SPLITS = ("labeled", "unlabeled")
 MODES = ("train", "eval")
 
@@ -106,8 +99,9 @@ class LossWeights:
 
     def __post_init__(self):
         for f in fields(self):
-            if float(getattr(self, f.name)) < 0.0:
-                raise SpecError(f"{f.name} must be non-negative")
+            value = float(getattr(self, f.name))
+            if not 0.0 <= value < np.inf:
+                raise SpecError(f"{f.name} must be finite and non-negative, got {value}")
         if self.gamma <= 0.0:
             raise SpecError("gamma must be positive")
 
@@ -414,71 +408,42 @@ def vat_loss(fp: ForwardPass, b: int, labeled: bool, weights: LossWeights) -> Te
     return kl_divergence(Tensor(fp.probs(b).data), fp.vat_passes[b, weights], row_weights)
 
 
-def adversarial_sign_factor(adversarial_sign: str) -> float:
-    """+1 under the standard convention, -1 under the literal one.
-
-    The discriminator objective carries sign * lambda_adv * L_adv and the
-    main objective -sign * lambda_adv * L_adv.
-    """
-    if adversarial_sign not in SIGN_CONVENTIONS:
-        raise ContractError(
-            f"adversarial_sign must be one of {SIGN_CONVENTIONS}, got {adversarial_sign!r}"
-        )
-    return 1.0 if adversarial_sign == "standard" else -1.0
-
-
-def discriminator_objective(fp: ForwardPass, weights: LossWeights,
-                            adversarial_sign: str = "standard") -> tuple:
+def discriminator_objective(fp: ForwardPass, weights: LossWeights) -> tuple:
     """Phase-1 objective: the weighted adversarial losses of both branches.
 
     Runs the discriminators on a fresh tape over the pass's shared
     features held as constants, so its gradient reaches the discriminators
     only. Returns (objective tensor, breakdown) where the breakdown holds
-    the raw per-branch NLL values. Descending the returned objective
-    trains the discriminators under the chosen sign convention.
+    the raw per-branch NLL values.
     """
-    sign = adversarial_sign_factor(adversarial_sign)
     frozen = fp.detached()
     l1, l2 = (adversarial_loss(frozen, b) for b in BRANCHES)
     breakdown = {"l_adv_b1": l1.item(), "l_adv_b2": l2.item()}
-    return add(l1, l2) * (sign * weights.lambda_adv), breakdown
+    return add(l1, l2) * weights.lambda_adv, breakdown
 
 
-def objective_terms(weights: LossWeights, adversarial_sign: str = "standard",
-                    disabled: frozenset = frozenset()) -> list:
+def objective_terms(weights: LossWeights) -> list:
     """(name, weight, term) for every main-objective term, in RNG order.
 
     A term is a function of one `ForwardPass`; the main objective is the
     sum of weight * term(pass) over the entries whose weight is not zero.
-    Switches named in `disabled` zero their weight. Note the published
-    grouping ties entropy minimization to lambda_uvt, so disabling l_uvt
-    also drops the entropy term.
+    Note the published grouping ties entropy minimization to lambda_uvt,
+    so lambda_uvt = 0 also drops the entropy term.
     """
-    sign = adversarial_sign_factor(adversarial_sign)
-    unknown = set(disabled) - set(ABLATABLE)
-    if unknown:
-        raise ContractError(f"unknown ablation switches: {sorted(unknown)}")
-
-    def on(switch, weight):
-        return 0.0 if switch in disabled else weight
-
-    uvt, lvt = on("l_uvt", weights.lambda_uvt), on("l_lvt", weights.lambda_lvt)
     table = []
     for b in BRANCHES:
         table += [
             (f"l_c_b{b}", 1.0, lambda fp, b=b: classification_loss(fp, b)),
-            (f"l_adv_b{b}", -sign * weights.lambda_adv,
-             lambda fp, b=b: adversarial_loss(fp, b)),
-            (f"l_e_b{b}", uvt, lambda fp, b=b: entropy_loss(fp, b)),
-            (f"l_uvt_b{b}", uvt,
+            (f"l_adv_b{b}", -weights.lambda_adv, lambda fp, b=b: adversarial_loss(fp, b)),
+            (f"l_e_b{b}", weights.lambda_uvt, lambda fp, b=b: entropy_loss(fp, b)),
+            (f"l_uvt_b{b}", weights.lambda_uvt,
              lambda fp, b=b: vat_loss(fp, b, labeled=False, weights=weights)),
-            (f"l_lvt_b{b}", lvt,
+            (f"l_lvt_b{b}", weights.lambda_lvt,
              lambda fp, b=b: vat_loss(fp, b, labeled=True, weights=weights)),
         ]
     return table + [
-        ("l_d", on("l_d", weights.lambda_d), disagreement_loss),
-        ("l_div", -on("l_div", weights.lambda_div),
-         lambda fp: diversity_loss(fp, weights.gamma)),
+        ("l_d", weights.lambda_d, disagreement_loss),
+        ("l_div", -weights.lambda_div, lambda fp: diversity_loss(fp, weights.gamma)),
     ]
 
 
@@ -488,22 +453,18 @@ class ObjectiveResult:
     breakdown: dict
 
 
-def total_objective(fp: ForwardPass, weights: LossWeights,
-                    adversarial_sign: str = "standard",
-                    disabled: frozenset = frozenset()) -> ObjectiveResult:
+def total_objective(fp: ForwardPass, weights: LossWeights) -> ObjectiveResult:
     """Main objective plus the per-term breakdown.
 
     main = sum over branches of [L_c - lambda_adv L_adv
            + lambda_uvt (L_e + L_uvt) + lambda_lvt L_lvt]
            + lambda_d L_d - lambda_div L_div
 
-    (the adversarial sign flips under the literal convention; the
-    discriminators' side of the game is `discriminator_objective`).
+    (the discriminators' side of the game is `discriminator_objective`).
     Every term reads `fp` and records on its tape. Terms whose weight is
-    zero, or that are named in `disabled`, are skipped entirely and
-    reported as 0.0 in the breakdown.
+    zero are skipped entirely and reported as 0.0 in the breakdown.
     """
-    table = objective_terms(weights, adversarial_sign, disabled)
+    table = objective_terms(weights)
     breakdown = {}
     main = None
     for name, weight, term in table:

@@ -197,9 +197,9 @@ def class_head(tape: Tape, model: CralModel, b: int, i, feats: Tensor,
                x: Tensor, msuda: bool = False, masks: Optional[dict] = None) -> Tensor:
     """Classifier over [given shared features, private features of x].
 
-    `i` is the domain of every row of x, or a row map: (domain, slice)
-    pairs whose slices tile x's rows in order, so each listed domain's
-    private extractor runs once over its own rows.
+    `i` is a row map: (domain, slice) pairs whose slices tile x's rows in
+    order, so each listed domain's private extractor runs once over its own
+    rows. A domain index i stands for the one-entry map [(i, all rows)].
     """
     branch = model.branch(b)
     masks = masks or {}
@@ -208,20 +208,17 @@ def class_head(tape: Tape, model: CralModel, b: int, i, feats: Tensor,
     else:
         if i is None:
             raise ContractError("domain index required unless msuda is set")
+        row_map = [(i, slice(0, x.shape[0]))] if isinstance(i, (int, np.integer)) else i
+        bounds = [0] + [rows.stop for _, rows in row_map]
+        if [rows.start for _, rows in row_map] != bounds[:-1] or bounds[-1] != x.shape[0]:
+            raise ContractError(f"row map {row_map} does not tile {x.shape[0]} rows")
         specific = masks.get("specific") or {}
-        if isinstance(i, (int, np.integer)):
-            _check_domain(model, i)
-            private = mlp_forward(tape, branch.specific[i], x, specific.get(i))
-        else:
-            bounds = [0] + [rows.stop for _, rows in i]
-            if [rows.start for _, rows in i] != bounds[:-1] or bounds[-1] != x.shape[0]:
-                raise ContractError(f"row map {i} does not tile {x.shape[0]} rows")
-            parts = []
-            for d, rows in i:
-                _check_domain(model, d)
-                parts.append(mlp_forward(tape, branch.specific[d], slice_rows(x, rows),
-                                         specific.get(d)))
-            private = concat_rows(*parts)
+        parts = []
+        for d, rows in row_map:
+            _check_domain(model, d)
+            rows_x = x if len(row_map) == 1 else slice_rows(x, rows)
+            parts.append(mlp_forward(tape, branch.specific[d], rows_x, specific.get(d)))
+        private = concat_rows(*parts)
     logits = mlp_forward(tape, branch.classifier, concat_cols(feats, private),
                          masks.get("classifier"))
     return softmax_rows(logits)

@@ -51,14 +51,8 @@ from .nn import Adam
 from .seeding import derive_rng, derive_seed
 from .tensor import Tape, backward
 
+# The co-regularization weights: the sweep's choices and the ablation's variants.
 SWEEPABLE = ("lambda_d", "lambda_div", "lambda_uvt", "lambda_lvt")
-ABLATION_VARIANTS = (
-    ("full", frozenset()),
-    ("wo_l_d", frozenset({"l_d"})),
-    ("wo_l_div", frozenset({"l_div"})),
-    ("wo_l_uvt", frozenset({"l_uvt"})),
-    ("wo_l_lvt", frozenset({"l_lvt"})),
-)
 
 
 @dataclass(frozen=True)
@@ -69,8 +63,6 @@ class TrainConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     eval_cadence: int = 1
     learning_rate: float = 1e-4
-    adversarial_sign: str = "standard"
-    disabled: frozenset = frozenset()
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -79,6 +71,8 @@ class TrainConfig:
             raise ConfigError("eval_cadence must be >= 1")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -172,8 +166,7 @@ def _setup(model: CralModel, train_sets: list, config: TrainConfig) -> tuple:
 
 def _discriminator_step(fp: ForwardPass, config: TrainConfig, opt_disc: Adam) -> dict:
     """Phase-1 update; returns its objective and per-branch NLLs."""
-    objective, phase1 = discriminator_objective(fp, config.weights,
-                                                config.adversarial_sign)
+    objective, phase1 = discriminator_objective(fp, config.weights)
     terms = {**phase1, "disc_phase": objective.item()}
     _check_finite_terms(terms)
     opt_disc.step(backward(objective))
@@ -189,8 +182,7 @@ def train_step(model: CralModel, batch: MultiDomainBatch, config: TrainConfig,
     if config.weights.lambda_adv > 0.0:
         terms = _discriminator_step(fp, config, opt_disc)
 
-    result = total_objective(fp, config.weights, config.adversarial_sign,
-                             config.disabled)
+    result = total_objective(fp, config.weights)
     terms.update(result.breakdown)
     _check_finite_terms(terms)
     opt_main.step(backward(result.main))
@@ -354,10 +346,13 @@ def run_kfold(datasets: list, model_config: ModelConfig, config: TrainConfig,
 def run_ablation(train_sets: list, test_sets: list, model_config: ModelConfig,
                  config: TrainConfig, dev_sets: Optional[list] = None,
                  out_dir=None) -> list:
-    """Five runs differing only in one disabled term; same seeds throughout."""
+    """The full objective, then each co-regularization weight set to 0 in
+    turn ("wo_l_d" for lambda_d = 0, ...); same seeds throughout."""
+    variants = [("full", {})] + [(w.replace("lambda_", "wo_l_"), {w: 0.0}) for w in SWEEPABLE]
     rows = []
-    for name, disabled in ABLATION_VARIANTS:
-        variant_config = dataclasses.replace(config, disabled=disabled)
+    for name, zeroed in variants:
+        weights = dataclasses.replace(config.weights, **zeroed)
+        variant_config = dataclasses.replace(config, weights=weights)
         model = init_model(model_config, derive_seed(config.seed, "ablation/init"))
         result = run_training(model, train_sets, variant_config,
                               dev_sets=dev_sets, test_sets=test_sets)

@@ -1,11 +1,13 @@
 """Config parsing and command-line workflows."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from cral.cli import main
-from cral.config import load_datasets, model_config, parse_config, resolved_text
+from cral.config import REGISTRY, load_datasets, model_config, parse_config, resolved_text
 from cral.data import load_sparse_dataset
 from cral.errors import ConfigError, SpecError
 from cral.losses import LossWeights
@@ -26,6 +28,18 @@ specific_dim = 3
 lambda_uvt = 0
 lambda_lvt = 0
 """
+
+
+# (command, override, error, pattern naming the key or field in the error)
+BAD_VALUES = [
+    ("kfold", "folds=1", ConfigError, "'folds'"),
+    ("sweep", "sweep_grid=", ConfigError, "'sweep_grid'"),
+    ("sweep", "sweep_grid=0.1,-1", SpecError, "lambda_d"),
+    ("train", "learning_rate=-0.01", ConfigError, "learning_rate"),
+    ("train", "lambda_d=nan", SpecError, "lambda_d"),
+    ("train", "synthetic_separation=nan", SpecError, "class_separation"),
+    ("train", "synthetic_shift=inf", SpecError, "domain_shift"),
+]
 
 
 @pytest.fixture
@@ -63,10 +77,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'epochs'"):
             parse_config(None, overrides=("epochs=abc",))
 
-    def test_bad_choice_names_key(self):
-        with pytest.raises(ConfigError, match="adversarial_sign"):
-            parse_config(None, overrides=("adversarial_sign=upsidedown",))
-
     def test_sweep_parameter_typo_rejected_at_parse(self):
         with pytest.raises(ConfigError, match="sweep_parameter.*lamda_d"):
             parse_config(None, overrides=("sweep_parameter=lamda_d",))
@@ -81,10 +91,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="feature_dim"):
             parse_config(None, overrides=(f"data_paths={path}",))
 
-    def test_unknown_disabled_term_rejected(self):
-        with pytest.raises(ConfigError, match="l_bogus"):
-            parse_config(None, overrides=("disabled=l_bogus",))
-
     def test_fractions_must_leave_training_share(self):
         with pytest.raises(ConfigError, match="fraction"):
             parse_config(None, overrides=("dev_fraction=0.5", "test_fraction=0.5"))
@@ -96,15 +102,15 @@ class TestParseConfig:
             parse_config(path)
 
     def test_resolved_text_reparses_identically(self, tiny_cfg, tmp_path):
-        config = parse_config(tiny_cfg, overrides=("seed=3", "disabled=l_uvt,l_d"))
+        config = parse_config(tiny_cfg, overrides=("seed=3", "lambda_d=0", "sweep_grid=0.5,2"))
         echo = tmp_path / "resolved.cfg"
         echo.write_text(resolved_text(config))
         assert parse_config(echo) == config
 
     def test_train_config_view(self, tiny_cfg):
-        tc = parse_config(tiny_cfg, overrides=("disabled=l_d",)).train
+        tc = parse_config(tiny_cfg, overrides=("lambda_d=0",)).train
         assert tc.epochs == 2
-        assert tc.disabled == frozenset({"l_d"})
+        assert tc.weights.lambda_d == 0.0
         assert tc.weights.lambda_uvt == 0.0
 
     def test_load_datasets_synthetic(self, tiny_cfg):
@@ -125,17 +131,32 @@ class TestParseConfig:
         assert code == 1
         assert not (out / "config.resolved").exists()
 
-    @pytest.mark.parametrize("command, override, key", [
-        ("kfold", "folds=1", "folds"), ("sweep", "sweep_grid=", "sweep_grid")])
+    @pytest.mark.parametrize("command, override, error, pattern", BAD_VALUES,
+                             ids=["-".join((c, o, k.strip("'"))) for c, o, _, k in BAD_VALUES])
     def test_bad_protocol_key_rejected_before_writing(self, tmp_path, tiny_cfg,
-                                                      command, override, key):
-        with pytest.raises(ConfigError, match=f"'{key}'"):
+                                                      command, override, error, pattern):
+        with pytest.raises(error, match=pattern):
             parse_config(tiny_cfg, overrides=(override,))
         out = tmp_path / "run"
         code = main([command, "--config", str(tiny_cfg), "--set", override,
                      "--out", str(out)])
         assert code == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("override", ["disabled=l_d", "adversarial_sign=literal",
+                                          "adversarial_sign=upsidedown"])
+    def test_removed_key_rejected_before_writing(self, tmp_path, tiny_cfg, override):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config(tiny_cfg, overrides=(override,))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(tiny_cfg), "--set", override,
+                     "--out", str(out)]) == 1
+        assert not (out / "config.resolved").exists()
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]
+        assert set(re.findall(r"`(\w+)`", table)) == set(REGISTRY)
 
     def test_bad_synthetic_key_rejected_at_parse(self):
         with pytest.raises(SpecError, match="label_noise"):

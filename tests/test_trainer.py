@@ -1,6 +1,5 @@
 """Sampler, alternating-update, evaluation, and experiment-harness tests."""
 
-import dataclasses
 import gc
 import json
 import weakref
@@ -152,9 +151,8 @@ class TestTrainStep:
         assert not self.changed(model.discriminator_params(), before)
 
     def test_disabled_terms_zero_in_breakdown(self):
-        model, config, batch = self.make(LossWeights(lambda_uvt=0.0,
+        model, config, batch = self.make(LossWeights(lambda_d=0.0, lambda_uvt=0.0,
                                                      lambda_lvt=0.0))
-        config = dataclasses.replace(config, disabled=frozenset({"l_d"}))
         terms = train_step(model, batch, config,
                            Adam(model.discriminator_params()),
                            Adam(model.main_params()),
