@@ -126,10 +126,6 @@ def cmd_kfold(config: RunConfig, out: Path) -> int:
 
 def cmd_msuda(config: RunConfig, out: Path) -> int:
     datasets = load_datasets(config)
-    if not 0 <= config.target_domain < len(datasets):
-        raise ConfigError(
-            f"config key 'target_domain': index {config.target_domain} "
-            f"outside 0..{len(datasets) - 1}")
     target = datasets[config.target_domain]
     sources = [ds for i, ds in enumerate(datasets) if i != config.target_domain]
     if len(sources) < 2:

@@ -181,8 +181,6 @@ def _validate(config: RunConfig) -> None:
             if not Path(path).is_file():
                 raise ConfigError(
                     f"config key 'data_paths': missing required path {path!r}")
-    if config.target_domain < 0:
-        raise ConfigError("config key 'target_domain': must be >= 0")
     if config.folds < 2:
         raise ConfigError("config key 'folds': must be >= 2")
     if not config.sweep_grid:
@@ -193,6 +191,10 @@ def _validate(config: RunConfig) -> None:
     model_config(config, 2, 1)
     if not config.data_paths:
         synthetic_spec(config)
+    domains = len(config.data_paths) or config.synthetic_domains
+    if not 0 <= config.target_domain < domains:
+        raise ConfigError(f"config key 'target_domain': index {config.target_domain} "
+                          f"outside 0..{domains - 1}")
 
 
 def parse_config(path: Optional[str] = None, overrides: tuple = (),

@@ -149,6 +149,13 @@ def mlp_forward(tape: Tape, mlp: Mlp, x: Tensor, masks: Optional[list] = None) -
     return mlp.layers[-1].apply(tape, h)
 
 
+# Elements per block of Adam's update. A block of each array it touches (g,
+# m, v, old and new parameter, scratch) is 6 x 128 KB, inside a 2 MB L2.
+# One step of paper_train's 33 M-element main group on a 2-core Xeon, median:
+# whole arrays 689 ms; blocks of 4 k 612, 8 k 513, 16 k 436, 32 k 431, 64 k 438.
+ADAM_CHUNK = 16384
+
+
 class Adam:
     """Adam with bias correction over a fixed parameter group."""
 
@@ -166,8 +173,10 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self._m = [np.zeros_like(p.value) for p in self.params]
-        self._v = [np.zeros_like(p.value) for p in self.params]
+        # C order, so that np.ravel is a view the update writes through.
+        self._m = [np.zeros(p.value.shape) for p in self.params]
+        self._v = [np.zeros(p.value.shape) for p in self.params]
+        self._scratch = np.empty(ADAM_CHUNK)
 
     def step(self, grads) -> None:
         """Apply one update from a Gradients object keyed by Parameter identity.
@@ -176,29 +185,51 @@ class Adam:
         m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
         p - lr*m_hat / (sqrt(v_hat) + eps). Each parameter gets a new
         array: snapshots and tapes hold the old ones and must not change.
+
+        The operations are elementwise, so they run block by block over
+        the flat views of g, m, v, the old and the new parameter array,
+        ``ADAM_CHUNK`` elements at a time: each block stays in cache for
+        the whole sequence, and the result is bit-identical to running
+        each operation over the whole array. A parameter of at most one
+        block runs the sequence on its own shape. Only the new array is
+        allocated (plus a copy of a gradient that is not C-contiguous).
+        A non-finite gradient block raises, naming the parameter, before
+        ``p.value`` is rebound; the moments of its earlier blocks have
+        moved by then, and the error ends the run.
         """
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
             g = grads.wrt_key(p, p.value)
-            # min and max propagate NaN and +-inf, and allocate nothing.
-            if not (np.isfinite(g.min()) and np.isfinite(g.max())):
-                raise TrainingError(f"non-finite gradient for parameter {p.name}")
-            # Array buffers: a 0-d ufunc result would be a numpy scalar.
-            scratch = np.empty_like(m)
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=scratch)
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=scratch)
-            v += np.multiply(scratch, g, out=scratch)
-            denom = np.divide(v, b2t, out=scratch)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            step = np.divide(m, b1t, out=np.empty_like(m))
-            step *= self.lr
-            step /= denom
-            p.value = np.subtract(p.value, step, out=step)
+            new = np.empty(m.shape)
+            if m.size <= ADAM_CHUNK:
+                scratch = self._scratch[:m.size].reshape(m.shape)
+                self._update(p.name, g, m, v, p.value, new, scratch, b1t, b2t)
+            else:
+                flat = [np.ravel(a) for a in (g, m, v, p.value, new)]
+                for lo in range(0, m.size, ADAM_CHUNK):
+                    block = [a[lo:lo + ADAM_CHUNK] for a in flat]
+                    scratch = self._scratch[:block[0].size]
+                    self._update(p.name, *block, scratch, b1t, b2t)
+            p.value = new
+
+    def _update(self, name, g, m, v, old, new, scratch, b1t, b2t) -> None:
+        # min and max propagate NaN and +-inf, and allocate nothing.
+        if not (np.isfinite(g.min()) and np.isfinite(g.max())):
+            raise TrainingError(f"non-finite gradient for parameter {name}")
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=scratch)
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=scratch)
+        v += np.multiply(scratch, g, out=scratch)
+        np.divide(v, b2t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.eps
+        np.divide(m, b1t, out=new)
+        new *= self.lr
+        new /= scratch
+        np.subtract(old, new, out=new)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ vjp may hand back another node's gradient or a read-only broadcast.
 A tape holds arrays and shapes, never a :class:`Tensor`: vjp closures
 capture the arrays they need, and bindings keep node ids.  A tensor points
 at its tape, so the tape, its activations and its bound parameter arrays
-are freed by reference counting once the last tensor on it goes away.
+are freed by reference counting once the last tensor on it goes away;
+the :class:`Gradients` of a sweep do not keep it alive.
 
 Conventions:
   * all data is float64,
@@ -28,6 +29,7 @@ Conventions:
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Hashable, Optional
 
 import numpy as np
@@ -181,17 +183,21 @@ class Gradients:
     """Result of :func:`backward`: leaf node-id -> gradient array.
 
     Leaves that the loss never touched read back as zeros. Gradients of
-    intermediate nodes are not kept.
+    intermediate nodes are not kept. It holds the tape's bind keys and a
+    weak reference to the tape, not the tape: the tape and the arrays it
+    holds can be freed before the gradients are applied.
     """
 
     def __init__(self, tape: Tape, grads: dict[int, Array]):
-        self._tape = tape
+        self._tape_ref = weakref.ref(tape)
+        self._bindings = {key: node_id for key, (node_id, _) in tape._bindings.items()}
         self._grads = grads
 
     def wrt(self, t: Tensor) -> Array:
-        if t.tape is not self._tape:
+        tape = self._tape_ref()
+        if tape is None or t.tape is not tape:
             raise ContractError("tensor is not on the tape these gradients came from")
-        if self._tape._nodes[t.node_id].parents:
+        if tape._nodes[t.node_id].parents:
             raise ContractError(f"node {t.node_id} is not a leaf; backward keeps "
                                 "leaf gradients only")
         g = self._grads.get(t.node_id)
@@ -199,8 +205,8 @@ class Gradients:
 
     def wrt_key(self, key: Hashable, like: Array) -> Array:
         """Gradient for a ``Tape.bind`` key; zeros if the key was never bound."""
-        bound = self._tape._bindings.get(key)
-        g = None if bound is None else self._grads.get(bound[0])
+        node_id = self._bindings.get(key)
+        g = None if node_id is None else self._grads.get(node_id)
         return np.zeros_like(like) if g is None else g
 
 

@@ -39,6 +39,7 @@ BAD_VALUES = [
     ("train", "lambda_d=nan", SpecError, "lambda_d"),
     ("train", "synthetic_separation=nan", SpecError, "class_separation"),
     ("train", "synthetic_shift=inf", SpecError, "domain_shift"),
+    ("msuda", "target_domain=7", ConfigError, "'target_domain'"),
 ]
 
 

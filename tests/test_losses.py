@@ -605,7 +605,7 @@ class TestVat:
         (grads,) = sweeps
         assert list(grads._grads) == [0]  # the probe is the tape's first leaf
         assert grads._grads[0].shape == x.shape
-        assert not grads._tape._bindings
+        assert not grads._bindings
         for p in model.params():
             np.testing.assert_array_equal(grads.wrt_key(p, p.value), 0.0)
 

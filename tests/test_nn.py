@@ -1,6 +1,7 @@
 """Layer, dropout, initializer, Adam, and checkpoint tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from oracles import adam_trajectory, fd_grad, rel_err
 import cral.tensor as tt
 from cral.errors import ContractError, DimensionError, SpecError, TrainingError
 from cral.nn import (
+    ADAM_CHUNK,
     Adam,
     Mlp,
     MlpSpec,
@@ -133,7 +135,8 @@ class TestAdam:
     def make_grads(self, mapping):
         class Stub:
             def wrt_key(self, key, like):
-                return mapping.get(key, np.zeros_like(like))
+                g = mapping.get(key)
+                return np.zeros_like(like) if g is None else g
 
         return Stub()
 
@@ -190,6 +193,66 @@ class TestAdam:
             np.testing.assert_array_equal(p.value, value)
             # The old array is never written: snapshots and tapes hold it.
             np.testing.assert_array_equal(old, before)
+
+    # (parameter shape, gradient of step t from a generator); the shapes
+    # put a block boundary inside rows and leave a short last block.
+    BLOCKED = {
+        "two_blocks_plus_3": ((2 * ADAM_CHUNK + 3, 1),
+                              lambda rng, shape: rng.standard_normal(shape)),
+        "transposed": ((2 * ADAM_CHUNK // 100 + 3, 100),
+                       lambda rng, shape: rng.standard_normal(shape[::-1]).T),
+        "transposed_one_block": ((4, 5),
+                                 lambda rng, shape: rng.standard_normal(shape[::-1]).T),
+        "read_only_broadcast": ((2 * ADAM_CHUNK // 100 + 3, 100),
+                                lambda rng, shape: np.broadcast_to(
+                                    rng.standard_normal(shape[1]), shape)),
+        "zero_d": ((), lambda rng, shape: np.asarray(rng.standard_normal(shape))),
+    }
+
+    @pytest.mark.parametrize("case", list(BLOCKED))
+    def test_blocked_update_matches_reference_bit_for_bit(self, case):
+        shape, draw = self.BLOCKED[case]
+        rng = np.random.default_rng(44)
+        p = Parameter("w", rng.standard_normal(shape))
+        opt = Adam([p], lr=1e-3)
+        value, m, v = p.value.copy(), np.zeros(shape), np.zeros(shape)
+        for t in range(1, 4):
+            g = draw(rng, shape)
+            old, before = p.value, value
+            opt.step(self.make_grads({p: g}))
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            m_hat, v_hat = m / (1.0 - 0.9 ** t), v / (1.0 - 0.999 ** t)
+            value = value - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert p.value is not old
+            np.testing.assert_array_equal(p.value, value)
+            np.testing.assert_array_equal(old, before)
+        np.testing.assert_array_equal(opt._m[0], m)
+        np.testing.assert_array_equal(opt._v[0], v)
+
+    def test_non_finite_last_block_names_parameter_before_rebinding(self):
+        p = Parameter("main/layer0/weight", np.ones((2 * ADAM_CHUNK + 3, 1)))
+        g = np.full(p.value.shape, 0.5)
+        g[-1, 0] = np.nan
+        old = p.value
+        with pytest.raises(TrainingError, match="main/layer0/weight"):
+            Adam([p]).step(self.make_grads({p: g}))
+        assert p.value is old
+        np.testing.assert_array_equal(old, 1.0)
+
+    def test_update_allocates_only_the_new_parameter(self):
+        p = Parameter("w", np.random.default_rng(45).standard_normal((1000, 1000)))
+        g = np.random.default_rng(46).standard_normal(p.value.shape)
+        opt = Adam([p], lr=1e-3)
+        grads = self.make_grads({p: g})
+        tracemalloc.start()
+        try:
+            opt.step(grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Whole-array temporaries would add 8 MB each.
+        assert peak <= p.value.nbytes + 8 * ADAM_CHUNK
 
     def test_descends_quadratic(self):
         p = Parameter("w", np.array(1.0))
