@@ -39,7 +39,7 @@ from .config import (
     synthetic_spec,
 )
 from .data import generate_synthetic, merge_labeled, save_sparse_dataset, split_labeled
-from .errors import ConfigError, CralError
+from .errors import CralError
 from .gradcheck import DEFAULT_THRESHOLD, run_suite, suite_passes
 from .model import init_model
 from .seeding import derive_seed
@@ -128,8 +128,6 @@ def cmd_msuda(config: RunConfig, out: Path) -> int:
     datasets = load_datasets(config)
     target = datasets[config.target_domain]
     sources = [ds for i, ds in enumerate(datasets) if i != config.target_domain]
-    if len(sources) < 2:
-        raise ConfigError("msuda needs at least two source domains")
     mc = model_config(config, len(sources), dataset_dim(datasets))
     # dev split guides snapshot selection; sources keep their test share out
     train_sets, dev_sets, _ = _split_three(sources, config)
@@ -154,8 +152,6 @@ def cmd_ablate(config: RunConfig, out: Path) -> int:
     datasets = load_datasets(config)
     mc = model_config(config, len(datasets), dataset_dim(datasets))
     train_sets, dev_sets, test_sets = _split_three(datasets, config)
-    if test_sets is None:
-        raise ConfigError("ablate needs test_fraction > 0")
     rows = run_ablation(train_sets, test_sets, mc, config.train,
                         dev_sets=dev_sets, out_dir=out)
     _write_records(out, rows)
@@ -168,8 +164,6 @@ def cmd_sweep(config: RunConfig, out: Path) -> int:
     datasets = load_datasets(config)
     mc = model_config(config, len(datasets), dataset_dim(datasets))
     train_sets, dev_sets, test_sets = _split_three(datasets, config)
-    if test_sets is None:
-        raise ConfigError("sweep needs test_fraction > 0")
     rows = run_sweep(train_sets, test_sets, mc, config.train,
                      config.sweep_parameter, list(config.sweep_grid),
                      dev_sets=dev_sets, out_dir=out)

@@ -181,8 +181,10 @@ def _validate(config: RunConfig) -> None:
             if not Path(path).is_file():
                 raise ConfigError(
                     f"config key 'data_paths': missing required path {path!r}")
-    if config.folds < 2:
-        raise ConfigError("config key 'folds': must be >= 2")
+    if config.folds < 3:
+        raise ConfigError("config key 'folds': must be >= 3 to leave a training fold")
+    if config.command in ("ablate", "sweep") and config.test_fraction == 0.0:
+        raise ConfigError(f"config key 'test_fraction': {config.command} needs it > 0")
     if not config.sweep_grid:
         raise ConfigError("config key 'sweep_grid': needs at least one value")
     for value in config.sweep_grid:  # fail here, not after the first sweep runs
@@ -195,6 +197,8 @@ def _validate(config: RunConfig) -> None:
     if not 0 <= config.target_domain < domains:
         raise ConfigError(f"config key 'target_domain': index {config.target_domain} "
                           f"outside 0..{domains - 1}")
+    if config.command == "msuda" and domains < 3:
+        raise ConfigError(f"msuda needs at least two source domains, got {domains - 1}")
 
 
 def parse_config(path: Optional[str] = None, overrides: tuple = (),

@@ -159,7 +159,7 @@ def _parse_pair(token: str, line_number: int, feature_dim: int) -> tuple:
     head, sep, tail = token.partition(":")
     if not sep:
         raise ParseError(f"expected index:value, got {token!r}", line_number)
-    if not head.isdigit():
+    if not (head.isascii() and head.isdigit()):
         raise ParseError(f"index must be a decimal integer, got {head!r}", line_number)
     index = int(head)
     if index >= feature_dim:

@@ -2,7 +2,7 @@
 
 Runs on a small fixed model (input 6, shared 4, specific 3, two domains,
 two samples per split) in eval mode, comparing tape gradients against
-central differences for each parameter the term touches.
+central differences for each parameter the term binds on its tape.
 
 Scope notes, so the checks test what the training loop actually uses:
 
@@ -52,13 +52,6 @@ def toy_setup(seed: int = 0, batch_size: int = 2):
     return model, MultiDomainBatch(labeled_x, labeled_y, unlabeled_x)
 
 
-def _params(model: CralModel, branches, parts) -> list:
-    groups = lambda br: {"shared": [br.shared], "specific": br.specific,
-                         "disc": [br.discriminator], "clf": [br.classifier]}
-    return [p for b in branches for part in parts
-            for mlp in groups(model.branch(b))[part] for p in mlp.params()]
-
-
 def _frozen_vat_builder(model: CralModel, batch: MultiDomainBatch,
                         b: int, labeled: bool, seed: int):
     """Framework for the outer VAT objective with (r, reference) pinned.
@@ -78,26 +71,19 @@ def _frozen_vat_builder(model: CralModel, batch: MultiDomainBatch,
 
 
 def build_terms(model: CralModel, batch: MultiDomainBatch, seed: int = 0) -> list:
-    """(name, loss builder, parameters the term touches), in objective order.
+    """(name, loss builder), in objective order.
 
     Each builder runs the trainer's term on a fresh `ForwardPass` of the
-    batch, except the VAT terms, whose builders pin r and the reference.
+    batch, which runs only the networks the term reads, except the VAT
+    terms, whose builders pin r and the reference.
     """
-    classifier = ("shared", "specific", "clf")
-    touches = {"l_d": _params(model, BRANCHES, classifier),
-               "l_div": _params(model, BRANCHES, ("shared",))}
-    for b in BRANCHES:
-        touches[f"l_adv_b{b}"] = _params(model, (b,), ("shared", "disc"))
-        touches.update({f"{term}_b{b}": _params(model, (b,), classifier)
-                        for term in ("l_c", "l_e", "l_uvt", "l_lvt")})
-
     frozen_vat = {f"l_{kind}_b{b}": _frozen_vat_builder(model, batch, b, kind == "lvt", seed)
                   for b in BRANCHES for kind in ("uvt", "lvt")}
 
     def from_pass(term):
         return lambda tape: term(ForwardPass(tape, model, batch))
 
-    return [(name, frozen_vat.get(name) or from_pass(term), touches[name])
+    return [(name, frozen_vat.get(name) or from_pass(term))
             for name, _, term in objective_terms(LossWeights())]
 
 
@@ -107,12 +93,16 @@ def _entry_rel_errors(analytic: np.ndarray, numeric: np.ndarray,
     return (np.abs(analytic - numeric) / denom).ravel()
 
 
-def check_term(builder, params: list, h: float = 1e-5) -> dict:
-    """Compare tape gradients to central differences, entry by entry."""
+def check_term(builder, h: float = 1e-5) -> dict:
+    """Compare tape gradients to central differences, entry by entry.
+
+    Differences every parameter the term binds on its own tape, in bind
+    order, so the term's tape says which parameters it touches.
+    """
     tape = Tape()
     grads = backward(builder(tape))
     errors = []
-    for p in params:
+    for p in tape.bound():
         analytic = grads.wrt_key(p, p.value)
         numeric = np.zeros_like(p.value)
         it = np.nditer(p.value, flags=["multi_index"])
@@ -138,8 +128,8 @@ def run_suite(seed: int = 0, h: float = 1e-5) -> dict:
     """Per-term finite-difference report on the fixed toy problem."""
     model, batch = toy_setup(seed)
     report = {}
-    for name, builder, params in build_terms(model, batch, seed):
-        report[name] = check_term(builder, params, h=h)
+    for name, builder in build_terms(model, batch, seed):
+        report[name] = check_term(builder, h=h)
     return report
 
 

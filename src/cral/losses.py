@@ -3,17 +3,17 @@
 Every term of both phases is a reduction over one `ForwardPass`. The
 pass stacks the batch's rows domain by domain, each domain's labeled
 rows before its unlabeled ones, and maps each (domain, split) to its
-slice of the stack. Per branch it runs the shared extractor and the
-classifier once over all rows and each private extractor once over its
-domain's rows, so each weight sees all of its rows in one product. It
-keeps the shared features, class probabilities and dropout masks, so
-all terms share one dropout mask per row and step. Terms reduce the
-stacked outputs with row weights: 1/n on each domain's n rows of a
-split, so a weighted row sum is the sum over domains of per-domain
-mini-batch means. The discriminator phase holds the pass's shared
-features as constants and records on its own tape, so its gradient
-reaches only the discriminators. Probabilities are clamped at 1e-12
-before any log.
+slice of the stack. It runs a network only when a term first reads it,
+and at most once: per branch, the shared extractor and classifier over
+all rows and each private extractor over its domain's rows, so each
+weight sees all of its rows in one product. It keeps the outputs and the
+dropout masks, so all terms share one dropout mask per row and step.
+Terms reduce the stacked outputs with row weights: 1/n on each
+domain's n rows of a split, so a weighted row sum is the sum over
+domains of per-domain mini-batch means. The discriminator phase holds
+the pass's shared features as constants and records on its own tape, so
+its gradient reaches only the discriminators. Probabilities are clamped
+at 1e-12 before any log.
 
 Adversarial sign convention (MAN's standard game): the discriminator
 phase descends +lambda_adv * NLL, so the discriminators learn to tell
@@ -32,12 +32,13 @@ The perturbation itself is a constant in the outer gradient.
 RNG discipline: the caller's generator is consumed in a fixed order, so
 a run is reproducible from its seed. Every dropout mask is drawn by
 `ForwardPass.dropout`, in train mode only, and no mask at rate 0; each
-draw covers all the rows its network serves. First the pass draws, per
-branch, the shared extractor's masks over all stacked rows, each
-domain's private-extractor masks over that domain's rows (in row-map
-order), and the classifier's masks over all rows. Then the discriminator
-phase draws, per branch, the discriminator's masks over all rows. Then
-the main phase's terms draw in table order: per branch, the adversarial
+draw covers all the rows its network serves. First the pass, when it is
+built and whichever networks its terms go on to read, draws per branch
+the shared extractor's masks over all stacked rows, each domain's
+private-extractor masks over that domain's rows (in row-map order), and
+the classifier's masks over all rows. Then the discriminator phase
+draws, per branch, the discriminator's masks over all rows. Then the
+main phase's terms draw in table order: per branch, the adversarial
 term's discriminator masks over all rows; then, when the branch's first
 VAT term runs, the probe directions: one standard-normal draw shaped
 like the stacked input, whichever VAT terms are in force. Skipped terms
@@ -178,19 +179,16 @@ def _check_match(model: CralModel, batch: MultiDomainBatch) -> None:
 class ForwardPass:
     """One forward of a batch's stacked rows (`MultiDomainBatch.x`) on one tape.
 
-    Per branch, the shared extractor and the classifier run once over all
-    rows and each private extractor once over its domain's rows; the
-    terms reduce the kept outputs. The pass decides dropout: in train
-    mode `dropout` draws masks from `rng`, in eval mode every forward
-    runs without them. `rng` also draws the VAT probe directions, in
-    either mode. With `classify=False` the pass runs the shared
-    extractors only, for the discriminator phase, but draws every mask as
-    a full pass would.
+    The pass draws every dropout mask when it is built, in the module
+    docstring's order. `shared(b)` and `probs(b)` run branch b's networks
+    when a term first reads them and keep the result, so each network runs
+    at most once per pass. In train mode `dropout` draws masks from `rng`,
+    in eval mode every forward runs without them. `rng` also draws the VAT
+    probe directions, in either mode.
     """
 
     def __init__(self, tape: Tape, model: CralModel, batch: MultiDomainBatch,
-                 mode: str = "eval", rng: Optional[np.random.Generator] = None,
-                 classify: bool = True):
+                 mode: str = "eval", rng: Optional[np.random.Generator] = None):
         if mode not in MODES:
             raise ContractError(f"mode must be one of {MODES}, got {mode!r}")
         if mode == "train" and rng is None:
@@ -207,13 +205,7 @@ class ForwardPass:
                 "specific": {i: self.dropout(branch.specific[i], rows.stop - rows.start)
                              for i, rows in self.row_map},
                 "classifier": self.dropout(branch.classifier, n)}
-        self.shared, self._probs, self.vat_passes = {}, {}, {}
-        x = Tensor(self.x)
-        for b in BRANCHES:
-            self.shared[b] = shared_features(tape, model, b, x, self.masks[b]["shared"])
-            if classify:
-                self._probs[b] = class_head(tape, model, b, self.row_map, self.shared[b],
-                                            x, masks=self.masks[b])
+        self._shared, self._probs, self.vat_passes = {}, {}, {}
 
     def dropout(self, mlp: Mlp, n: int) -> Optional[list]:
         """Fresh dropout masks for n rows through mlp in train mode, else None."""
@@ -221,10 +213,18 @@ class ForwardPass:
             return None
         return draw_dropout_masks(mlp, n, self.rng)
 
+    def shared(self, b: int) -> Tensor:
+        """Branch b's shared features over the stacked rows."""
+        if b not in self._shared:
+            self._shared[b] = shared_features(self.tape, self.model, b, Tensor(self.x),
+                                              self.masks[b]["shared"])
+        return self._shared[b]
+
     def probs(self, b: int) -> Tensor:
         """Branch b's class probabilities over the stacked rows."""
         if b not in self._probs:
-            raise ContractError("this pass ran the shared extractors only")
+            self._probs[b] = class_head(self.tape, self.model, b, self.row_map,
+                                        self.shared(b), Tensor(self.x), masks=self.masks[b])
         return self._probs[b]
 
     def row_weights(self, *splits: str) -> np.ndarray:
@@ -245,7 +245,7 @@ class ForwardPass:
         return weights
 
     def detached(self) -> "ForwardPass":
-        """This pass's shared features as constants on a fresh tape.
+        """This pass's shared features (run here if unread) as constants on a fresh tape.
 
         Terms run on the copy bind their parameters on the new tape. A bind
         on this tape would memoize the value, and the main phase must read
@@ -253,7 +253,7 @@ class ForwardPass:
         """
         fp = copy.copy(self)
         fp.tape = Tape()
-        fp.shared = {b: stop_gradient(t) for b, t in self.shared.items()}
+        fp._shared = {b: stop_gradient(self.shared(b)) for b in BRANCHES}
         fp._probs, fp.vat_passes = {}, {}
         return fp
 
@@ -292,7 +292,7 @@ def adversarial_loss(fp: ForwardPass, b: int) -> Tensor:
     for i, rows in fp.row_map:
         domains[rows, i] = 1.0
     disc = fp.model.branch(b).discriminator
-    probs = domain_head(fp.tape, fp.model, b, fp.shared[b], fp.dropout(disc, fp.x.shape[0]))
+    probs = domain_head(fp.tape, fp.model, b, fp.shared(b), fp.dropout(disc, fp.x.shape[0]))
     return _nll(probs, domains, row_weights)
 
 
@@ -312,7 +312,7 @@ def diversity_loss(fp: ForwardPass, gamma: float) -> Tensor:
     if gamma <= 0.0:
         raise SpecError("gamma must be positive")
     row_weights = fp.row_weights("labeled")
-    gap_sum = _weighted_sum(sub(fp.shared[1], fp.shared[2]), row_weights, axis=0)
+    gap_sum = _weighted_sum(sub(fp.shared(1), fp.shared(2)), row_weights, axis=0)
     centroid_gap = gap_sum * (1.0 / fp.num_domains)
     return clamp_max(l2_norm_sq(centroid_gap), gamma)
 

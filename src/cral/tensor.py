@@ -143,6 +143,10 @@ class Tape:
         node_id, value = bound
         return Tensor(value, self, node_id)
 
+    def bound(self) -> list:
+        """Every ``bind`` key, in bind order."""
+        return list(self._bindings)
+
 
 class InputTape(Tape):
     """A tape that reads bound parameters as constants.

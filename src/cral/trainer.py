@@ -292,8 +292,7 @@ def train_discriminator_only(model: CralModel, train_sets: list,
     sampler, loss_rng, opt_disc = _setup(model, train_sets, config)
     records = []
     for iteration in range(1, steps + 1):
-        fp = ForwardPass(Tape(), model, sampler.next_batch(), mode="train",
-                         rng=loss_rng, classify=False)
+        fp = ForwardPass(Tape(), model, sampler.next_batch(), mode="train", rng=loss_rng)
         terms = _discriminator_step(fp, config, opt_disc)
         records.append(MetricsRecord(iteration=iteration, epoch=1, terms=terms))
     return records
@@ -317,6 +316,8 @@ def run_kfold(datasets: list, model_config: ModelConfig, config: TrainConfig,
     Rotation r tests on fold r, validates on fold (r+1) mod k, and trains
     on the remaining folds plus each domain's full unlabeled pool.
     """
+    if k < 3:
+        raise DataError(f"k={k} folds leave no training fold; run_kfold needs k >= 3")
     folds_per_domain = [split_labeled(ds, k=k, seed=config.seed)
                         for ds in datasets]
     rotations = []

@@ -33,6 +33,9 @@ lambda_lvt = 0
 # (command, override, error, pattern naming the key or field in the error)
 BAD_VALUES = [
     ("kfold", "folds=1", ConfigError, "'folds'"),
+    ("kfold", "folds=2", ConfigError, "'folds'"),
+    ("ablate", "test_fraction=0", ConfigError, "'test_fraction'"),
+    ("sweep", "test_fraction=0", ConfigError, "'test_fraction'"),
     ("sweep", "sweep_grid=", ConfigError, "'sweep_grid'"),
     ("sweep", "sweep_grid=0.1,-1", SpecError, "lambda_d"),
     ("train", "learning_rate=-0.01", ConfigError, "learning_rate"),
@@ -40,6 +43,7 @@ BAD_VALUES = [
     ("train", "synthetic_separation=nan", SpecError, "class_separation"),
     ("train", "synthetic_shift=inf", SpecError, "domain_shift"),
     ("msuda", "target_domain=7", ConfigError, "'target_domain'"),
+    ("msuda", "target_domain=1", ConfigError, "two source domains"),
 ]
 
 
@@ -137,7 +141,7 @@ class TestParseConfig:
     def test_bad_protocol_key_rejected_before_writing(self, tmp_path, tiny_cfg,
                                                       command, override, error, pattern):
         with pytest.raises(error, match=pattern):
-            parse_config(tiny_cfg, overrides=(override,))
+            parse_config(tiny_cfg, overrides=(override,), command=command)
         out = tmp_path / "run"
         code = main([command, "--config", str(tiny_cfg), "--set", override,
                      "--out", str(out)])

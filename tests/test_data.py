@@ -136,6 +136,7 @@ class TestSparseFormat:
         ("1 3:1 2:5", "strictly increasing"),
         ("1 9:1", "outside"),
         ("1 a:1", "decimal integer"),
+        ("1 ²:1", "decimal integer"),
         ("1 0:x", "float"),
         ("1 0:inf", "non-finite"),
         ("1  0:1", "whitespace"),

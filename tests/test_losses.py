@@ -233,6 +233,21 @@ class TestForwardPass:
                 own += float(np.mean(-np.log(predict_domain(model, 2, x)[:, i])))
             assert on_pass == pytest.approx(own, rel=1e-12)
 
+    def test_adversarial_term_runs_only_its_shared_extractor_and_discriminator(self):
+        model = toy_model(44)
+        fp = ForwardPass(tt.Tape(), model, toy_batch(44))
+        adversarial_loss(fp, 1)
+        branch = model.branch(1)
+        assert fp.tape.bound() == branch.shared.params() + branch.discriminator.params()
+
+    def test_diversity_term_runs_only_the_shared_extractors(self):
+        model = toy_model(45)
+        fp = ForwardPass(tt.Tape(), model, toy_batch(45), mode="train",
+                         rng=np.random.default_rng(46))
+        diversity_loss(fp, gamma=10.0)
+        first, second = model.branches
+        assert fp.tape.bound() == first.shared.params() + second.shared.params()
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ContractError, match="mode must be one of"):
             ForwardPass(tt.Tape(), toy_model(8), toy_batch(8), mode="test")

@@ -57,7 +57,8 @@ def test_step_and_evaluation_run_under_perfbench_hooks():
 
     by_phase = {p: tracer.per_step((p,)) for p in (1, 2, "eval")}
     step_counters = {
-        1: ("tensor.tape_nodes.phase1",),
+        # The discriminator phase is the first to read the pass's shared features.
+        1: ("tensor.tape_nodes.phase1", "model.shared_rows"),
         2: ("tensor.tape_nodes.phase2", "model.shared_rows", "model.class_probs_calls",
             "nn.mlp_forward_calls"),
         "eval": ("model.class_probs_calls", "nn.mlp_forward_calls"),

@@ -379,6 +379,11 @@ class TestHarnesses:
         assert tested == [0, 1, 2, 3]
         assert 0.0 <= result["mean_test_average"] <= 1.0
 
+    def test_kfold_needs_a_training_fold(self):
+        data = toy_data(labeled=20, unlabeled=10, seed=7)
+        with pytest.raises(DataError, match="k=2"):
+            run_kfold(data, TOY_MODEL, self.quick_config(), k=2)
+
     def test_ablation_emits_five_rows(self):
         data = toy_data(labeled=16, unlabeled=8, seed=8)
         rows = run_ablation(data, data, TOY_MODEL, self.quick_config())
