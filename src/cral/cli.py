@@ -31,7 +31,6 @@ import numpy as np
 
 from .config import (
     RunConfig,
-    dataset_dim,
     load_datasets,
     model_config,
     parse_config,
@@ -100,7 +99,7 @@ def _accuracy_summary(out: Path, datasets: list, result) -> None:
 
 def cmd_train(config: RunConfig, out: Path) -> int:
     datasets = load_datasets(config)
-    mc = model_config(config, len(datasets), dataset_dim(datasets))
+    mc = model_config(config, len(datasets), datasets[0].feature_dim)
     train_sets, dev_sets, test_sets = _split_three(datasets, config)
     model = init_model(mc, derive_seed(config.train.seed, "cli/train/init"))
     result = run_training(model, train_sets, config.train,
@@ -113,7 +112,7 @@ def cmd_train(config: RunConfig, out: Path) -> int:
 
 def cmd_kfold(config: RunConfig, out: Path) -> int:
     datasets = load_datasets(config)
-    mc = model_config(config, len(datasets), dataset_dim(datasets))
+    mc = model_config(config, len(datasets), datasets[0].feature_dim)
     result = run_kfold(datasets, mc, config.train,
                        k=config.folds, out_dir=out)
     _write_records(out, result["rotations"])
@@ -128,7 +127,7 @@ def cmd_msuda(config: RunConfig, out: Path) -> int:
     datasets = load_datasets(config)
     target = datasets[config.target_domain]
     sources = [ds for i, ds in enumerate(datasets) if i != config.target_domain]
-    mc = model_config(config, len(sources), dataset_dim(datasets))
+    mc = model_config(config, len(sources), datasets[0].feature_dim)
     # dev split guides snapshot selection; sources keep their test share out
     train_sets, dev_sets, _ = _split_three(sources, config)
     model = init_model(mc, derive_seed(config.train.seed, "cli/msuda/init"))
@@ -150,7 +149,7 @@ def cmd_msuda(config: RunConfig, out: Path) -> int:
 
 def cmd_ablate(config: RunConfig, out: Path) -> int:
     datasets = load_datasets(config)
-    mc = model_config(config, len(datasets), dataset_dim(datasets))
+    mc = model_config(config, len(datasets), datasets[0].feature_dim)
     train_sets, dev_sets, test_sets = _split_three(datasets, config)
     rows = run_ablation(train_sets, test_sets, mc, config.train,
                         dev_sets=dev_sets, out_dir=out)
@@ -162,7 +161,7 @@ def cmd_ablate(config: RunConfig, out: Path) -> int:
 
 def cmd_sweep(config: RunConfig, out: Path) -> int:
     datasets = load_datasets(config)
-    mc = model_config(config, len(datasets), dataset_dim(datasets))
+    mc = model_config(config, len(datasets), datasets[0].feature_dim)
     train_sets, dev_sets, test_sets = _split_three(datasets, config)
     rows = run_sweep(train_sets, test_sets, mc, config.train,
                      config.sweep_parameter, list(config.sweep_grid),

@@ -181,6 +181,9 @@ def _validate(config: RunConfig) -> None:
             if not Path(path).is_file():
                 raise ConfigError(
                     f"config key 'data_paths': missing required path {path!r}")
+        if len(config.data_paths) < 2:
+            raise ConfigError("config key 'data_paths': need at least 2 domains, "
+                              f"got {len(config.data_paths)}")
     if config.folds < 3:
         raise ConfigError("config key 'folds': must be >= 3 to leave a training fold")
     if config.command in ("ablate", "sweep") and config.test_fraction == 0.0:
@@ -262,9 +265,3 @@ def load_datasets(config: RunConfig) -> list:
         ]
     return generate_synthetic(synthetic_spec(config))
 
-
-def dataset_dim(datasets: list) -> int:
-    dims = {ds.feature_dim for ds in datasets}
-    if len(dims) != 1:
-        raise ConfigError(f"domains disagree on feature_dim: {sorted(dims)}")
-    return dims.pop()

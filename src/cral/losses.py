@@ -105,6 +105,9 @@ class LossWeights:
                 raise SpecError(f"{f.name} must be finite and non-negative, got {value}")
         if self.gamma <= 0.0:
             raise SpecError("gamma must be positive")
+        if self.vat_xi <= 0.0:
+            raise SpecError("vat_xi must be positive; drop VAT with vat_epsilon = 0 "
+                            "or lambda_uvt = lambda_lvt = 0")
 
 
 class MultiDomainBatch:

@@ -1,11 +1,11 @@
 """Two-branch shared/private architecture.
 
 Each branch b in {1, 2} owns a shared feature extractor (domain
-invariant, width 128 by default), one private extractor per domain
-(width 64), an M-way domain discriminator reading only the shared
-features, and a binary classifier reading the concatenation
-[shared, private]. The composite per-domain predictor feeds that
-concatenation through the classifier and a row softmax.
+invariant), one private extractor per domain, an M-way domain
+discriminator reading only the shared features, and a binary classifier
+reading the concatenation [shared, private]. The composite per-domain
+predictor feeds that concatenation through the classifier and a row
+softmax. `ModelConfig` defines every width's default.
 
 Domains are indexed 0..M-1 throughout. Branches are addressed as 1 and 2.
 
@@ -102,9 +102,11 @@ class CralModel:
         return [p for p in self.params() if id(p) not in disc]
 
     def state_dict(self) -> dict:
+        """Name -> the parameter's live array; copy it to keep a snapshot."""
         return {p.name: p.value for p in self.params()}
 
     def load_state_dict(self, arrays: dict) -> None:
+        """Copy each array into its parameter's own; checks every one first."""
         own = {p.name: p for p in self.params()}
         if set(own) != set(arrays):
             missing = sorted(set(own) - set(arrays))
@@ -113,12 +115,12 @@ class CralModel:
                 f"parameter names do not match (missing {missing[:3]}, extra {extra[:3]})"
             )
         for name, param in own.items():
-            value = np.asarray(arrays[name], dtype=np.float64)
-            if value.shape != param.value.shape:
+            shape = np.shape(arrays[name])
+            if shape != param.value.shape:
                 raise ContractError(
-                    f"shape mismatch for {name}: {value.shape} vs {param.value.shape}"
-                )
-            param.value = value
+                    f"shape mismatch for {name}: {shape} vs {param.value.shape}")
+        for name, param in own.items():
+            np.copyto(param.value, arrays[name])
 
     def save(self, path) -> None:
         save_checkpoint(path, self.state_dict(), asdict(self.config))

@@ -150,86 +150,88 @@ def mlp_forward(tape: Tape, mlp: Mlp, x: Tensor, masks: Optional[list] = None) -
 
 
 # Elements per block of Adam's update. A block of each array it touches (g,
-# m, v, old and new parameter, scratch) is 6 x 128 KB, inside a 2 MB L2.
+# m, v, parameter, two scratch blocks) is 6 x 128 KB, inside a 2 MB L2.
 # One step of paper_train's 33 M-element main group on a 2-core Xeon, median:
 # whole arrays 689 ms; blocks of 4 k 612, 8 k 513, 16 k 436, 32 k 431, 64 k 438.
 ADAM_CHUNK = 16384
 
+# Kingma & Ba's defaults; no caller uses others.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    """Adam with bias correction over a fixed parameter group."""
+    """Adam with bias correction over a fixed parameter group.
 
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    The optimizer owns the in-place update: each step writes into every
+    parameter's own array, so ``p.value`` stays the same object. A reader
+    that keeps a parameter array across a step must copy it.
+    """
+
+    def __init__(self, params: Sequence[Parameter], lr: float = 1e-4):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         # C order, so that np.ravel is a view the update writes through.
         self._m = [np.zeros(p.value.shape) for p in self.params]
         self._v = [np.zeros(p.value.shape) for p in self.params]
-        self._scratch = np.empty(ADAM_CHUNK)
+        self._scratch = np.empty((2, ADAM_CHUNK))
 
     def step(self, grads) -> None:
         """Apply one update from a Gradients object keyed by Parameter identity.
 
-        The moments are updated in place, in the float operations of
-        m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-        p - lr*m_hat / (sqrt(v_hat) + eps). Each parameter gets a new
-        array: snapshots and tapes hold the old ones and must not change.
+        The moments and the parameter are updated in place, in the float
+        operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        p - lr*m_hat / (sqrt(v_hat) + eps).
 
         The operations are elementwise, so they run block by block over
-        the flat views of g, m, v, the old and the new parameter array,
-        ``ADAM_CHUNK`` elements at a time: each block stays in cache for
-        the whole sequence, and the result is bit-identical to running
-        each operation over the whole array. A parameter of at most one
-        block runs the sequence on its own shape. Only the new array is
-        allocated (plus a copy of a gradient that is not C-contiguous).
-        A non-finite gradient block raises, naming the parameter, before
-        ``p.value`` is rebound; the moments of its earlier blocks have
-        moved by then, and the error ends the run.
+        the flat views of g, m, v and the parameter, ``ADAM_CHUNK``
+        elements at a time: each block stays in cache for the whole
+        sequence, and the result is bit-identical to running each
+        operation over the whole array. A parameter of at most one block
+        runs the sequence on its own shape. Nothing parameter-sized is
+        allocated here, except a copy of a gradient that is not
+        C-contiguous. A parameter whose array is not a C-contiguous,
+        writeable ndarray raises before it is touched, since ``np.ravel``
+        would copy it and the update would be lost. A non-finite gradient
+        block raises, naming the parameter, before that block is written;
+        the earlier blocks have moved by then, and the error ends the run.
         """
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
-            g = grads.wrt_key(p, p.value)
-            new = np.empty(m.shape)
+            value = p.value
+            if not (isinstance(value, np.ndarray) and value.flags.c_contiguous
+                    and value.flags.writeable):
+                raise ContractError(f"parameter {p.name} is not a C-contiguous, "
+                                    "writeable array; Adam updates it in place")
+            g = grads.wrt_key(p, value)
             if m.size <= ADAM_CHUNK:
-                scratch = self._scratch[:m.size].reshape(m.shape)
-                self._update(p.name, g, m, v, p.value, new, scratch, b1t, b2t)
+                scratch = (s.reshape(m.shape) for s in self._scratch[:, :m.size])
+                self._update(p.name, g, m, v, value, *scratch, b1t, b2t)
             else:
-                flat = [np.ravel(a) for a in (g, m, v, p.value, new)]
+                flat = [np.ravel(a) for a in (g, m, v, value)]
                 for lo in range(0, m.size, ADAM_CHUNK):
                     block = [a[lo:lo + ADAM_CHUNK] for a in flat]
-                    scratch = self._scratch[:block[0].size]
-                    self._update(p.name, *block, scratch, b1t, b2t)
-            p.value = new
+                    scratch = self._scratch[:, :block[0].size]
+                    self._update(p.name, *block, *scratch, b1t, b2t)
 
-    def _update(self, name, g, m, v, old, new, scratch, b1t, b2t) -> None:
+    def _update(self, name, g, m, v, value, scratch, step, b1t, b2t) -> None:
         # min and max propagate NaN and +-inf, and allocate nothing.
         if not (np.isfinite(g.min()) and np.isfinite(g.max())):
             raise TrainingError(f"non-finite gradient for parameter {name}")
-        m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=scratch)
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=scratch)
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=scratch)
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=scratch)
         v += np.multiply(scratch, g, out=scratch)
         np.divide(v, b2t, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += self.eps
-        np.divide(m, b1t, out=new)
-        new *= self.lr
-        new /= scratch
-        np.subtract(old, new, out=new)
+        scratch += EPS
+        np.divide(m, b1t, out=step)
+        step *= self.lr
+        step /= scratch
+        value -= step
 
 
 # ---------------------------------------------------------------------------

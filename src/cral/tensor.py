@@ -14,10 +14,11 @@ contribution in place only into a buffer it allocated itself, because a
 vjp may hand back another node's gradient or a read-only broadcast.
 
 A tape holds arrays and shapes, never a :class:`Tensor`: vjp closures
-capture the arrays they need, and bindings keep node ids.  A tensor points
-at its tape, so the tape, its activations and its bound parameter arrays
-are freed by reference counting once the last tensor on it goes away;
-the :class:`Gradients` of a sweep do not keep it alive.
+capture the arrays they need, and bindings keep node ids.  A tensor and
+the :class:`Gradients` of a sweep point at their tape, so the tape and
+its activations are freed by reference counting once the last of them
+goes away.  A tape binds each parameter's own array, which the optimizer
+updates in place: a tape is not read after the update that follows it.
 
 Conventions:
   * all data is float64,
@@ -29,7 +30,6 @@ Conventions:
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, Hashable, Optional
 
 import numpy as np
@@ -47,10 +47,11 @@ def _as_array(data) -> Array:
 
 
 class Tensor:
-    """Immutable dense value, optionally attached to a tape node.
+    """Dense value, optionally attached to a tape node.
 
-    ``data`` is treated as read-only once wrapped; nothing in this package
-    mutates a tensor in place.
+    ``data`` is treated as read-only while its tape is in use: parameter
+    arrays change in place between steps; a tape is not read after the
+    update that follows it.
     """
 
     __slots__ = ("data", "tape", "node_id")
@@ -187,21 +188,17 @@ class Gradients:
     """Result of :func:`backward`: leaf node-id -> gradient array.
 
     Leaves that the loss never touched read back as zeros. Gradients of
-    intermediate nodes are not kept. It holds the tape's bind keys and a
-    weak reference to the tape, not the tape: the tape and the arrays it
-    holds can be freed before the gradients are applied.
+    intermediate nodes are not kept.
     """
 
     def __init__(self, tape: Tape, grads: dict[int, Array]):
-        self._tape_ref = weakref.ref(tape)
-        self._bindings = {key: node_id for key, (node_id, _) in tape._bindings.items()}
+        self._tape = tape
         self._grads = grads
 
     def wrt(self, t: Tensor) -> Array:
-        tape = self._tape_ref()
-        if tape is None or t.tape is not tape:
+        if t.tape is not self._tape:
             raise ContractError("tensor is not on the tape these gradients came from")
-        if tape._nodes[t.node_id].parents:
+        if self._tape._nodes[t.node_id].parents:
             raise ContractError(f"node {t.node_id} is not a leaf; backward keeps "
                                 "leaf gradients only")
         g = self._grads.get(t.node_id)
@@ -209,8 +206,8 @@ class Gradients:
 
     def wrt_key(self, key: Hashable, like: Array) -> Array:
         """Gradient for a ``Tape.bind`` key; zeros if the key was never bound."""
-        node_id = self._bindings.get(key)
-        g = None if node_id is None else self._grads.get(node_id)
+        bound = self._tape._bindings.get(key)
+        g = None if bound is None else self._grads.get(bound[0])
         return np.zeros_like(like) if g is None else g
 
 

@@ -185,11 +185,7 @@ def train_step(model: CralModel, batch: MultiDomainBatch, config: TrainConfig,
     result = total_objective(fp, config.weights)
     terms.update(result.breakdown)
     _check_finite_terms(terms)
-    grads = backward(result.main)
-    # The tape holds every pre-update parameter array: free it before Adam
-    # allocates the new ones.
-    del fp, result
-    opt_main.step(grads)
+    opt_main.step(backward(result.main))
     return terms
 
 

@@ -44,6 +44,7 @@ BAD_VALUES = [
     ("train", "synthetic_shift=inf", SpecError, "domain_shift"),
     ("msuda", "target_domain=7", ConfigError, "'target_domain'"),
     ("msuda", "target_domain=1", ConfigError, "two source domains"),
+    ("train", "vat_xi=0", SpecError, "vat_xi"),
 ]
 
 
@@ -95,6 +96,17 @@ class TestParseConfig:
         path.write_text("0 0:1.0\n1 1:1.0\n")
         with pytest.raises(ConfigError, match="feature_dim"):
             parse_config(None, overrides=(f"data_paths={path}",))
+
+    def test_single_data_path_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "domain0.txt"
+        path.write_text("0 0:1.0\n1 1:1.0\n")
+        overrides = (f"data_paths={path}", "feature_dim=5")
+        with pytest.raises(ConfigError, match="'data_paths'.*2 domains"):
+            parse_config(None, overrides=overrides)
+        out = tmp_path / "run"
+        assert main(["train", "--set", overrides[0], "--set", overrides[1],
+                     "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_fractions_must_leave_training_share(self):
         with pytest.raises(ConfigError, match="fraction"):

@@ -15,7 +15,7 @@ from cral.model import (
     predict_ensemble,
     predicted_labels,
 )
-from cral.nn import save_checkpoint
+from cral.nn import Adam, save_checkpoint
 
 SMALL = ModelConfig(num_domains=4, input_dim=10, shared_dim=8, specific_dim=5,
                     extractor_hidden=(16,), dropout_rate=0.4)
@@ -192,3 +192,35 @@ class TestSnapshot:
         state["bogus/param"] = np.zeros(3)
         with pytest.raises(ContractError, match="bogus/param"):
             model.load_state_dict(state)
+
+    def test_load_state_dict_writes_into_the_existing_arrays(self):
+        source, model = small_model(1), small_model(2)
+        arrays = [p.value for p in model.params()]
+        model.load_state_dict(source.state_dict())
+        for p, array, want in zip(model.params(), arrays, source.params()):
+            assert p.value is array
+            np.testing.assert_array_equal(p.value, want.value)
+
+    def test_loaded_model_shares_no_array_with_its_source(self):
+        class Ones:
+            def wrt_key(self, key, like):
+                return np.ones_like(like)
+
+        source, model = small_model(1), small_model(2)
+        before = {name: value.copy() for name, value in source.state_dict().items()}
+        model.load_state_dict(source.state_dict())
+        Adam(model.params(), lr=0.1).step(Ones())
+        for name, value in source.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
+        assert not np.array_equal(model.params()[0].value, source.params()[0].value)
+
+    def test_bad_shape_leaves_the_model_untouched(self):
+        source, model = small_model(1), small_model(2)
+        before = {name: value.copy() for name, value in model.state_dict().items()}
+        state = source.state_dict()
+        last = model.params()[-1].name
+        state[last] = np.zeros(state[last].size + 1)
+        with pytest.raises(ContractError, match=f"shape mismatch for {last}"):
+            model.load_state_dict(state)
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
