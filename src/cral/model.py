@@ -22,7 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, SpecError
-from .nn import Mlp, MlpSpec, init_params, load_checkpoint, mlp_forward, save_checkpoint
+from .nn import (Mlp, MlpSpec, init_params, load_checkpoint, mlp_forward, mlp_params,
+                 save_checkpoint)
 from .seeding import derive_rng
 from .tensor import Tape, Tensor, concat_cols, concat_rows, slice_rows, softmax_rows
 
@@ -107,7 +108,13 @@ class CralModel:
 
     def load_state_dict(self, arrays: dict) -> None:
         """Copy each array into its parameter's own; checks every one first."""
-        own = {p.name: p for p in self.params()}
+        for param in self._matched(arrays):
+            np.copyto(param.value, arrays[param.name])
+
+    def _matched(self, arrays: dict) -> list:
+        """``params()``, once every name and shape in ``arrays`` matches them."""
+        params = self.params()
+        own = {p.name: p for p in params}
         if set(own) != set(arrays):
             missing = sorted(set(own) - set(arrays))
             extra = sorted(set(arrays) - set(own))
@@ -119,8 +126,7 @@ class CralModel:
             if shape != param.value.shape:
                 raise ContractError(
                     f"shape mismatch for {name}: {shape} vs {param.value.shape}")
-        for name, param in own.items():
-            np.copyto(param.value, arrays[name])
+        return params
 
     def save(self, path) -> None:
         save_checkpoint(path, self.state_dict(), asdict(self.config))
@@ -136,28 +142,31 @@ class CralModel:
             raise ContractError(
                 f"{path}: checkpoint metadata has missing keys {missing} "
                 f"and unknown keys {unknown}")
-        model = init_model(ModelConfig(**meta), seed=0)
-        model.load_state_dict(arrays)
+        # load_checkpoint's arrays are fresh and C-ordered float64: the
+        # parameters take them as they are, with no draw and no copy.
+        model = _build(ModelConfig(**meta),
+                       lambda spec, name: mlp_params(spec, name, np.empty))
+        for param in model._matched(arrays):
+            param.value = arrays[param.name]
         return model
 
 
 def init_model(config: ModelConfig, seed: int) -> CralModel:
     """Both branches share the architecture; weights differ only by seed."""
+    return _build(config, lambda spec, name: init_params(
+        spec, derive_rng(seed, f"model/{name}"), name=name))
+
+
+def _build(config: ModelConfig, mlp) -> CralModel:
+    """The model's layout, with ``mlp(spec, name)`` making each named MLP."""
     specs = config.mlp_specs()
-    branches = []
-    for b in BRANCHES:
-        rng = lambda part: derive_rng(seed, f"model/branch{b}/{part}")
-        shared = init_params(specs["shared"], rng("shared"),
-                             name=f"branch{b}/shared")
-        specific = [
-            init_params(specs["specific"], rng(f"specific{i}"),
-                        name=f"branch{b}/specific{i}")
-            for i in range(config.num_domains)
-        ]
-        disc = init_params(specs["disc"], rng("disc"), name=f"branch{b}/disc")
-        clf = init_params(specs["clf"], rng("clf"), name=f"branch{b}/clf")
-        branches.append(BranchParams(shared, specific, disc, clf))
-    return CralModel(config, tuple(branches))
+    return CralModel(config, tuple(
+        BranchParams(mlp(specs["shared"], f"branch{b}/shared"),
+                     [mlp(specs["specific"], f"branch{b}/specific{i}")
+                      for i in range(config.num_domains)],
+                     mlp(specs["disc"], f"branch{b}/disc"),
+                     mlp(specs["clf"], f"branch{b}/clf"))
+        for b in BRANCHES))
 
 
 # ---------------------------------------------------------------------------

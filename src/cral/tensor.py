@@ -13,6 +13,15 @@ drops each intermediate gradient once that node's vjps have run.  It adds a
 contribution in place only into a buffer it allocated itself, because a
 vjp may hand back another node's gradient or a read-only broadcast.
 
+Weight gradients are formed when they are read. The weight vjp of
+:func:`linear` hands back its row factors ``(g, x)`` instead of the
+product ``g^T x``, :func:`backward` collects every pair that reaches a
+leaf, and :class:`Gradients` forms that leaf's gradient as one product
+over the stacked rows of all its uses. A weight read by several passes
+(the clean and the VAT-perturbed one) thus costs one product, not one
+per use plus the adds, and the product can be written into a buffer the
+caller reuses (``out=``).
+
 A tape holds arrays and shapes, never a :class:`Tensor`: vjp closures
 capture the arrays they need, and bindings keep node ids.  A tensor and
 the :class:`Gradients` of a sweep point at their tape, so the tape and
@@ -185,15 +194,24 @@ def _record(tape: Optional[Tape], out_data: Array,
 
 
 class Gradients:
-    """Result of :func:`backward`: leaf node-id -> gradient array.
+    """Result of :func:`backward`: each leaf's gradient, formed when read.
+
+    A leaf's gradient is the sum of its dense contributions and, if it is
+    a ``linear`` weight, of one product ``G^T X`` over its uses' row
+    factors, where G stacks each use's output gradient and X its input
+    rows. Each read forms the gradient afresh. Given ``out``, a read writes
+    the gradient into ``out`` (the leaf's shape, C order) and returns it,
+    so a caller can form every step's gradient into one buffer.
 
     Leaves that the loss never touched read back as zeros. Gradients of
     intermediate nodes are not kept.
     """
 
-    def __init__(self, tape: Tape, grads: dict[int, Array]):
+    def __init__(self, tape: Tape, grads: dict[int, Array],
+                 rows: dict[int, list[tuple[Array, Array]]]):
         self._tape = tape
-        self._grads = grads
+        self._grads = grads  # leaf -> its dense gradient
+        self._rows = rows    # leaf -> the (g, x) row factors of its linear uses
 
     def wrt(self, t: Tensor) -> Array:
         if t.tape is not self._tape:
@@ -201,20 +219,39 @@ class Gradients:
         if self._tape._nodes[t.node_id].parents:
             raise ContractError(f"node {t.node_id} is not a leaf; backward keeps "
                                 "leaf gradients only")
-        g = self._grads.get(t.node_id)
-        return np.zeros_like(t.data) if g is None else g
+        return self._form(t.node_id, t.data, None)
 
-    def wrt_key(self, key: Hashable, like: Array) -> Array:
+    def wrt_key(self, key: Hashable, like: Array, out: Optional[Array] = None) -> Array:
         """Gradient for a ``Tape.bind`` key; zeros if the key was never bound."""
         bound = self._tape._bindings.get(key)
-        g = None if bound is None else self._grads.get(bound[0])
-        return np.zeros_like(like) if g is None else g
+        return self._form(None if bound is None else bound[0], like, out)
+
+    def _form(self, node_id: Optional[int], like: Array, out: Optional[Array]) -> Array:
+        dense = self._grads.get(node_id)
+        rows = self._rows.get(node_id)
+        if rows:
+            g, x = (parts[0] if len(parts) == 1 else np.concatenate(parts)
+                    for parts in zip(*rows))
+            grad = np.matmul(g.T, x, out=out)
+            if dense is not None:
+                grad += dense
+            return grad
+        if out is None:
+            return np.zeros_like(like) if dense is None else dense
+        if dense is None:
+            out.fill(0.0)
+        else:
+            np.copyto(out, dense)
+        return out
 
 
 def backward(loss: Tensor) -> Gradients:
     """Reverse sweep from a scalar loss.
 
     Pure function of the tape: calling it twice yields identical gradients.
+    A ``linear`` weight that is a leaf gets no product here: its uses'
+    row factors are kept, and :class:`Gradients` forms its gradient when
+    it is read. A weight that is not a leaf gets its product at once.
     """
     if loss.tape is None:
         raise ContractError("loss is a constant, not on any tape")
@@ -222,6 +259,7 @@ def backward(loss: Tensor) -> Gradients:
         raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
     tape = loss.tape
     grads: dict[int, Array] = {loss.node_id: np.ones(())}
+    rows: dict[int, list[tuple[Array, Array]]] = {}
     owned: set[int] = set()  # nodes whose gradient buffer this sweep allocated
     for node_id in range(loss.node_id, -1, -1):
         parents = tape._nodes[node_id].parents
@@ -232,6 +270,12 @@ def backward(loss: Tensor) -> Gradients:
             continue
         for parent_id, vjp in parents:
             contribution = vjp(g)
+            if isinstance(contribution, tuple):  # a linear weight's (g, x)
+                if not tape._nodes[parent_id].parents:
+                    rows.setdefault(parent_id, []).append(contribution)
+                    continue
+                g_rows, x_rows = contribution
+                contribution = g_rows.T @ x_rows
             seen = grads.get(parent_id)
             if seen is None:
                 # May alias another node's gradient or be a read-only view.
@@ -243,7 +287,7 @@ def backward(loss: Tensor) -> Gradients:
                 # gives every case an array buffer.
                 grads[parent_id] = np.add(seen, contribution, out=np.empty(np.shape(seen)))
                 owned.add(parent_id)
-    return Gradients(tape, grads)
+    return Gradients(tape, grads, rows)
 
 
 def stop_gradient(t: Tensor) -> Tensor:
@@ -339,7 +383,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map x W^T + b: (n, in), (out, in), (out,) -> (n, out).
 
-    The weight gradient g^T x comes out C-contiguous in W's own layout.
+    The weight's vjp hands back the row factors ``(g, x)``, not ``g^T x``:
+    the weight's gradient is formed when it is read (see the module
+    docstring), C-contiguous in W's own layout.
     """
     if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
             or x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]):
@@ -350,7 +396,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out += b.data
     return _record(_tape_of(x, w, b), out, [
         (x, lambda g: g @ w_data),
-        (w, lambda g: g.T @ x_data),
+        (w, lambda g: (g, x_data)),
         (b, lambda g: g.sum(axis=0)),
     ])
 

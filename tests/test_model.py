@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import cral.model
+import cral.nn
 from cral.errors import ContractError, SpecError
 from cral.model import (
     CralModel,
@@ -186,6 +188,43 @@ class TestSnapshot:
         with pytest.raises(ContractError, match="bogus_key"):
             CralModel.load(path)
 
+    def test_load_builds_the_model_from_the_checkpoint_without_drawing(
+            self, tmp_path, monkeypatch):
+        model = small_model(18)
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("CralModel.load drew initial weights")
+
+        monkeypatch.setattr(cral.model, "init_params", no_draw)
+        monkeypatch.setattr(cral.nn, "glorot_uniform", no_draw)
+        loaded = CralModel.load(path)
+        assert [p.name for p in loaded.params()] == [p.name for p in model.params()]
+        x = np.random.default_rng(10).standard_normal((5, 10))
+        np.testing.assert_array_equal(predict_ensemble(loaded, x, i=1),
+                                      predict_ensemble(model, x, i=1))
+        np.testing.assert_array_equal(predict_ensemble(loaded, x, msuda=True),
+                                      predict_ensemble(model, x, msuda=True))
+        for p in loaded.params():
+            assert p.value.dtype == np.float64 and p.value.flags.c_contiguous
+            assert p.value.flags.writeable
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda state: state.pop("branch2/clf/layer1/bias"), "parameter names do not match"),
+        (lambda state: state.update({"bogus/param": np.zeros(3)}), "bogus/param"),
+        (lambda state: state.update({"branch1/disc/layer0/weight": np.zeros((8, 9))}),
+         "shape mismatch for branch1/disc/layer0/weight"),
+    ], ids=["missing", "extra", "shape"])
+    def test_load_checks_the_checkpoint_names_and_shapes(self, tmp_path, edit, match):
+        model = small_model(19)
+        state = dict(model.state_dict())
+        edit(state)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, state, dataclasses.asdict(model.config))
+        with pytest.raises(ContractError, match=match):
+            CralModel.load(path)
+
     def test_load_rejects_wrong_names(self, tmp_path):
         model = small_model()
         state = model.state_dict()
@@ -203,8 +242,11 @@ class TestSnapshot:
 
     def test_loaded_model_shares_no_array_with_its_source(self):
         class Ones:
-            def wrt_key(self, key, like):
-                return np.ones_like(like)
+            def wrt_key(self, key, like, out=None):
+                if out is None:
+                    return np.ones_like(like)
+                out.fill(1.0)
+                return out
 
         source, model = small_model(1), small_model(2)
         before = {name: value.copy() for name, value in source.state_dict().items()}

@@ -1,6 +1,7 @@
 """Layer, dropout, initializer, Adam, and checkpoint tests."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,16 @@ from cral.nn import (
     mlp_forward,
     save_checkpoint,
 )
+from cral.tensor import Tensor
+
+
+def read_rss_bytes():
+    """This process's resident set size, or None where /proc is missing."""
+    try:
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:
+        return None
 
 
 def eval_forward(mlp, x):
@@ -131,12 +142,23 @@ class TestForward:
             assert rel_err(analytic, fd_grad(f, arrays, i)) < 1e-4
 
 
+def efficient_step(m, v, t, lr):
+    """Kingma & Ba's efficient form of Adam's step, in Adam.step's float ops."""
+    root = math.sqrt(1.0 - 0.999 ** t)
+    lr_t, eps_t = lr * root / (1.0 - 0.9 ** t), 1e-8 * root
+    return lr_t * m / (np.sqrt(v) + eps_t)
+
+
 class TestAdam:
     def make_grads(self, mapping):
         class Stub:
-            def wrt_key(self, key, like):
+            def wrt_key(self, key, like, out=None):
                 g = mapping.get(key)
-                return np.zeros_like(like) if g is None else g
+                g = np.zeros_like(like) if g is None else g
+                if out is None:
+                    return g
+                np.copyto(out, g)
+                return out
 
         return Stub()
 
@@ -187,8 +209,7 @@ class TestAdam:
             opt.step(self.make_grads({p: g}))
             m = 0.9 * m + (1.0 - 0.9) * g
             v = 0.999 * v + (1.0 - 0.999) * g * g
-            m_hat, v_hat = m / (1.0 - 0.9 ** t), v / (1.0 - 0.999 ** t)
-            value = value - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            value = value - efficient_step(m, v, t, lr=1e-3)
             assert p.value is old  # written in place
             np.testing.assert_array_equal(p.value, value)
 
@@ -220,8 +241,7 @@ class TestAdam:
             opt.step(self.make_grads({p: g}))
             m = 0.9 * m + (1.0 - 0.9) * g
             v = 0.999 * v + (1.0 - 0.999) * g * g
-            m_hat, v_hat = m / (1.0 - 0.9 ** t), v / (1.0 - 0.999 ** t)
-            value = value - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            value = value - efficient_step(m, v, t, lr=1e-3)
             assert p.value is old
             np.testing.assert_array_equal(p.value, value)
         np.testing.assert_array_equal(opt._m[0], m)
@@ -264,6 +284,43 @@ class TestAdam:
             tracemalloc.stop()
         # A whole-array temporary would add 8 MB.
         assert peak <= 8 * ADAM_CHUNK
+
+    def test_step_on_a_real_tape_allocates_no_weight_sized_array(self):
+        # Two linear uses of one 1000x1000 weight: the gradient is one
+        # product, formed into the optimizer's own buffer.
+        rng = np.random.default_rng(49)
+        p = Parameter("w", rng.standard_normal((1000, 1000)))
+        bias = Tensor(np.zeros(1000))
+        opt = Adam([p], lr=1e-3)
+        tape = tt.Tape()
+        w = tape.bind(p, p.value)
+        loss = tt.add(*(tt.sum(tt.linear(Tensor(rng.standard_normal((8, 1000))), w, bias))
+                        for _ in range(2)))
+        tracemalloc.start()
+        try:
+            opt.step(tt.backward(loss))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p.value.nbytes
+
+    def test_init_allocates_moments_and_one_gradient_buffer(self):
+        shapes = [(5000, 1000), (1000, 1000), (2, ADAM_CHUNK // 2), (3,)]
+        params = [Parameter(f"p{k}", np.ones(shape)) for k, shape in enumerate(shapes)]
+        total = sum(p.value.nbytes for p in params)
+        largest = params[0].value.nbytes
+        rss = read_rss_bytes()
+        tracemalloc.start()
+        try:
+            opt = Adam(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * total + largest + 2 * 8 * ADAM_CHUNK + 65536
+        assert opt._grad.nbytes == largest
+        if rss is not None:
+            # np.empty maps no page; a zero-filled buffer would add `largest`.
+            assert read_rss_bytes() - rss < 2 * total + largest // 2
 
     def test_descends_quadratic(self):
         p = Parameter("w", np.array(1.0))

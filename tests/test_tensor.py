@@ -392,6 +392,39 @@ class TestBackward:
         assert rel_err(grads.wrt(tx), fd_grad(f, [x, y], 0)) < 1e-6
         assert rel_err(grads.wrt(ty), fd_grad(f, [x, y], 1)) < 1e-6
 
+    def test_weight_used_three_times_gets_one_stacked_gradient(self):
+        # Three linear uses and one dense use (sum(w*w)) of one bound weight.
+        rng = np.random.default_rng(47)
+        w = rng.standard_normal((4, 6))
+        xs = [rng.standard_normal((n, 6)) for n in (3, 1, 5)]
+        cs = [rng.standard_normal((n, 4)) for n in (3, 1, 5)]
+        tape = tt.Tape()
+        key = object()
+        tw = tape.bind(key, w)
+        tb = tt.Tensor(np.zeros(4))
+        loss = tt.sum(tw * tw)
+        for x, c in zip(xs, cs):
+            loss = loss + tt.sum(tt.linear(tt.Tensor(x), tw, tb) * tt.Tensor(c))
+        grads = tt.backward(loss)
+        want = sum(c.T @ x for x, c in zip(xs, cs)) + 2.0 * w
+        out = np.empty_like(w)
+        got = grads.wrt_key(key, w, out=out)
+        assert got is out
+        for g in (grads.wrt(tw), grads.wrt_key(key, w), out):
+            assert rel_err(g, want) < 1e-12
+        out[...] = 3.0
+        assert grads.wrt_key(object(), w, out=out) is out
+        np.testing.assert_array_equal(out, 0.0)
+
+    def test_non_leaf_weight_gets_its_product_at_once(self):
+        rng = np.random.default_rng(48)
+        w, x, c = (rng.standard_normal(shape) for shape in ((2, 3), (4, 3), (4, 2)))
+        tape = tt.Tape()
+        tw = tape.leaf(w)
+        out = tt.linear(tt.Tensor(x), tw * 2.0, tt.Tensor(np.zeros(2)))
+        grads = tt.backward(tt.sum(out * tt.Tensor(c)))
+        np.testing.assert_allclose(grads.wrt(tw), 2.0 * (c.T @ x), rtol=1e-14)
+
     def test_mixed_tapes_rejected(self):
         t1, t2 = tt.Tape(), tt.Tape()
         with pytest.raises(ContractError):
