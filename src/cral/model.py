@@ -108,13 +108,7 @@ class CralModel:
 
     def load_state_dict(self, arrays: dict) -> None:
         """Copy each array into its parameter's own; checks every one first."""
-        for param in self._matched(arrays):
-            np.copyto(param.value, arrays[param.name])
-
-    def _matched(self, arrays: dict) -> list:
-        """``params()``, once every name and shape in ``arrays`` matches them."""
-        params = self.params()
-        own = {p.name: p for p in params}
+        own = {p.name: p for p in self.params()}
         if set(own) != set(arrays):
             missing = sorted(set(own) - set(arrays))
             extra = sorted(set(arrays) - set(own))
@@ -126,7 +120,8 @@ class CralModel:
             if shape != param.value.shape:
                 raise ContractError(
                     f"shape mismatch for {name}: {shape} vs {param.value.shape}")
-        return params
+        for name, param in own.items():
+            np.copyto(param.value, arrays[name])
 
     def save(self, path) -> None:
         save_checkpoint(path, self.state_dict(), asdict(self.config))
@@ -142,12 +137,10 @@ class CralModel:
             raise ContractError(
                 f"{path}: checkpoint metadata has missing keys {missing} "
                 f"and unknown keys {unknown}")
-        # load_checkpoint's arrays are fresh and C-ordered float64: the
-        # parameters take them as they are, with no draw and no copy.
-        model = _build(ModelConfig(**meta),
-                       lambda spec, name: mlp_params(spec, name, np.empty))
-        for param in model._matched(arrays):
-            param.value = arrays[param.name]
+        # Nothing is drawn: the checkpoint fills every array.
+        model = _build(ModelConfig(**meta), lambda spec, name: mlp_params(
+            spec, name, lambda fan_out, fan_in: np.empty((fan_out, fan_in)), np.empty))
+        model.load_state_dict(arrays)
         return model
 
 

@@ -98,25 +98,24 @@ def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.nd
     return rng.uniform(-bound, bound, size=(fan_out, fan_in))
 
 
-def mlp_params(spec: MlpSpec, name: str, value) -> Mlp:
-    """The MLP's parameters, with arrays from ``value(shape)``.
+def mlp_params(spec: MlpSpec, name: str, weight, bias) -> Mlp:
+    """The MLP's parameters, each layer's made by the two given makers.
 
-    Layer k has "{name}/layer{k}/weight" of shape (out, in) and
-    "{name}/layer{k}/bias" of shape (out,); each weight is made before its
-    bias.
+    Layer k has "{name}/layer{k}/weight" = ``weight(fan_out, fan_in)`` and
+    then "{name}/layer{k}/bias" = ``bias(fan_out)``.
     """
     dims = [int(d) for d in (spec.input_dim, *spec.hidden_dims, spec.output_dim)]
     return Mlp(spec, [
-        LinearLayer(Parameter(f"{name}/layer{k}/weight", value((fan_out, fan_in))),
-                    Parameter(f"{name}/layer{k}/bias", value((fan_out,))))
+        LinearLayer(Parameter(f"{name}/layer{k}/weight", weight(fan_out, fan_in)),
+                    Parameter(f"{name}/layer{k}/bias", bias(fan_out)))
         for k, (fan_in, fan_out) in enumerate(zip(dims, dims[1:]))
     ])
 
 
 def init_params(spec: MlpSpec, rng: np.random.Generator, name: str = "mlp") -> Mlp:
     """Glorot-uniform weights, zero biases; deterministic given the rng state."""
-    return mlp_params(spec, name, lambda shape: (glorot_uniform(rng, *shape)
-                                                 if len(shape) == 2 else np.zeros(shape)))
+    return mlp_params(spec, name, lambda fan_out, fan_in: glorot_uniform(rng, fan_out, fan_in),
+                      np.zeros)
 
 
 def draw_dropout_masks(mlp: Mlp, n: int, rng: np.random.Generator) -> Optional[list]:
