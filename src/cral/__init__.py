@@ -31,7 +31,6 @@ from .losses import (
     ForwardPass,
     LossWeights,
     MultiDomainBatch,
-    ObjectiveResult,
     adversarial_loss,
     classification_loss,
     disagreement_loss,

@@ -30,7 +30,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
-from .data import SyntheticSpec, generate_synthetic, load_sparse_dataset
+from .data import SyntheticSpec, generate_synthetic, load_sparse_dataset, non_utf8_line
 from .errors import ConfigError
 from .losses import LossWeights
 from .model import ModelConfig
@@ -153,7 +153,10 @@ def _apply(values: dict, key: str, raw: str) -> None:
 
 
 def _read_file(path, values: dict) -> None:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}:{non_utf8_line(path)}: not UTF-8 text") from None
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -174,41 +174,54 @@ def _parse_pair(token: str, line_number: int, feature_dim: int) -> tuple:
     return index, value
 
 
+def non_utf8_line(path) -> int:
+    """1-based number of the first line of a file that is not UTF-8, or 0."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as error:
+        return raw.count(b"\n", 0, error.start) + 1
+    return 0
+
+
 def load_sparse_dataset(path, feature_dim: int, name: Optional[str] = None) -> DomainDataset:
     """Parse the documented sparse grammar; errors carry the line number."""
     if feature_dim < 1:
         raise SpecError("feature_dim must be positive")
     labeled_rows, labels, unlabeled_rows = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_number, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split(" ")
-            if "" in tokens:
-                raise ParseError("malformed whitespace", line_number)
-            label_token, pairs = tokens[0], tokens[1:]
-            if label_token not in LABEL_TOKENS and label_token != "?":
-                raise ParseError(
-                    f"label must be 0, 1 or ?, got {label_token!r}", line_number)
-            if not pairs:
-                raise ParseError("a sample needs at least one index:value pair",
-                                 line_number)
-            row = np.zeros(feature_dim)
-            previous = -1
-            for token in pairs:
-                index, value = _parse_pair(token, line_number, feature_dim)
-                if index <= previous:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_number, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                tokens = line.split(" ")
+                if "" in tokens:
+                    raise ParseError("malformed whitespace", line_number)
+                label_token, pairs = tokens[0], tokens[1:]
+                if label_token not in LABEL_TOKENS and label_token != "?":
                     raise ParseError(
-                        f"indices must be strictly increasing ({index} after "
-                        f"{previous})", line_number)
-                previous = index
-                row[index] = value
-            if label_token == "?":
-                unlabeled_rows.append(row)
-            else:
-                labeled_rows.append(row)
-                labels.append(LABEL_TOKENS[label_token])
+                        f"label must be 0, 1 or ?, got {label_token!r}", line_number)
+                if not pairs:
+                    raise ParseError("a sample needs at least one index:value pair",
+                                     line_number)
+                row = np.zeros(feature_dim)
+                previous = -1
+                for token in pairs:
+                    index, value = _parse_pair(token, line_number, feature_dim)
+                    if index <= previous:
+                        raise ParseError(
+                            f"indices must be strictly increasing ({index} after "
+                            f"{previous})", line_number)
+                    previous = index
+                    row[index] = value
+                if label_token == "?":
+                    unlabeled_rows.append(row)
+                else:
+                    labeled_rows.append(row)
+                    labels.append(LABEL_TOKENS[label_token])
+    except UnicodeDecodeError:
+        raise ParseError("not UTF-8 text", non_utf8_line(path)) from None
     return DomainDataset(
         name or Path(path).stem,
         np.array(labeled_rows).reshape(len(labeled_rows), feature_dim),

@@ -12,8 +12,8 @@ Terms reduce the stacked outputs with row weights: 1/n on each
 domain's n rows of a split, so a weighted row sum is the sum over
 domains of per-domain mini-batch means. The discriminator phase holds
 the pass's shared features as constants and records on its own tape, so
-its gradient reaches only the discriminators. Probabilities are clamped
-at 1e-12 before any log.
+its gradient reaches only the discriminators. Each NLL and entropy is one
+`tensor.xlogy_rows` node, each KL a difference of two; the op clamps p at 1e-12.
 
 Adversarial sign convention (MAN's standard game): the discriminator
 phase descends +lambda_adv * NLL, so the discriminators learn to tell
@@ -65,22 +65,19 @@ from .model import (
 )
 from .nn import Mlp, draw_dropout_masks
 from .tensor import (
-    LOG_FLOOR,
     InputTape,
     Tape,
     Tensor,
     add,
     backward as tape_backward,
     clamp_max,
-    clamp_min,
     l1_norm,
     l2_norm_sq,
-    log,
-    mean,
     mul,
     stop_gradient,
     sub,
     sum as tsum,
+    xlogy_rows,
 )
 
 SPLITS = ("labeled", "unlabeled")
@@ -118,6 +115,8 @@ class MultiDomainBatch:
     non-empty (domain, split) to its slice of `x`, `row_map` lists each
     domain with rows and its slice (see `model.class_head`), and the
     per-domain tuples `labeled_x` and `unlabeled_x` hold views of `x`.
+    `labels` and `domains` stack the NLL targets: each row's one-hot label
+    (zeros on unlabeled rows) and one-hot domain.
     """
 
     def __init__(self, labeled_x: list, labeled_y: list, unlabeled_x: list):
@@ -126,57 +125,45 @@ class MultiDomainBatch:
         if len(labeled_x) == 0:
             raise ContractError("batch needs at least one domain")
         self.labeled_x = [np.asarray(x, dtype=np.float64) for x in labeled_x]
-        self.labeled_y = [np.asarray(y, dtype=np.float64) for y in labeled_y]
+        self.labeled_y = tuple(np.asarray(y, dtype=np.float64) for y in labeled_y)
         self.unlabeled_x = [np.asarray(x, dtype=np.float64) for x in unlabeled_x]
         dims = {a.shape[1] for a in self.labeled_x + self.unlabeled_x if a.size}
         if len(dims) > 1:
             raise DimensionError(f"inconsistent feature dims in batch: {sorted(dims)}")
+        width = max((y.shape[1] for y in self.labeled_y if y.size and y.ndim == 2), default=0)
         for i, (x, y) in enumerate(zip(self.labeled_x, self.labeled_y)):
             if x.shape[0] != y.shape[0]:
                 raise ContractError(
                     f"domain {i}: {x.shape[0]} inputs but {y.shape[0]} label rows"
                 )
-            if y.size and (y.ndim != 2 or not np.isin(y, (0.0, 1.0)).all()
+            if y.size and (y.ndim != 2 or y.shape[1] != width or not np.isin(y, (0.0, 1.0)).all()
                            or not (y.sum(axis=1) == 1.0).all()):
-                raise ContractError(f"domain {i}: label rows must be one-hot")
+                raise ContractError(f"domain {i}: label rows must be one-hot, {width} wide")
         parts = {(i, split): x for i in range(len(self.labeled_x))
                  for split, x in zip(SPLITS, (self.labeled_x[i], self.unlabeled_x[i]))
                  if x.shape[0]}
         if not parts:
             raise ContractError("batch has no rows")
         self.x = np.concatenate(list(parts.values()))
+        self.labels = np.zeros((len(self.x), width))
+        self.domains = np.zeros((len(self.x), len(self.labeled_x)))
         self.rows, domains, start = {}, {}, 0
         for (i, split), x in parts.items():
-            self.rows[i, split] = slice(start, start + x.shape[0])
-            domains[i] = slice(domains.get(i, self.rows[i, split]).start, start + x.shape[0])
-            start += x.shape[0]
+            rows = self.rows[i, split] = slice(start, start + x.shape[0])
+            domains[i] = slice(domains.get(i, rows).start, rows.stop)
+            self.domains[rows, i] = 1.0
+            if split == "labeled":
+                self.labeled_x[i] = self.x[rows]
+                self.labels[rows] = self.labeled_y[i]
+            else:
+                self.unlabeled_x[i] = self.x[rows]
+            start = rows.stop
         self.row_map = list(domains.items())
-
-        def views(split, xs):
-            return tuple(self.x[self.rows[i, split]] if (i, split) in self.rows else x
-                         for i, x in enumerate(xs))
-
-        self.labeled_x = views("labeled", self.labeled_x)
-        self.unlabeled_x = views("unlabeled", self.unlabeled_x)
-        self.labeled_y = tuple(self.labeled_y)
+        self.labeled_x, self.unlabeled_x = tuple(self.labeled_x), tuple(self.unlabeled_x)
 
     @property
     def num_domains(self) -> int:
         return len(self.labeled_x)
-
-
-def _check_match(model: CralModel, batch: MultiDomainBatch) -> None:
-    if batch.num_domains != model.config.num_domains:
-        raise ContractError(
-            f"batch has {batch.num_domains} domains, model expects "
-            f"{model.config.num_domains}"
-        )
-    for i, y in enumerate(batch.labeled_y):
-        if y.size and y.shape[1] != model.config.num_classes:
-            raise ContractError(
-                f"domain {i}: label rows are {y.shape[1]} wide, model has "
-                f"{model.config.num_classes} classes"
-            )
 
 
 class ForwardPass:
@@ -196,7 +183,12 @@ class ForwardPass:
             raise ContractError(f"mode must be one of {MODES}, got {mode!r}")
         if mode == "train" and rng is None:
             raise ContractError("train-mode dropout needs an rng")
-        _check_match(model, batch)
+        if batch.num_domains != model.config.num_domains:
+            raise ContractError(f"batch has {batch.num_domains} domains, model expects "
+                                f"{model.config.num_domains}")
+        if batch.labels.shape[1] not in (0, model.config.num_classes):
+            raise ContractError(f"label rows are {batch.labels.shape[1]} wide, model has "
+                                f"{model.config.num_classes} classes")
         self.tape, self.model, self.batch = tape, model, batch
         self.mode, self.rng, self.num_domains = mode, rng, batch.num_domains
         self.x, self.rows, self.row_map = batch.x, batch.rows, batch.row_map
@@ -270,18 +262,13 @@ def _weighted_sum(t: Tensor, row_weights: np.ndarray, axis: Optional[int] = None
 
 def _nll(probs: Tensor, one_hot: np.ndarray, row_weights: np.ndarray) -> Tensor:
     """-sum(one_hot * log probs) per row, summed with the row weights."""
-    picked = tsum(mul(log(clamp_min(probs, LOG_FLOOR)), Tensor(one_hot)), axis=1)
-    return -_weighted_sum(picked, row_weights)
+    return -xlogy_rows(Tensor(one_hot), probs, row_weights)
 
 
 def classification_loss(fp: ForwardPass, b: int) -> Tensor:
     """Sum over domains of mean cross-entropy on the labeled batch."""
     row_weights = fp.row_weights("labeled")
-    probs = fp.probs(b)
-    labels = np.zeros(probs.shape)
-    for i in range(fp.num_domains):
-        labels[fp.rows[i, "labeled"]] = fp.batch.labeled_y[i]
-    return _nll(probs, labels, row_weights)
+    return _nll(fp.probs(b), fp.batch.labels, row_weights)
 
 
 def adversarial_loss(fp: ForwardPass, b: int) -> Tensor:
@@ -291,12 +278,9 @@ def adversarial_loss(fp: ForwardPass, b: int) -> Tensor:
     discriminator phase on the pass's detached copy.
     """
     row_weights = fp.row_weights(*SPLITS)  # every domain has rows
-    domains = np.zeros((fp.x.shape[0], fp.num_domains))
-    for i, rows in fp.row_map:
-        domains[rows, i] = 1.0
     disc = fp.model.branch(b).discriminator
     probs = domain_head(fp.tape, fp.model, b, fp.shared(b), fp.dropout(disc, fp.x.shape[0]))
-    return _nll(probs, domains, row_weights)
+    return _nll(probs, fp.batch.domains, row_weights)
 
 
 def disagreement_loss(fp: ForwardPass) -> Tensor:
@@ -324,11 +308,11 @@ def entropy_loss(fp: ForwardPass, b: int) -> Tensor:
     """Prediction entropy on unlabeled data (0 log 0 taken as 0)."""
     row_weights = fp.row_weights("unlabeled")
     p = fp.probs(b)
-    return -_weighted_sum(tsum(mul(p, log(clamp_min(p, LOG_FLOOR))), axis=1), row_weights)
+    return -xlogy_rows(p, p, row_weights)
 
 
 def kl_divergence(p: Tensor, q: Tensor, row_weights: Optional[np.ndarray] = None) -> Tensor:
-    """Row KL(p || q), averaged over rows, or summed with `row_weights`.
+    """Row KL(p || q) summed with `row_weights`, by default 1/n (the row mean).
 
     Rows must be distributions.
     """
@@ -337,9 +321,9 @@ def kl_divergence(p: Tensor, q: Tensor, row_weights: Optional[np.ndarray] = None
     for name, t in (("p", p), ("q", q)):
         if np.min(t.data) < -1e-6 or np.max(np.abs(t.data.sum(axis=1) - 1.0)) > 1e-6:
             raise ContractError(f"{name} rows are not probability vectors")
-    log_ratio = sub(log(clamp_min(p, LOG_FLOOR)), log(clamp_min(q, LOG_FLOOR)))
-    rows = tsum(mul(p, log_ratio), axis=1)
-    return mean(rows) if row_weights is None else _weighted_sum(rows, row_weights)
+    if row_weights is None:
+        row_weights = np.full(p.shape[0], 1.0 / p.shape[0])
+    return sub(xlogy_rows(p, p, row_weights), xlogy_rows(p, q, row_weights))
 
 
 def vat_perturbation(model: CralModel, b: int, i, x: np.ndarray, clean: np.ndarray,
@@ -450,14 +434,8 @@ def objective_terms(weights: LossWeights) -> list:
     ]
 
 
-@dataclass
-class ObjectiveResult:
-    main: Tensor
-    breakdown: dict
-
-
-def total_objective(fp: ForwardPass, weights: LossWeights) -> ObjectiveResult:
-    """Main objective plus the per-term breakdown.
+def total_objective(fp: ForwardPass, weights: LossWeights) -> tuple:
+    """(main objective tensor, per-term breakdown).
 
     main = sum over branches of [L_c - lambda_adv L_adv
            + lambda_uvt (L_e + L_uvt) + lambda_lvt L_lvt]
@@ -478,4 +456,4 @@ def total_objective(fp: ForwardPass, weights: LossWeights) -> ObjectiveResult:
         breakdown[name] = value.item()
         main = value * weight if main is None else add(main, value * weight)
     breakdown["main"] = main.item()
-    return ObjectiveResult(main=main, breakdown=breakdown)
+    return main, breakdown

@@ -32,7 +32,7 @@ updates in place: a tape is not read after the update that follows it.
 Conventions:
   * all data is float64,
   * relu and l1_norm use subgradient 0 exactly at their kink,
-  * clamp_min/clamp_max pass zero gradient where the clamp is active,
+  * clamp_max, and the log floor of xlogy_rows, pass zero gradient where active,
   * only equal-shape and scalar-with-tensor broadcasting is supported
     (the affine map x W^T + b has its own op, ``linear``).
 """
@@ -47,7 +47,7 @@ from .errors import ContractError, DimensionError
 
 Array = np.ndarray
 
-# Probabilities are clamped to this floor before any log.
+# xlogy_rows clamps probabilities to this floor before the log.
 LOG_FLOOR = 1e-12
 
 
@@ -348,18 +348,6 @@ def relu(t: Tensor) -> Tensor:
                    [(t, lambda g: g * mask)])
 
 
-def log(t: Tensor) -> Tensor:
-    """Natural log; callers that may see 0 clamp with ``clamp_min`` first."""
-    data = t.data
-    return _record(_tape_of(t), np.log(data), [(t, lambda g: g / data)])
-
-
-def clamp_min(t: Tensor, floor: float) -> Tensor:
-    mask = t.data > floor
-    return _record(_tape_of(t), np.maximum(t.data, floor),
-                   [(t, lambda g: g * mask)])
-
-
 def clamp_max(t: Tensor, ceiling: float) -> Tensor:
     mask = t.data < ceiling
     return _record(_tape_of(t), np.minimum(t.data, ceiling),
@@ -485,6 +473,22 @@ def l2_norm_sq(t: Tensor, axis: Optional[int] = None) -> Tensor:
     data = t.data
     return _record(_tape_of(t), np.sum(data * data, axis=axis),
                    [(t, lambda g: _expand(data.shape, g, axis) * 2.0 * data)])
+
+
+def xlogy_rows(a: Tensor, p: Tensor, row_weights: Array) -> Tensor:
+    """sum_i w_i sum_k a_ik log(max(p_ik, LOG_FLOOR)): an NLL for one-hot a, an
+    entropy for a = p (``a`` may be ``p``), a KL as a difference of two. Its
+    vjps are ``w log p`` and ``w a / p``, zero where the floor is active."""
+    if p.data.ndim != 2 or a.shape != p.shape or np.shape(row_weights) != p.shape[:1]:
+        raise DimensionError(f"xlogy_rows: shapes {a.shape}, {p.shape} and "
+                             f"{np.shape(row_weights)} do not align")
+    a_data, p_data, w = a.data, p.data, np.asarray(row_weights, dtype=np.float64)[:, None]
+    clamped = np.maximum(p_data, LOG_FLOOR)
+    log_p = np.log(clamped)
+    return _record(_tape_of(a, p), np.sum(np.sum(a_data * log_p, axis=1) * w[:, 0]), [
+        (a, lambda g: g * w * log_p),
+        (p, lambda g: g * w * a_data / clamped * (p_data > LOG_FLOOR)),
+    ])
 
 
 def softmax_rows(logits: Tensor) -> Tensor:

@@ -182,10 +182,10 @@ def train_step(model: CralModel, batch: MultiDomainBatch, config: TrainConfig,
     if config.weights.lambda_adv > 0.0:
         terms = _discriminator_step(fp, config, opt_disc)
 
-    result = total_objective(fp, config.weights)
-    terms.update(result.breakdown)
+    objective, breakdown = total_objective(fp, config.weights)
+    terms.update(breakdown)
     _check_finite_terms(terms)
-    opt_main.step(backward(result.main))
+    opt_main.step(backward(objective))
     return terms
 
 
@@ -344,22 +344,29 @@ def run_kfold(datasets: list, model_config: ModelConfig, config: TrainConfig,
     }
 
 
+def _run_variants(variants: list, init_label: str, train_sets: list, test_sets: list,
+                  model_config: ModelConfig, config: TrainConfig, dev_sets, out_dir) -> list:
+    """Per (sub-run name, weight overrides, row): one run from one seed; rows gain test_average."""
+    rows = []
+    for name, overrides, row in variants:
+        weights = dataclasses.replace(config.weights, **overrides)
+        model = init_model(model_config, derive_seed(config.seed, init_label))
+        result = run_training(model, train_sets, dataclasses.replace(config, weights=weights),
+                              dev_sets=dev_sets, test_sets=test_sets)
+        _write_subrun(out_dir, name, result, model)
+        rows.append({**row, "test_average": result.test_average})
+    return rows
+
+
 def run_ablation(train_sets: list, test_sets: list, model_config: ModelConfig,
                  config: TrainConfig, dev_sets: Optional[list] = None,
                  out_dir=None) -> list:
     """The full objective, then each co-regularization weight set to 0 in
     turn ("wo_l_d" for lambda_d = 0, ...); same seeds throughout."""
     variants = [("full", {})] + [(w.replace("lambda_", "wo_l_"), {w: 0.0}) for w in SWEEPABLE]
-    rows = []
-    for name, zeroed in variants:
-        weights = dataclasses.replace(config.weights, **zeroed)
-        variant_config = dataclasses.replace(config, weights=weights)
-        model = init_model(model_config, derive_seed(config.seed, "ablation/init"))
-        result = run_training(model, train_sets, variant_config,
-                              dev_sets=dev_sets, test_sets=test_sets)
-        _write_subrun(out_dir, name, result, model)
-        rows.append({"variant": name, "test_average": result.test_average})
-    return rows
+    return _run_variants([(name, zeroed, {"variant": name}) for name, zeroed in variants],
+                         "ablation/init", train_sets, test_sets, model_config, config,
+                         dev_sets, out_dir)
 
 
 def run_sweep(train_sets: list, test_sets: list, model_config: ModelConfig,
@@ -369,13 +376,7 @@ def run_sweep(train_sets: list, test_sets: list, model_config: ModelConfig,
     if parameter not in SWEEPABLE:
         raise ConfigError(
             f"unknown sweep parameter {parameter!r}; pick one of {SWEEPABLE}")
-    rows = []
-    for value in grid:
-        weights = dataclasses.replace(config.weights, **{parameter: float(value)})
-        variant_config = dataclasses.replace(config, weights=weights)
-        model = init_model(model_config, derive_seed(config.seed, "sweep/init"))
-        result = run_training(model, train_sets, variant_config,
-                              dev_sets=dev_sets, test_sets=test_sets)
-        _write_subrun(out_dir, f"{parameter}={float(value)!r}", result, model)
-        rows.append({parameter: float(value), "test_average": result.test_average})
-    return rows
+    variants = [(f"{parameter}={float(v)!r}", {parameter: float(v)}, {parameter: float(v)})
+                for v in grid]
+    return _run_variants(variants, "sweep/init", train_sets, test_sets,
+                         model_config, config, dev_sets, out_dir)

@@ -271,3 +271,21 @@ class TestCommands:
         code = main(["train", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "x")])
         assert code == 1
+
+    @pytest.mark.parametrize("bad_file", ["config", "data"])
+    def test_non_utf8_input_exits_with_its_line(self, tmp_path, capsys, bad_file):
+        good = tmp_path / "domain1.txt"
+        good.write_text("0 0:1.0\n1 1:1.0\n")
+        data = tmp_path / "domain0.txt"
+        data.write_bytes(b"0 0:1.0\n1 1:1.0\n" + (b"? 2:\xff\n" if bad_file == "data" else b""))
+        config = tmp_path / "run.cfg"
+        config.write_bytes(f"feature_dim = 3\ndata_paths = {data},{good}\n".encode()
+                           + (b"# caf\xff\n" if bad_file == "config" else b""))
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: cral.errors.")
+        if bad_file == "config":
+            assert f"ConfigError: {config}:3: not UTF-8 text" in err
+        else:
+            assert "ParseError: line 3: not UTF-8 text" in err

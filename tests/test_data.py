@@ -150,6 +150,14 @@ class TestSparseFormat:
         assert "line 3" in str(info.value)
         assert info.value.line_number == 3
 
+    def test_non_utf8_byte_located(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        # The decoder reads ahead, so the bad byte sits past its first chunk.
+        path.write_bytes(b"# fine\n1 0:1\n" * 5000 + b"? 1:2 \xff\n1 0:1\n")
+        with pytest.raises(ParseError, match="not UTF-8") as info:
+            load_sparse_dataset(path, feature_dim=5)
+        assert info.value.line_number == 10001
+
 
 class TestSplits:
     def balanced_dataset(self, n=2000, dim=4, seed=8):

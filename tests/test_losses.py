@@ -89,6 +89,12 @@ class TestBatchValidation:
                 [np.zeros((0, 3)), np.zeros((0, 4))],
             )
 
+    def test_rejects_label_rows_of_different_widths(self):
+        with pytest.raises(ContractError, match="domain 1: .*one-hot, 3 wide"):
+            MultiDomainBatch([np.zeros((1, 3))] * 2,
+                             [np.array([[0.0, 0.0, 1.0]]), np.array([[1.0, 0.0]])],
+                             [np.zeros((0, 3))] * 2)
+
     def test_label_width_must_match_the_model_classes(self):
         batch = MultiDomainBatch([np.zeros((1, 6))] * 2, [np.array([[0.0, 1.0, 0.0]])] * 2,
                                  [np.zeros((1, 6))] * 2)
@@ -191,8 +197,8 @@ class TestForwardPass:
                               lambda_lvt=0.0)
         fp = ForwardPass(tt.Tape(), model, batch, mode="train",
                          rng=np.random.default_rng(11))
-        result = total_objective(fp, weights)
-        assert result.breakdown["l_adv_b1"] > 0.0 and result.breakdown["l_d"] > 0.0
+        _, bd = total_objective(fp, weights)
+        assert bd["l_adv_b1"] > 0.0 and bd["l_d"] > 0.0
         assert sum(shared_rows) == 2 * (3 * 2 + 3 * 3)
 
     def test_whole_step_sends_each_row_through_each_shared_extractor_once(
@@ -217,7 +223,7 @@ class TestForwardPass:
         Adam(model.discriminator_params(), lr=0.1).step(tt.backward(disc))
         after = adversarial_loss(ForwardPass(tt.Tape(), model, batch), 1).item()
         assert after != pytest.approx(before, rel=1e-6)
-        got = total_objective(fp, weights).breakdown["l_adv_b1"]
+        got = total_objective(fp, weights)[1]["l_adv_b1"]
         assert got == pytest.approx(after, rel=1e-12)
 
     def test_adversarial_matches_own_forward_in_eval_mode(self):
@@ -587,7 +593,7 @@ class TestVat:
             total_objective(fp, LossWeights())
         zero = LossWeights(vat_epsilon=0.0)
         assert vat_loss(fp, 1, labeled=True, weights=zero).item() == 0.0
-        assert np.isfinite(total_objective(fp, zero).main.item())
+        assert np.isfinite(total_objective(fp, zero)[0].item())
 
     def test_perturbation_norm_equals_epsilon(self):
         model = toy_model(11)
@@ -673,14 +679,14 @@ class TestTotalObjective:
         model = toy_model(19)
         batch = toy_batch(19)
         fp = ForwardPass(tt.Tape(), model, batch)
-        result = total_objective(fp, self.zero_weights())
+        main, bd = total_objective(fp, self.zero_weights())
         disc, _ = discriminator_objective(fp, self.zero_weights())
         want = (classification_loss(ForwardPass(tt.Tape(), model, batch), 1).item()
                 + classification_loss(ForwardPass(tt.Tape(), model, batch), 2).item())
-        assert result.main.item() == pytest.approx(want, rel=1e-12)
+        assert main.item() == pytest.approx(want, rel=1e-12)
         assert disc.item() == 0.0
         for key in ("l_adv_b1", "l_e_b2", "l_uvt_b1", "l_lvt_b2", "l_d", "l_div"):
-            assert result.breakdown[key] == 0.0
+            assert bd[key] == 0.0
 
     def test_breakdown_recombines(self):
         model = toy_model(23)
@@ -688,16 +694,15 @@ class TestTotalObjective:
         w = LossWeights(lambda_d=0.3, lambda_div=0.2, lambda_uvt=0.7,
                         lambda_lvt=0.4, lambda_adv=1.5)
         fp = ForwardPass(tt.Tape(), model, batch, rng=np.random.default_rng(9))
-        result = total_objective(fp, w)
+        main, bd = total_objective(fp, w)
         disc, disc_parts = discriminator_objective(fp, w)
-        bd = result.breakdown
         want = 0.0
         for b in (1, 2):
             want += (bd[f"l_c_b{b}"] - w.lambda_adv * bd[f"l_adv_b{b}"]
                      + w.lambda_uvt * (bd[f"l_e_b{b}"] + bd[f"l_uvt_b{b}"])
                      + w.lambda_lvt * bd[f"l_lvt_b{b}"])
         want += w.lambda_d * bd["l_d"] - w.lambda_div * bd["l_div"]
-        assert abs(result.main.item() - want) < 1e-10
+        assert abs(main.item() - want) < 1e-10
         assert disc_parts == {k: bd[k] for k in ("l_adv_b1", "l_adv_b2")}
         disc_want = w.lambda_adv * (bd["l_adv_b1"] + bd["l_adv_b2"])
         assert abs(disc.item() - disc_want) < 1e-10
@@ -711,9 +716,9 @@ class TestTotalObjective:
         batch = toy_batch(29)
         weights = self.zero_weights(lambda_adv=1.0)
         fp = ForwardPass(tt.Tape(), model, batch)
-        result = total_objective(fp, weights)
+        main, _ = total_objective(fp, weights)
         disc, _ = discriminator_objective(fp, weights)
-        g_main = tt.backward(result.main)
+        g_main = tt.backward(main)
         g_disc = tt.backward(disc)
         g_cls = tt.backward(tt.add(classification_loss(fp, 1), classification_loss(fp, 2)))
         g_adv = tt.backward(tt.add(adversarial_loss(fp, 1), adversarial_loss(fp, 2)))
@@ -732,12 +737,12 @@ class TestTotalObjective:
         model = toy_model(37)
         batch = toy_batch(37)
         fp = ForwardPass(tt.Tape(), model, batch, rng=np.random.default_rng(10))
-        result = total_objective(fp, LossWeights(lambda_d=0.0, lambda_uvt=0.0))
-        assert result.breakdown["l_d"] == 0.0
+        _, bd = total_objective(fp, LossWeights(lambda_d=0.0, lambda_uvt=0.0))
+        assert bd["l_d"] == 0.0
         for b in (1, 2):
-            assert result.breakdown[f"l_uvt_b{b}"] == 0.0
-            assert result.breakdown[f"l_e_b{b}"] == 0.0  # entropy rides lambda_uvt
-            assert result.breakdown[f"l_lvt_b{b}"] != 0.0
+            assert bd[f"l_uvt_b{b}"] == 0.0
+            assert bd[f"l_e_b{b}"] == 0.0  # entropy rides lambda_uvt
+            assert bd[f"l_lvt_b{b}"] != 0.0
 
     def test_disabling_lvt_keeps_the_draws_and_the_unlabeled_vat_terms(self):
         # The branch's one probe draws a direction for every row whichever
@@ -750,7 +755,7 @@ class TestTotalObjective:
         for weights in (LossWeights(), LossWeights(lambda_lvt=0.0)):
             fp = ForwardPass(tt.Tape(), model, batch, mode="train",
                              rng=np.random.default_rng(103))
-            bd = total_objective(fp, weights).breakdown
+            _, bd = total_objective(fp, weights)
             runs.append((fp.rng.bit_generator.state, bd["l_uvt_b1"], bd["l_uvt_b2"]))
         assert runs[0] == runs[1]
         assert runs[0][1] > 0.0 and runs[0][2] > 0.0

@@ -74,3 +74,17 @@ def test_step_and_evaluation_run_under_perfbench_hooks():
             *workloads.LOSS_TERMS.values(), "losses.vat_unlabeled",
             "losses.vat_labeled", "losses.vat_probe", "trainer.eval",
             "model.predict"} <= spans
+
+
+def test_toy_train_step_tape_node_counts(monkeypatch):
+    # perfbench reports these as tensor.tape_nodes.phase1 and .phase2.
+    fit, _, model, opts = workloads.toy_build(1)
+    config = trainer.TrainConfig(batch_size=workloads.BATCH, weights=workloads.TOY_WEIGHTS)
+    sampler = trainer.BatchSampler(fit, workloads.BATCH, np.random.default_rng(2))
+    nodes, backward = [], trainer.backward
+    monkeypatch.setattr(trainer, "backward",
+                        lambda loss: nodes.append(len(loss.tape)) or backward(loss))
+    trainer.train_step(model, sampler.next_batch(), config, *opts, np.random.default_rng(3))
+    assert len(nodes) == 2
+    assert nodes[0] <= 24, f"phase 1 records {nodes[0]} tape nodes"
+    assert nodes[1] <= 147, f"phase 2 records {nodes[1]} tape nodes"

@@ -57,18 +57,6 @@ class TestElementwise:
         grads = tt.backward(tt.sum(tt.relu(x)))
         np.testing.assert_array_equal(grads.wrt(x), [0.0])
 
-    def test_log_gradient_analytic(self):
-        tape = tt.Tape()
-        x = tape.leaf(np.array([0.5]))
-        grads = tt.backward(tt.sum(tt.log(x)))
-        np.testing.assert_allclose(grads.wrt(x), [2.0], rtol=1e-12)
-
-    def test_clamp_min_gradient_gates(self):
-        tape = tt.Tape()
-        x = tape.leaf(np.array([0.5, 2.0]))
-        grads = tt.backward(tt.sum(tt.clamp_min(x, 1.0)))
-        np.testing.assert_array_equal(grads.wrt(x), [0.0, 1.0])
-
     def test_clamp_max_gradient_gates(self):
         tape = tt.Tape()
         x = tape.leaf(np.array([0.5, 2.0]))
@@ -87,12 +75,12 @@ class TestElementwise:
         with pytest.raises(DimensionError):
             tt.add(tt.Tensor(np.zeros(2)), tt.Tensor(np.zeros(3)))
 
-    @pytest.mark.parametrize("op", [tt.log,
-                                    lambda t: tt.clamp_min(t, 0.3),
+    # xlogy_rows with a = p, the entropy form, is a unary op of p.
+    @pytest.mark.parametrize("op", [lambda t: tt.xlogy_rows(t, t, np.array([0.5, -1.0, 2.0])),
                                     lambda t: tt.clamp_max(t, 0.7)])
     def test_unary_gradients_match_fd(self, op):
         rng = np.random.default_rng(11)
-        # Keep away from kinks and the log domain edge.
+        # Keep away from kinks and the log floor.
         x = rng.uniform(0.4, 1.5, size=(3, 2))
         x[0, 0] = 0.9
 
@@ -104,6 +92,53 @@ class TestElementwise:
         leaf = tape.leaf(x)
         grads = tt.backward(tt.sum(op(leaf)))
         assert rel_err(grads.wrt(leaf), fd_grad(f, [x], 0)) < 1e-6
+
+
+class TestXlogyRows:
+    """The weighted row sum of a log(max(p, LOG_FLOOR)); the a-is-p case's
+    finite differences are in TestElementwise.test_unary_gradients_match_fd."""
+
+    def test_value(self):
+        a = np.array([[1.0, 0.0], [0.25, 0.75]])
+        p = np.array([[0.5, 0.5], [0.0, 1.0]])
+        got = tt.xlogy_rows(tt.Tensor(a), tt.Tensor(p), np.array([2.0, 3.0])).item()
+        want = 2.0 * np.log(0.5) + 3.0 * 0.25 * np.log(tt.LOG_FLOOR)
+        assert got == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("floored", [False, True])
+    def test_gradients_match_fd(self, floored):
+        rng = np.random.default_rng(41)
+        a = rng.standard_normal((4, 3))
+        p = rng.uniform(0.05, 1.0, size=(4, 3))
+        w = rng.uniform(-1.0, 2.0, size=4)
+        if floored:
+            p[1, :] = [0.0, 1e-15, 0.5]
+            p[3, 2] = 0.0
+        below = p <= tt.LOG_FLOOR
+
+        def f(arrays):
+            tape = tt.Tape()
+            return tt.xlogy_rows(tape.leaf(arrays[0]), tape.leaf(arrays[1]), w).item()
+
+        tape = tt.Tape()
+        ta, tp = tape.leaf(a), tape.leaf(p)
+        grads = tt.backward(tt.xlogy_rows(ta, tp, w))
+        assert rel_err(grads.wrt(ta), fd_grad(f, [a, p], 0)) < 1e-6
+        gp = grads.wrt(tp)
+        # A difference step across a floored entry straddles the floor, so
+        # differences are compared off those entries; they get no gradient.
+        np.testing.assert_array_equal(gp[below], 0.0)
+        assert below.any() == floored
+        assert rel_err(gp[~below], fd_grad(f, [a, p], 1)[~below]) < 1e-6
+
+    def test_shape_mismatch(self):
+        p = tt.Tensor(np.full((2, 3), 1.0 / 3.0))
+        with pytest.raises(DimensionError):
+            tt.xlogy_rows(tt.Tensor(np.ones((2, 2))), p, np.ones(2))
+        with pytest.raises(DimensionError):
+            tt.xlogy_rows(p, p, np.ones(3))
+        with pytest.raises(DimensionError):
+            tt.xlogy_rows(tt.Tensor(np.ones(3)), tt.Tensor(np.ones(3)), np.ones(3))
 
 
 class TestReductions:
@@ -455,8 +490,8 @@ class TestStopGradient:
             if detach_p:
                 p = tt.stop_gradient(p)
             q = tt.softmax_rows(logits_q)
-            ratio = tt.log(tt.clamp_min(p, 1e-12)) - tt.log(tt.clamp_min(q, 1e-12))
-            return tt.mean(tt.sum(p * ratio, axis=1))
+            w = np.full(2, 0.5)
+            return tt.xlogy_rows(p, p, w) - tt.xlogy_rows(p, q, w)
 
         tape = tt.Tape()
         tp, tq = tape.leaf(lp), tape.leaf(lq)

@@ -134,8 +134,8 @@ class TestTrainStep:
         assert self.changed(model.params(), before) == disc_names
 
         after_phase1 = self.snapshot(model.params())
-        result = total_objective(fp, config.weights)
-        opt_main.step(tt.backward(result.main))
+        objective, _ = total_objective(fp, config.weights)
+        opt_main.step(tt.backward(objective))
         changed = self.changed(model.params(), after_phase1)
         assert changed.isdisjoint(disc_names)
         assert changed  # the main phase did move the rest
