@@ -34,7 +34,7 @@ from .data import SyntheticSpec, generate_synthetic, load_sparse_dataset, non_ut
 from .errors import ConfigError
 from .losses import LossWeights
 from .model import ModelConfig
-from .trainer import SWEEPABLE, TrainConfig
+from .trainer import MIN_FOLDS, SWEEPABLE, TrainConfig
 
 
 def _model_keys() -> dict:
@@ -187,8 +187,8 @@ def _validate(config: RunConfig) -> None:
         if len(config.data_paths) < 2:
             raise ConfigError("config key 'data_paths': need at least 2 domains, "
                               f"got {len(config.data_paths)}")
-    if config.folds < 3:
-        raise ConfigError("config key 'folds': must be >= 3 to leave a training fold")
+    if config.folds < MIN_FOLDS:
+        raise ConfigError(f"config key 'folds': must be >= {MIN_FOLDS} to leave a training fold")
     if config.command in ("ablate", "sweep") and config.test_fraction == 0.0:
         raise ConfigError(f"config key 'test_fraction': {config.command} needs it > 0")
     if not config.sweep_grid:

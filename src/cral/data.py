@@ -185,7 +185,7 @@ def non_utf8_line(path) -> int:
 
 
 def load_sparse_dataset(path, feature_dim: int, name: Optional[str] = None) -> DomainDataset:
-    """Parse the documented sparse grammar; errors carry the line number."""
+    """Parse the documented sparse grammar; errors name the path and line."""
     if feature_dim < 1:
         raise SpecError("feature_dim must be positive")
     labeled_rows, labels, unlabeled_rows = [], [], []
@@ -220,8 +220,10 @@ def load_sparse_dataset(path, feature_dim: int, name: Optional[str] = None) -> D
                 else:
                     labeled_rows.append(row)
                     labels.append(LABEL_TOKENS[label_token])
+    except ParseError as err:
+        raise ParseError(err.reason, err.line_number, path) from None
     except UnicodeDecodeError:
-        raise ParseError("not UTF-8 text", non_utf8_line(path)) from None
+        raise ParseError("not UTF-8 text", non_utf8_line(path), path) from None
     return DomainDataset(
         name or Path(path).stem,
         np.array(labeled_rows).reshape(len(labeled_rows), feature_dim),

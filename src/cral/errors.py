@@ -24,14 +24,17 @@ class DataError(CralError, ValueError):
 class ParseError(CralError, ValueError):
     """A data file failed to parse.
 
-    Carries the 1-based line number of the offending line when known.
+    Carries the 1-based line number of the offending line and the file's
+    path when known; ``reason`` is the message without them.
     """
 
-    def __init__(self, message, line_number=None):
+    def __init__(self, message, line_number=None, path=None):
+        self.reason, self.line_number, self.path = message, line_number, path
         if line_number is not None:
             message = f"line {line_number}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
-        self.line_number = line_number
 
 
 class ConfigError(CralError, ValueError):

@@ -61,7 +61,7 @@ def _frozen_vat_builder(model: CralModel, batch: MultiDomainBatch,
     split = "labeled" if labeled else "unlabeled"
     fp = ForwardPass(Tape(), model, batch, rng=derive_rng(seed, f"gradcheck/vat/b{b}/{labeled}"))
     perturbed_x = vat_inputs(fp, b, LossWeights())
-    reference, row_weights = fp.probs(b).data, fp.row_weights(split)
+    reference, row_weights = fp.probs(b).data, batch.row_weights(split)
 
     def build(tape: Tape) -> Tensor:
         q = class_probs(tape, model, b, fp.row_map, Tensor(perturbed_x))

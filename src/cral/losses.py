@@ -8,12 +8,13 @@ and at most once: per branch, the shared extractor and classifier over
 all rows and each private extractor over its domain's rows, so each
 weight sees all of its rows in one product. It keeps the outputs and the
 dropout masks, so all terms share one dropout mask per row and step.
-Terms reduce the stacked outputs with row weights: 1/n on each
-domain's n rows of a split, so a weighted row sum is the sum over
-domains of per-domain mini-batch means. The discriminator phase holds
-the pass's shared features as constants and records on its own tape, so
-its gradient reaches only the discriminators. Each NLL and entropy is one
-`tensor.xlogy_rows` node, each KL a difference of two; the op clamps p at 1e-12.
+Terms reduce the stacked outputs with the row weights the batch builds
+once (`MultiDomainBatch.row_weights`), so a weighted row sum is the sum
+over domains of per-domain mini-batch means. The discriminator phase
+holds the pass's shared features as constants and records on its own
+tape, so its gradient reaches only the discriminators. Each NLL and
+entropy is one `tensor.xlogy_rows` node, each KL a difference of two;
+the op clamps p at 1e-12.
 
 Adversarial sign convention (MAN's standard game): the discriminator
 phase descends +lambda_adv * NLL, so the discriminators learn to tell
@@ -25,9 +26,10 @@ Virtual adversarial terms take the clean prediction and its dropout
 masks from the pass and reuse the masks for the power-iteration probe
 and the perturbed pass, so the perturbation competes only against the
 input direction and not against mask resampling. Per branch, one probe
-and one perturbed pass cover the rows of both VAT terms. The probe reads
-the parameters as constants, so it computes the input gradient only.
-The perturbation itself is a constant in the outer gradient.
+and one perturbed pass cover the rows of both VAT terms. The probe runs
+on its own tape, and reading only its input's gradient forms no weight
+product (weight gradients are formed when read; see `tensor`). The
+perturbation itself is a constant in the outer gradient.
 
 RNG discipline: the caller's generator is consumed in a fixed order, so
 a run is reproducible from its seed. Every dropout mask is drawn by
@@ -65,7 +67,6 @@ from .model import (
 )
 from .nn import Mlp, draw_dropout_masks
 from .tensor import (
-    InputTape,
     Tape,
     Tensor,
     add,
@@ -81,6 +82,7 @@ from .tensor import (
 )
 
 SPLITS = ("labeled", "unlabeled")
+ROW_SETS = SPLITS + ("combined",)  # the row sets a term can weight
 MODES = ("train", "eval")
 
 
@@ -116,7 +118,8 @@ class MultiDomainBatch:
     domain with rows and its slice (see `model.class_head`), and the
     per-domain tuples `labeled_x` and `unlabeled_x` hold views of `x`.
     `labels` and `domains` stack the NLL targets: each row's one-hot label
-    (zeros on unlabeled rows) and one-hot domain.
+    (zeros on unlabeled rows) and one-hot domain. The row weights of each
+    of `ROW_SETS` are built here, once (see `row_weights`).
     """
 
     def __init__(self, labeled_x: list, labeled_y: list, unlabeled_x: list):
@@ -147,23 +150,41 @@ class MultiDomainBatch:
         self.x = np.concatenate(list(parts.values()))
         self.labels = np.zeros((len(self.x), width))
         self.domains = np.zeros((len(self.x), len(self.labeled_x)))
+        self._row_weights = {rows: np.zeros(len(self.x)) for rows in ROW_SETS}
         self.rows, domains, start = {}, {}, 0
         for (i, split), x in parts.items():
             rows = self.rows[i, split] = slice(start, start + x.shape[0])
             domains[i] = slice(domains.get(i, rows).start, rows.stop)
             self.domains[rows, i] = 1.0
+            self._row_weights[split][rows] = 1.0 / x.shape[0]
             if split == "labeled":
                 self.labeled_x[i] = self.x[rows]
                 self.labels[rows] = self.labeled_y[i]
             else:
                 self.unlabeled_x[i] = self.x[rows]
             start = rows.stop
+        for span in domains.values():
+            self._row_weights["combined"][span] = 1.0 / (span.stop - span.start)
+        has = {(i, rows) for i, split in parts for rows in (split, "combined")}
+        self._lacking = {rows: [i for i in range(self.num_domains) if (i, rows) not in has]
+                         for rows in ROW_SETS}
         self.row_map = list(domains.items())
         self.labeled_x, self.unlabeled_x = tuple(self.labeled_x), tuple(self.unlabeled_x)
 
     @property
     def num_domains(self) -> int:
         return len(self.labeled_x)
+
+    def row_weights(self, rows: str) -> np.ndarray:
+        """1/n on each domain's n rows of `rows` (a split or "combined"), else 0.
+
+        A row sum weighted by these is the sum over domains of per-domain
+        means; every read returns the batch's one array. Raises if a domain
+        has no such rows.
+        """
+        if self._lacking[rows]:
+            raise ContractError(f"empty {rows} batch for domain {self._lacking[rows][0]}")
+        return self._row_weights[rows]
 
 
 class ForwardPass:
@@ -222,23 +243,6 @@ class ForwardPass:
                                         self.shared(b), Tensor(self.x), masks=self.masks[b])
         return self._probs[b]
 
-    def row_weights(self, *splits: str) -> np.ndarray:
-        """1/n on each domain's n rows of `splits`, 0 on every other row.
-
-        A row sum weighted by these is the sum over domains of per-domain
-        means. Raises if a domain has no such rows.
-        """
-        weights = np.zeros(self.x.shape[0])
-        for i in range(self.num_domains):
-            keys = [(i, split) for split in splits if (i, split) in self.rows]
-            n = sum(self.rows[key].stop - self.rows[key].start for key in keys)
-            if n == 0:
-                name = splits[0] if len(splits) == 1 else "combined"
-                raise ContractError(f"empty {name} batch for domain {i}")
-            for key in keys:
-                weights[self.rows[key]] = 1.0 / n
-        return weights
-
     def detached(self) -> "ForwardPass":
         """This pass's shared features (run here if unread) as constants on a fresh tape.
 
@@ -254,7 +258,7 @@ class ForwardPass:
 
 
 def _weighted_sum(t: Tensor, row_weights: np.ndarray, axis: Optional[int] = None) -> Tensor:
-    """Sum of t with each row scaled by its weight (see `ForwardPass.row_weights`)."""
+    """Sum of t with each row scaled by its weight (see `MultiDomainBatch.row_weights`)."""
     shape = (-1,) + (1,) * (t.data.ndim - 1)
     return tsum(mul(t, Tensor(np.broadcast_to(row_weights.reshape(shape), t.shape))),
                 axis=axis)
@@ -267,7 +271,7 @@ def _nll(probs: Tensor, one_hot: np.ndarray, row_weights: np.ndarray) -> Tensor:
 
 def classification_loss(fp: ForwardPass, b: int) -> Tensor:
     """Sum over domains of mean cross-entropy on the labeled batch."""
-    row_weights = fp.row_weights("labeled")
+    row_weights = fp.batch.row_weights("labeled")
     return _nll(fp.probs(b), fp.batch.labels, row_weights)
 
 
@@ -277,7 +281,7 @@ def adversarial_loss(fp: ForwardPass, b: int) -> Tensor:
     Both phases read this one NLL: the main phase on its pass, the
     discriminator phase on the pass's detached copy.
     """
-    row_weights = fp.row_weights(*SPLITS)  # every domain has rows
+    row_weights = fp.batch.row_weights("combined")
     disc = fp.model.branch(b).discriminator
     probs = domain_head(fp.tape, fp.model, b, fp.shared(b), fp.dropout(disc, fp.x.shape[0]))
     return _nll(probs, fp.batch.domains, row_weights)
@@ -285,7 +289,7 @@ def adversarial_loss(fp: ForwardPass, b: int) -> Tensor:
 
 def disagreement_loss(fp: ForwardPass) -> Tensor:
     """L1 distance between the branches' predictions on unlabeled data."""
-    row_weights = fp.row_weights("unlabeled")
+    row_weights = fp.batch.row_weights("unlabeled")
     return _weighted_sum(l1_norm(sub(fp.probs(1), fp.probs(2)), axis=1), row_weights)
 
 
@@ -298,7 +302,7 @@ def diversity_loss(fp: ForwardPass, gamma: float) -> Tensor:
     """
     if gamma <= 0.0:
         raise SpecError("gamma must be positive")
-    row_weights = fp.row_weights("labeled")
+    row_weights = fp.batch.row_weights("labeled")
     gap_sum = _weighted_sum(sub(fp.shared(1), fp.shared(2)), row_weights, axis=0)
     centroid_gap = gap_sum * (1.0 / fp.num_domains)
     return clamp_max(l2_norm_sq(centroid_gap), gamma)
@@ -306,7 +310,7 @@ def diversity_loss(fp: ForwardPass, gamma: float) -> Tensor:
 
 def entropy_loss(fp: ForwardPass, b: int) -> Tensor:
     """Prediction entropy on unlabeled data (0 log 0 taken as 0)."""
-    row_weights = fp.row_weights("unlabeled")
+    row_weights = fp.batch.row_weights("unlabeled")
     p = fp.probs(b)
     return -xlogy_rows(p, p, row_weights)
 
@@ -337,9 +341,8 @@ def vat_perturbation(model: CralModel, b: int, i, x: np.ndarray, clean: np.ndarr
     Rows pass through the networks independently, so the probe gradient
     of the row-averaged KL gives each row its own direction. Returns r
     with per-sample L2 norm epsilon (zero rows where the probe gradient
-    vanishes). Runs on its own tape, which reads the parameters as
-    constants, so its backward computes the input gradient only; the
-    caller treats r as data.
+    vanishes). Runs on its own tape and reads only the probe's gradient,
+    so no weight gradient is formed; the caller treats r as data.
     """
     if epsilon < 0.0:
         raise SpecError("epsilon must be non-negative")
@@ -350,7 +353,7 @@ def vat_perturbation(model: CralModel, b: int, i, x: np.ndarray, clean: np.ndarr
         raise DimensionError(f"probe directions {directions.shape} do not match x {x.shape}")
     d = directions / np.maximum(np.linalg.norm(directions, axis=1, keepdims=True), 1e-30)
 
-    tape = InputTape()
+    tape = Tape()
     probe = tape.leaf(x + xi * d)
     perturbed = class_probs(tape, model, b, i, probe, masks=masks)
     grads = tape_backward(kl_divergence(Tensor(clean), perturbed))
@@ -381,7 +384,7 @@ def vat_loss(fp: ForwardPass, b: int, labeled: bool, weights: LossWeights) -> Te
     term.
     """
     split = "labeled" if labeled else "unlabeled"
-    row_weights = fp.row_weights(split)
+    row_weights = fp.batch.row_weights(split)
     if weights.vat_epsilon == 0.0:
         return Tensor(0.0)
     if (b, weights) not in fp.vat_passes:

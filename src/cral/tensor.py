@@ -20,7 +20,8 @@ leaf, and :class:`Gradients` forms that leaf's gradient as one product
 over the stacked rows of all its uses. A weight read by several passes
 (the clean and the VAT-perturbed one) thus costs one product, not one
 per use plus the adds, and the product can be written into a buffer the
-caller reuses (``out=``).
+caller reuses (``out=``). A sweep read only for an input's gradient (the
+VAT probe) forms none.
 
 A tape holds arrays and shapes, never a :class:`Tensor`: vjp closures
 capture the arrays they need, and bindings keep node ids.  A tensor and
@@ -156,17 +157,6 @@ class Tape:
     def bound(self) -> list:
         """Every ``bind`` key, in bind order."""
         return list(self._bindings)
-
-
-class InputTape(Tape):
-    """A tape that reads bound parameters as constants.
-
-    ``bind`` returns a constant tensor, so no op records a parameter edge
-    and :func:`backward` computes gradients for this tape's leaves only.
-    """
-
-    def bind(self, key: Hashable, data) -> Tensor:
-        return Tensor(data)
 
 
 def _tape_of(*tensors: Tensor) -> Optional[Tape]:

@@ -53,6 +53,7 @@ from .tensor import Tape, backward
 
 # The co-regularization weights: the sweep's choices and the ablation's variants.
 SWEEPABLE = ("lambda_d", "lambda_div", "lambda_uvt", "lambda_lvt")
+MIN_FOLDS = 3  # a test fold, a validation fold and at least one training fold
 
 
 @dataclass(frozen=True)
@@ -312,8 +313,8 @@ def run_kfold(datasets: list, model_config: ModelConfig, config: TrainConfig,
     Rotation r tests on fold r, validates on fold (r+1) mod k, and trains
     on the remaining folds plus each domain's full unlabeled pool.
     """
-    if k < 3:
-        raise DataError(f"k={k} folds leave no training fold; run_kfold needs k >= 3")
+    if k < MIN_FOLDS:
+        raise DataError(f"k={k} folds leave no training fold; run_kfold needs k >= {MIN_FOLDS}")
     folds_per_domain = [split_labeled(ds, k=k, seed=config.seed)
                         for ds in datasets]
     rotations = []

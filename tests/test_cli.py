@@ -207,6 +207,26 @@ class TestCommands:
         assert ((first / "metrics.jsonl").read_bytes()
                 == (second / "metrics.jsonl").read_bytes())
 
+    @pytest.mark.parametrize("command,extra,checkpoints", [
+        ("msuda", ("--set", "synthetic_domains=3"), 1),
+        ("kfold", ("--set", "folds=3"), 3),
+        ("ablate", (), 5),
+        ("sweep", ("--set", "sweep_grid=0.001,0.01"), 2),
+    ])
+    def test_same_seed_artifacts_byte_identical(self, tmp_path, tiny_cfg, command, extra,
+                                                checkpoints):
+        runs = []
+        for name in ("first", "again"):
+            out = tmp_path / name
+            assert main([command, "--config", str(tiny_cfg), "--out", str(out),
+                         "--set", "epochs=1", *extra]) == 0
+            runs.append({path.relative_to(out): path.read_bytes() for path in out.rglob("*")
+                         if path.name in ("metrics.jsonl", "model.ckpt", "summary.tsv")})
+        assert runs[0] == runs[1]
+        # the sub-runs' streams and checkpoints are among them
+        assert sum(path.name == "model.ckpt" for path in runs[0]) == checkpoints
+        assert sum(path.name == "metrics.jsonl" for path in runs[0]) >= checkpoints
+
     def test_gen_data_round_trips(self, tmp_path, tiny_cfg):
         code, out = self.run(tmp_path, tiny_cfg, "gen-data")
         assert code == 0
@@ -288,4 +308,4 @@ class TestCommands:
         if bad_file == "config":
             assert f"ConfigError: {config}:3: not UTF-8 text" in err
         else:
-            assert "ParseError: line 3: not UTF-8 text" in err
+            assert f"ParseError: {data}: line 3: not UTF-8 text" in err

@@ -157,6 +157,15 @@ class TestSparseFormat:
         with pytest.raises(ParseError, match="not UTF-8") as info:
             load_sparse_dataset(path, feature_dim=5)
         assert info.value.line_number == 10001
+        assert info.value.path == path
+
+    def test_bad_index_names_its_file_and_line(self, tmp_path):
+        path = tmp_path / "domain2.txt"
+        path.write_text("1 0:1\n? 2:1\n0 7:1\n")
+        with pytest.raises(ParseError) as info:
+            load_sparse_dataset(path, feature_dim=5)
+        assert str(info.value) == f"{path}: line 3: index 7 outside [0, 5)"
+        assert (info.value.path, info.value.line_number) == (path, 3)
 
 
 class TestSplits:

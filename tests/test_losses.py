@@ -9,6 +9,8 @@ from oracles import fd_grad, rel_err
 import cral.tensor as tt
 from cral.errors import ContractError, SpecError
 from cral.losses import (
+    ROW_SETS,
+    SPLITS,
     ForwardPass,
     LossWeights,
     MultiDomainBatch,
@@ -398,7 +400,11 @@ class TestForwardPass:
             calls.append((x.tape or w.tape, w.data, x.shape[0]))
             return original(x, w, b)
 
+        class MarkedTape(tt.Tape):
+            """The tapes `losses` makes: the VAT probes' and the discriminator phase's."""
+
         monkeypatch.setattr(cral.nn, "linear", recording)
+        monkeypatch.setattr(cral.losses, "Tape", MarkedTape)
         model = init_model(ModelConfig(num_domains=3, input_dim=6, shared_dim=4,
                                        specific_dim=3, extractor_hidden=(5,),
                                        dropout_rate=0.3), 89)
@@ -409,16 +415,60 @@ class TestForwardPass:
         config = TrainConfig(weights=LossWeights(lambda_d=0.5, lambda_div=0.1))
         train_step(model, batch, config, Adam(model.discriminator_params()),
                    Adam(model.main_params()), np.random.default_rng(97))
-        probes = {id(tape) for tape, *_ in calls if isinstance(tape, tt.InputTape)}
+        # The discriminator phase runs no first layer, so marked tapes that
+        # run one are the probes'.
+        probes = {id(tape) for tape, data, _ in calls if isinstance(tape, MarkedTape)
+                  and any(data is w for weights in firsts for w in weights)}
         assert len(probes) == 2  # one probe per branch serves both VAT terms
         for weights in firsts:
             for k, w in enumerate(weights):
                 uses = [(tape, n) for tape, data, n in calls if data is w]
-                main = [n for tape, n in uses if not isinstance(tape, tt.InputTape)]
-                probe = [n for tape, n in uses if isinstance(tape, tt.InputTape)]
+                main = [n for tape, n in uses if not isinstance(tape, MarkedTape)]
+                probe = [n for tape, n in uses if isinstance(tape, MarkedTape)]
                 # the clean pass and the one perturbed pass, each over all rows
                 assert main == [15, 15] if k == 0 else main == [5, 5]
                 assert probe == [15] if k == 0 else probe == [5]
+
+    def test_row_weights_built_once_per_batch(self, monkeypatch):
+        import cral.losses
+
+        reads = []  # (tape, row weights) of each weighted reduction
+        xlogy_rows, weighted_sum = cral.losses.xlogy_rows, cral.losses._weighted_sum
+
+        def xlogy_recording(a, p, row_weights):
+            reads.append((p.tape, row_weights))
+            return xlogy_rows(a, p, row_weights)
+
+        def weighted_recording(t, row_weights, axis=None):
+            reads.append((t.tape, row_weights))
+            return weighted_sum(t, row_weights, axis)
+
+        monkeypatch.setattr(cral.losses, "xlogy_rows", xlogy_recording)
+        monkeypatch.setattr(cral.losses, "_weighted_sum", weighted_recording)
+        base = toy_batch(31, m=3, n_labeled=3, n_unlabeled=4)
+        batch = MultiDomainBatch([x[:k] for x, k in zip(base.labeled_x, (3, 1, 2))],
+                                 [y[:k] for y, k in zip(base.labeled_y, (3, 1, 2))],
+                                 [x[:k] for x, k in zip(base.unlabeled_x, (4, 2, 3))])
+        model, weights = toy_model(31, m=3), LossWeights(lambda_d=0.5, lambda_div=0.1)
+        passes = [ForwardPass(tt.Tape(), model, batch, mode="train",
+                              rng=np.random.default_rng(seed)) for seed in (1, 2)]
+        for fp in passes:
+            for _ in range(2):
+                total_objective(fp, weights)
+        built = {rows: batch.row_weights(rows) for rows in ROW_SETS}
+        assert all(batch.row_weights(rows) is built[rows] for rows in ROW_SETS)
+        # The passes' own reductions; each VAT probe runs on a tape of its own.
+        got = [w for tape, w in reads if any(tape is fp.tape for fp in passes)]
+        assert len(got) == 2 * 2 * 12
+        assert {id(w) for w in got} == {id(w) for w in built.values()}
+        spans = {split: {i: batch.rows[i, split] for i in range(3)} for split in SPLITS}
+        spans["combined"] = dict(batch.row_map)
+        for rows, w in built.items():
+            want = np.zeros(len(batch.x))
+            for span in spans[rows].values():
+                want[span] = 1.0 / (span.stop - span.start)
+            np.testing.assert_array_equal(w, want)
+            assert w.sum() == pytest.approx(3.0, rel=1e-12)
 
     def test_empty_split_named_by_the_term_that_needs_it(self):
         model = toy_model()
@@ -605,17 +655,14 @@ class TestVat:
             np.testing.assert_allclose(np.linalg.norm(r, axis=1), eps, atol=1e-9)
 
     def test_probe_backward_holds_the_probe_gradient_only(self, monkeypatch):
-        import cral.losses
+        formed = []  # (node id, shape) of every gradient the probe sweep forms
+        original = tt.Gradients._form
 
-        sweeps = []
-        original = cral.losses.tape_backward
+        def recording(grads, node_id, like, out):
+            formed.append((node_id, like.shape))
+            return original(grads, node_id, like, out)
 
-        def recording(loss):
-            grads = original(loss)
-            sweeps.append(grads)
-            return grads
-
-        monkeypatch.setattr(cral.losses, "tape_backward", recording)
+        monkeypatch.setattr(tt.Gradients, "_form", recording)
         model = init_model(ModelConfig(num_domains=2, input_dim=6, shared_dim=4,
                                        specific_dim=3, extractor_hidden=(5,)), 67)
         x = np.random.default_rng(68).standard_normal((3, 6))
@@ -623,12 +670,8 @@ class TestVat:
                              epsilon=1.0, xi=1e-6,
                              directions=np.random.default_rng(69).standard_normal(x.shape))
         assert np.all(np.linalg.norm(r, axis=1) > 0.0)
-        (grads,) = sweeps
-        assert list(grads._grads) == [0]  # the probe is the tape's first leaf
-        assert grads._grads[0].shape == x.shape
-        assert grads._tape.bound() == []  # the probe reads parameters as constants
-        for p in model.params():
-            np.testing.assert_array_equal(grads.wrt_key(p, p.value), 0.0)
+        # One gradient, the probe's (the tape's first leaf): no weight product.
+        assert formed == [(0, x.shape)]
 
     def test_loss_nonnegative_and_seed_deterministic(self):
         model = toy_model(13)
