@@ -298,30 +298,48 @@ def save_checkpoint(path, arrays: dict, meta: Optional[dict] = None) -> None:
 
 
 def load_checkpoint(path) -> tuple:
-    """Read back (meta, arrays). Rejects bad magic or unknown versions."""
+    """Read back (meta, arrays). A malformed file raises a ContractError naming it."""
+
+    def bad(reason):
+        return ContractError(f"{path}: {reason}")
 
     def take(fh, n, what):
         buf = fh.read(n)
         if len(buf) != n:
-            raise ContractError(f"checkpoint truncated while reading {what}")
+            raise bad(f"checkpoint truncated while reading {what}")
         return buf
+
+    def text(fh, n, what):
+        try:
+            return take(fh, n, what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise bad(f"checkpoint {what} is not UTF-8") from None
 
     with open(path, "rb") as fh:
         if take(fh, len(CHECKPOINT_MAGIC), "magic") != CHECKPOINT_MAGIC:
-            raise ContractError(f"{path} is not a checkpoint file (bad magic)")
+            raise bad("not a checkpoint file (bad magic)")
         (version,) = struct.unpack("<I", take(fh, 4, "version"))
         if version != CHECKPOINT_VERSION:
-            raise ContractError(f"unsupported checkpoint version {version}")
+            raise bad(f"unsupported checkpoint version {version}")
         (mlen,) = struct.unpack("<I", take(fh, 4, "meta length"))
-        meta = json.loads(take(fh, mlen, "metadata").decode("utf-8"))
+        try:
+            meta = json.loads(text(fh, mlen, "metadata"))
+        except json.JSONDecodeError as exc:
+            raise bad(f"checkpoint metadata is not JSON ({exc})") from None
+        if not isinstance(meta, dict):
+            raise bad("checkpoint metadata is not a JSON object")
         (count,) = struct.unpack("<I", take(fh, 4, "record count"))
         arrays = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<I", take(fh, 4, "name length"))
-            name = take(fh, nlen, "name").decode("utf-8")
+            name = text(fh, nlen, "name")
+            if name in arrays:
+                raise bad(f"checkpoint has two records named {name!r}")
             (ndim,) = struct.unpack("<I", take(fh, 4, "ndim"))
             dims = struct.unpack(f"<{ndim}I", take(fh, 4 * ndim, "dims")) if ndim else ()
             size = int(np.prod(dims, dtype=np.int64)) if ndim else 1
             data = np.frombuffer(take(fh, 8 * size, f"data for {name}"), dtype="<f8")
             arrays[name] = data.reshape(dims).astype(np.float64)
+        if fh.read(1):
+            raise bad("checkpoint has bytes after its last record")
         return meta, arrays

@@ -9,9 +9,9 @@ gradient, which is also how :func:`stop_gradient` is realized.
 The tape is rebuilt on every use (nothing is retained between steps), and
 gradients are available with respect to any leaf, including plain inputs,
 not only model parameters.  :func:`backward` keeps leaf gradients only: it
-drops each intermediate gradient once that node's vjps have run.  It adds a
-contribution in place only into a buffer it allocated itself, because a
-vjp may hand back another node's gradient or a read-only broadcast.
+drops each intermediate gradient once that node's vjps have run.  It sums
+a node's contributions into new arrays and writes into none, so a vjp may
+hand back another node's gradient or a read-only broadcast.
 
 Weight gradients are formed when they are read. The weight vjp of
 :func:`linear` hands back its row factors ``(g, x)`` instead of the
@@ -113,18 +113,10 @@ def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-class _Node:
-    """One recorded operation: edges to parents with their vjp closures."""
-
-    __slots__ = ("parents",)
-
-    def __init__(self, parents: tuple[tuple[int, Callable[[Array], Array]], ...]):
-        self.parents = parents
-
-
 class Tape:
     """Ordered operation record; parents always precede children.
 
+    Each node is its tuple of ``(parent id, vjp)`` edges; a leaf's is empty.
     A tape is single-threaded and single-use: build a fresh one per forward
     pass.  ``bind`` memoizes leaves by key so the same parameter wrapped
     twice during one pass resolves to one node (gradient contributions
@@ -132,7 +124,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[tuple[tuple[int, Callable[[Array], Array]], ...]] = []
         self._bindings: dict[Hashable, tuple[int, Array]] = {}
 
     def __len__(self) -> int:
@@ -141,7 +133,7 @@ class Tape:
     def leaf(self, data) -> Tensor:
         """Record ``data`` as a differentiable input."""
         node_id = len(self._nodes)
-        self._nodes.append(_Node(()))
+        self._nodes.append(())
         return Tensor(data, self, node_id)
 
     def bind(self, key: Hashable, data) -> Tensor:
@@ -179,7 +171,7 @@ def _record(tape: Optional[Tape], out_data: Array,
         return Tensor(out_data)
     edges = tuple((t.node_id, vjp) for t, vjp in parents if t.tape is not None)
     node_id = len(tape._nodes)
-    tape._nodes.append(_Node(edges))
+    tape._nodes.append(edges)
     return Tensor(out_data, tape, node_id)
 
 
@@ -206,7 +198,7 @@ class Gradients:
     def wrt(self, t: Tensor) -> Array:
         if t.tape is not self._tape:
             raise ContractError("tensor is not on the tape these gradients came from")
-        if self._tape._nodes[t.node_id].parents:
+        if self._tape._nodes[t.node_id]:
             raise ContractError(f"node {t.node_id} is not a leaf; backward keeps "
                                 "leaf gradients only")
         return self._form(t.node_id, t.data, None)
@@ -228,10 +220,7 @@ class Gradients:
             return grad
         if out is None:
             return np.zeros_like(like) if dense is None else dense
-        if dense is None:
-            out.fill(0.0)
-        else:
-            np.copyto(out, dense)
+        np.copyto(out, 0.0 if dense is None else dense)
         return out
 
 
@@ -239,9 +228,11 @@ def backward(loss: Tensor) -> Gradients:
     """Reverse sweep from a scalar loss.
 
     Pure function of the tape: calling it twice yields identical gradients.
-    A ``linear`` weight that is a leaf gets no product here: its uses'
-    row factors are kept, and :class:`Gradients` forms its gradient when
-    it is read. A weight that is not a leaf gets its product at once.
+    A node's second and later contributions are summed into a new array, so
+    the sweep writes into no array, a vjp's included. A ``linear`` weight
+    that is a leaf gets no product here: its uses' row factors are kept,
+    and :class:`Gradients` forms its gradient when it is read. A weight
+    that is not a leaf gets its product at once.
     """
     if loss.tape is None:
         raise ContractError("loss is a constant, not on any tape")
@@ -250,9 +241,8 @@ def backward(loss: Tensor) -> Gradients:
     tape = loss.tape
     grads: dict[int, Array] = {loss.node_id: np.ones(())}
     rows: dict[int, list[tuple[Array, Array]]] = {}
-    owned: set[int] = set()  # nodes whose gradient buffer this sweep allocated
     for node_id in range(loss.node_id, -1, -1):
-        parents = tape._nodes[node_id].parents
+        parents = tape._nodes[node_id]
         if not parents:
             continue  # a leaf keeps its gradient
         g = grads.pop(node_id, None)
@@ -261,22 +251,13 @@ def backward(loss: Tensor) -> Gradients:
         for parent_id, vjp in parents:
             contribution = vjp(g)
             if isinstance(contribution, tuple):  # a linear weight's (g, x)
-                if not tape._nodes[parent_id].parents:
+                if not tape._nodes[parent_id]:
                     rows.setdefault(parent_id, []).append(contribution)
                     continue
                 g_rows, x_rows = contribution
                 contribution = g_rows.T @ x_rows
             seen = grads.get(parent_id)
-            if seen is None:
-                # May alias another node's gradient or be a read-only view.
-                grads[parent_id] = contribution
-            elif parent_id in owned:
-                np.add(seen, contribution, out=seen)
-            else:
-                # A 0-d sum is a numpy scalar, which `out=` rejects; np.shape
-                # gives every case an array buffer.
-                grads[parent_id] = np.add(seen, contribution, out=np.empty(np.shape(seen)))
-                owned.add(parent_id)
+            grads[parent_id] = contribution if seen is None else seen + contribution
     return Gradients(tape, grads, rows)
 
 

@@ -66,12 +66,11 @@ class TrainConfig:
     learning_rate: float = 1e-4
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.eval_cadence < 1:
-            raise ConfigError("eval_cadence must be >= 1")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+        for key in ("batch_size", "eval_cadence", "epochs"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 

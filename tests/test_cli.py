@@ -45,6 +45,7 @@ BAD_VALUES = [
     ("msuda", "target_domain=7", ConfigError, "'target_domain'"),
     ("msuda", "target_domain=1", ConfigError, "two source domains"),
     ("train", "vat_xi=0", SpecError, "vat_xi"),
+    ("train", "seed=-1", ConfigError, "seed"),
 ]
 
 
@@ -212,6 +213,8 @@ class TestCommands:
         ("kfold", ("--set", "folds=3"), 3),
         ("ablate", (), 5),
         ("sweep", ("--set", "sweep_grid=0.001,0.01"), 2),
+        ("gen-data", (), 0),
+        ("grad-check", (), 0),
     ])
     def test_same_seed_artifacts_byte_identical(self, tmp_path, tiny_cfg, command, extra,
                                                 checkpoints):
@@ -221,8 +224,11 @@ class TestCommands:
             assert main([command, "--config", str(tiny_cfg), "--out", str(out),
                          "--set", "epochs=1", *extra]) == 0
             runs.append({path.relative_to(out): path.read_bytes() for path in out.rglob("*")
-                         if path.name in ("metrics.jsonl", "model.ckpt", "summary.tsv")})
+                         if path.name in ("metrics.jsonl", "model.ckpt", "summary.tsv")
+                         or path.match("domain*.txt")})
         assert runs[0] == runs[1]
+        assert sum(path.name == "summary.tsv" for path in runs[0]) >= 1
+        assert sum(path.match("domain*.txt") for path in runs[0]) == 2 * (command == "gen-data")
         # the sub-runs' streams and checkpoints are among them
         assert sum(path.name == "model.ckpt" for path in runs[0]) == checkpoints
         assert sum(path.name == "metrics.jsonl" for path in runs[0]) >= checkpoints

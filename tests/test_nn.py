@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -366,3 +367,38 @@ class TestCheckpoint:
         path.write_bytes(blob[:-5])
         with pytest.raises(ContractError, match="truncated"):
             load_checkpoint(path)
+
+    # save_checkpoint(path, {"w": ones(2)}, {}) writes an 8-byte magic, the
+    # version and the metadata length (4 bytes each), the 2-byte metadata
+    # "{}", the record count, then the one record.
+    META, COUNT = slice(16, 18), slice(18, 22)
+
+    def rejected(self, tmp_path, edit, reason):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.ones(2)}, {})
+        path.write_bytes(edit(bytearray(path.read_bytes())))
+        with pytest.raises(ContractError) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert reason in str(info.value)
+
+    @pytest.mark.parametrize("header, reason", [
+        (b"\xff{", "metadata is not UTF-8"),
+        (b"{x", "metadata is not JSON"),
+        (b"[]", "metadata is not a JSON object"),
+    ], ids=["utf8", "json", "object"])
+    def test_bad_metadata_rejected(self, tmp_path, header, reason):
+        def edit(blob):
+            blob[self.META] = header
+            return blob
+        self.rejected(tmp_path, edit, reason)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        self.rejected(tmp_path, lambda blob: blob + b"\0", "bytes after its last record")
+
+    def test_duplicate_record_rejected(self, tmp_path):
+        def edit(blob):
+            record = blob[self.COUNT.stop:]
+            blob[self.COUNT] = struct.pack("<I", 2)
+            return blob + record
+        self.rejected(tmp_path, edit, "two records named 'w'")
