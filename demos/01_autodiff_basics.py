@@ -9,7 +9,8 @@ Adam steps on a toy least-squares problem.
 import numpy as np
 
 from cral.nn import Adam, MlpSpec, draw_dropout_masks, init_params, mlp_forward
-from cral.tensor import Tape, Tensor, backward, matmul, mean, mul, relu
+from cral.tensor import Tape, Tensor, backward, matmul, mul, relu
+from cral.tensor import sum as total
 
 rng = np.random.default_rng(0)
 
@@ -18,7 +19,7 @@ rng = np.random.default_rng(0)
 tape = Tape()
 w = tape.leaf(rng.standard_normal((3, 2)))
 x = Tensor(rng.standard_normal((4, 3)))  # constants do not get nodes
-loss = mean(mul(relu(matmul(x, w)), relu(matmul(x, w))))
+loss = total(mul(relu(matmul(x, w)), relu(matmul(x, w))))
 grads = backward(loss)
 print("loss                 ", f"{loss.item():.6f}")
 print("dloss/dw[0,0] (tape) ", f"{grads.wrt(w)[0, 0]:+.8f}")
@@ -32,7 +33,7 @@ w_minus[0, 0] -= h
 
 def f(w_value):
     y = np.maximum(x.data @ w_value, 0.0)
-    return float(np.mean(y * y))
+    return float(np.sum(y * y))
 
 
 print("dloss/dw[0,0] (fd)   ", f"{(f(w_plus) - f(w_minus)) / (2 * h):+.8f}")
@@ -59,7 +60,7 @@ for step in range(1, 201):
     tape = Tape()
     out = mlp_forward(tape, mlp, Tensor(x.data))
     err = out - Tensor(target)
-    loss = mean(mul(err, err))
+    loss = total(mul(err, err))
     adam.step(backward(loss))
     if step in (1, 10, 50, 200):
-        print(f"step {step:3d}  mse {loss.item():.6f}")
+        print(f"step {step:3d}  squared error {loss.item():.6f}")

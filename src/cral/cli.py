@@ -41,6 +41,7 @@ from .data import generate_synthetic, merge_labeled, save_sparse_dataset, split_
 from .errors import CralError
 from .gradcheck import DEFAULT_THRESHOLD, run_suite, suite_passes
 from .model import init_model
+from .nn import replacing
 from .seeding import derive_seed
 from .trainer import (
     evaluate_msuda,
@@ -52,14 +53,16 @@ from .trainer import (
 
 def _write_summary(out: Path, header: list, rows: list) -> None:
     lines = ["\t".join(str(cell) for cell in row) for row in [header] + rows]
-    (out / "summary.tsv").write_text("\n".join(lines) + "\n")
+    with replacing(out / "summary.tsv", "w") as fh:
+        fh.write("\n".join(lines) + "\n")
     for line in lines:
         print(line)
 
 
 def _write_records(out: Path, rows: list) -> None:
     lines = [json.dumps(row, sort_keys=True) for row in rows]
-    (out / "metrics.jsonl").write_text("\n".join(lines) + "\n")
+    with replacing(out / "metrics.jsonl", "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _split_three(datasets: list, config: RunConfig) -> tuple:
@@ -104,7 +107,8 @@ def cmd_train(config: RunConfig, out: Path) -> int:
     model = init_model(mc, derive_seed(config.train.seed, "cli/train/init"))
     result = run_training(model, train_sets, config.train,
                           dev_sets=dev_sets, test_sets=test_sets)
-    (out / "metrics.jsonl").write_text(result.stream())
+    with replacing(out / "metrics.jsonl", "w") as fh:
+        fh.write(result.stream())
     model.save(out / "model.ckpt")
     _accuracy_summary(out, datasets, result)
     return 0
@@ -136,7 +140,8 @@ def cmd_msuda(config: RunConfig, out: Path) -> int:
     accuracy = evaluate_msuda(model, target)
     counts = np.bincount(target.labeled_y, minlength=2)
     baseline = float(counts.max() / counts.sum())
-    (out / "metrics.jsonl").write_text(result.stream())
+    with replacing(out / "metrics.jsonl", "w") as fh:
+        fh.write(result.stream())
     model.save(out / "model.ckpt")
     _write_summary(
         out,
@@ -237,7 +242,8 @@ def main(argv: Optional[list] = None) -> int:
                               command=args.command, out_dir=args.out)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "config.resolved").write_text(resolved_text(config))
+        with replacing(out / "config.resolved", "w") as fh:
+            fh.write(resolved_text(config))
         return DISPATCH[args.command](config, out)
     except CralError as error:
         print(f"error: {type(error).__module__}.{type(error).__name__}: {error}",

@@ -15,10 +15,14 @@ generator, is the caller's decision (`losses.ForwardPass.dropout`).
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -158,7 +162,7 @@ def mlp_forward(tape: Tape, mlp: Mlp, x: Tensor, masks: Optional[list] = None) -
 
 
 # Elements per block of Adam's update. A block of each array it touches (g,
-# m, v, parameter, two scratch blocks) is 6 x 128 KB, inside a 2 MB L2.
+# m, v, parameter, one scratch block) is 5 x 128 KB, inside a 2 MB L2.
 # One step of paper_train's 33 M-element main group on a 2-core Xeon, median,
 # for the longhand form m_hat = m/(1-b1^t), v_hat = v/(1-b2^t):
 # whole arrays 689 ms; blocks of 4 k 612, 8 k 513, 16 k 436, 32 k 431, 64 k 438.
@@ -181,82 +185,133 @@ class Adam:
 
     The optimizer owns the in-place update: each step writes into every
     parameter's own array, so ``p.value`` stays the same object. A reader
-    that keeps a parameter array across a step must copy it. It also owns
-    one gradient buffer, as large as its largest parameter above
-    ``ADAM_CHUNK`` elements, into which each step forms those parameters'
-    gradients one after another (``Gradients.wrt_key(..., out=)``).
+    that keeps a parameter array across a step must copy it.
+
+    Parameters of at most ``ADAM_CHUNK`` elements are packed: construction
+    copies them, in order, into one contiguous array and re-points each
+    ``p.value`` at its view of it, once. Their moments are flat in the same
+    layout, so a step updates all of them with one blocked sequence
+    instead of one per parameter. Each larger parameter keeps its own
+    array and its own moments. One gradient buffer, as large as the packed
+    array or the largest larger parameter, takes each step's gradients
+    (``Gradients.wrt_key(..., out=)``): first every packed parameter's, at
+    its offset, then each larger parameter's in turn.
     """
 
     def __init__(self, params: Sequence[Parameter], lr: float = 1e-4):
         self.params = list(params)
         self.lr = float(lr)
         self.t = 0
-        # C order, so that np.ravel is a view the update writes through.
-        self._m = [np.zeros(p.value.shape) for p in self.params]
-        self._v = [np.zeros(p.value.shape) for p in self.params]
-        self._scratch = np.empty((2, ADAM_CHUNK))
+        small = [p for p in self.params if p.value.size <= ADAM_CHUNK]
+        self._large = [p for p in self.params if p.value.size > ADAM_CHUNK]
+        self._starts, size = [], 0
+        for p in small:
+            self._starts.append(size)
+            size += p.value.size
+        self._packed = np.empty(size)
+        self._packed_m = np.zeros(size)
+        self._packed_v = np.zeros(size)
         # np.empty maps no page; the first gradient formed into it does.
-        self._grad = np.empty(max((p.value.size for p in self.params
-                                   if p.value.size > ADAM_CHUNK), default=0))
+        self._grad = np.empty(max([size] + [p.value.size for p in self._large]))
+        self._scratch = np.empty(ADAM_CHUNK)
+        # C order, so that np.ravel is a view the update writes through.
+        self._m = [np.zeros(p.value.shape) for p in self._large]
+        self._v = [np.zeros(p.value.shape) for p in self._large]
+        # (parameter, its packed view, its gradient's view of the buffer)
+        self._slots = []
+        for p, lo in zip(small, self._starts):
+            view, grad = (a[lo:lo + p.value.size].reshape(p.value.shape)
+                          for a in (self._packed, self._grad))
+            np.copyto(view, p.value)
+            p.value = view
+            self._slots.append((p, view, grad))
+
+    def moments(self, p: Parameter) -> tuple:
+        """(m, v) of one parameter of the group, as views of the live state."""
+        for (q, view, _), lo in zip(self._slots, self._starts):
+            if q is p:
+                return tuple(a[lo:lo + view.size].reshape(view.shape)
+                             for a in (self._packed_m, self._packed_v))
+        for q, m, v in zip(self._large, self._m, self._v):
+            if q is p:
+                return m, v
+        raise ContractError(f"parameter {p.name} is not in this optimizer's group")
 
     def step(self, grads) -> None:
         """Apply one update from a Gradients object keyed by Parameter identity.
 
-        The moments and the parameter are updated in place, in the float
+        The moments and the parameters are updated in place, in the float
         operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
         p - lr_t*m / (sqrt(v) + eps_t).
 
         The operations are elementwise, so they run block by block over
-        the flat views of g, m, v and the parameter, ``ADAM_CHUNK``
-        elements at a time: each block stays in cache for the whole
-        sequence, and the result is bit-identical to running each
-        operation over the whole array. A larger parameter's gradient is
-        first formed into the optimizer's gradient buffer; a parameter of
-        at most one block runs the sequence on its own shape. Nothing
-        parameter-sized is allocated here. A parameter whose array is not
-        a C-contiguous, writeable ndarray raises before it is touched,
-        since ``np.ravel`` would copy it and the update would be lost. A
-        non-finite gradient block raises, naming the parameter, before
+        flat arrays, ``ADAM_CHUNK`` elements at a time: first over the
+        packed parameters, then over each larger parameter's flat views.
+        Each block stays in cache for the whole sequence, and the result is
+        bit-identical to running each operation over each parameter on its
+        own. Nothing parameter-sized is allocated here.
+
+        Before anything moves, a packed parameter whose ``p.value`` is no
+        longer its view (say, a second optimizer packed it) raises, since
+        this optimizer's updates would no longer reach the model; so does a
+        larger parameter whose array is not a C-contiguous, writeable
+        ndarray, since ``np.ravel`` would copy it. A non-finite gradient
+        block raises, naming the parameter of its first bad element, before
         that block is written; the earlier blocks have moved by then, and
         the error ends the run.
         """
-        self.t += 1
-        root_b2t = math.sqrt(1.0 - BETA2 ** self.t)
-        lr_t = self.lr * root_b2t / (1.0 - BETA1 ** self.t)
-        eps_t = EPS * root_b2t
-        for p, m, v in zip(self.params, self._m, self._v):
+        for p, view, _ in self._slots:
+            if p.value is not view:
+                raise ContractError(f"parameter {p.name} no longer holds the array "
+                                    "this optimizer packed it into")
+        for p in self._large:
             value = p.value
             if not (isinstance(value, np.ndarray) and value.flags.c_contiguous
                     and value.flags.writeable):
                 raise ContractError(f"parameter {p.name} is not a C-contiguous, "
                                     "writeable array; Adam updates it in place")
-            if m.size <= ADAM_CHUNK:
-                g = grads.wrt_key(p, value)
-                scratch = (s.reshape(m.shape) for s in self._scratch[:, :m.size])
-                self._update(p.name, g, m, v, value, *scratch, lr_t, eps_t)
-            else:
-                g = grads.wrt_key(p, value, out=self._grad[:m.size].reshape(m.shape))
-                flat = [np.ravel(a) for a in (g, m, v, value)]
-                for lo in range(0, m.size, ADAM_CHUNK):
-                    block = [a[lo:lo + ADAM_CHUNK] for a in flat]
-                    scratch = self._scratch[:, :block[0].size]
-                    self._update(p.name, *block, *scratch, lr_t, eps_t)
+        self.t += 1
+        root_b2t = math.sqrt(1.0 - BETA2 ** self.t)
+        lr_t = self.lr * root_b2t / (1.0 - BETA1 ** self.t)
+        eps_t = EPS * root_b2t
+        for p, view, grad in self._slots:
+            grads.wrt_key(p, view, out=grad)
+        size = self._packed.size
+        self._blocks(self._grad[:size], self._packed_m, self._packed_v, self._packed,
+                     lambda i: self._slots[bisect.bisect(self._starts, i) - 1][0].name,
+                     lr_t, eps_t)
+        for p, m, v in zip(self._large, self._m, self._v):
+            grads.wrt_key(p, p.value, out=self._grad[:m.size].reshape(m.shape))
+            self._blocks(self._grad[:m.size], np.ravel(m), np.ravel(v), np.ravel(p.value),
+                         lambda i: p.name, lr_t, eps_t)
+
+    def _blocks(self, g, m, v, value, name_of, lr_t, eps_t) -> None:
+        """The update over flat arrays, block by block; ``name_of(i)`` names
+        the parameter holding flat element i."""
+        for lo in range(0, g.size, ADAM_CHUNK):
+            block = g[lo:lo + ADAM_CHUNK]
+            # min and max propagate NaN and +-inf, and allocate nothing.
+            if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+                bad = lo + int(np.flatnonzero(~np.isfinite(block))[0])
+                raise TrainingError(f"non-finite gradient for parameter {name_of(bad)}")
+            self._update(block, *(a[lo:lo + ADAM_CHUNK] for a in (m, v, value)),
+                         self._scratch[:block.size], lr_t, eps_t)
 
     @staticmethod
-    def _update(name, g, m, v, value, scratch, step, lr_t, eps_t) -> None:
-        # min and max propagate NaN and +-inf, and allocate nothing.
-        if not (np.isfinite(g.min()) and np.isfinite(g.max())):
-            raise TrainingError(f"non-finite gradient for parameter {name}")
-        m *= BETA1
-        m += np.multiply(g, 1.0 - BETA1, out=scratch)
-        v *= BETA2
+    def _update(g, m, v, value, scratch, lr_t, eps_t) -> None:
+        # g is the optimizer's own buffer, so it serves as the second scratch.
         np.multiply(g, 1.0 - BETA2, out=scratch)
-        v += np.multiply(scratch, g, out=scratch)
+        scratch *= g
+        v *= BETA2
+        v += scratch
+        g *= 1.0 - BETA1
+        m *= BETA1
+        m += g
         np.sqrt(v, out=scratch)
         scratch += eps_t
-        np.multiply(m, lr_t, out=step)
-        step /= scratch
-        value -= step
+        np.multiply(m, lr_t, out=g)
+        g /= scratch
+        value -= g
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +331,30 @@ CHECKPOINT_MAGIC = b"CRALCKPT"
 CHECKPOINT_VERSION = 1
 
 
+@contextmanager
+def replacing(path, mode: str = "wb"):
+    """A file opened for writing whose contents replace ``path`` as one step.
+
+    It is a temporary file in ``path``'s directory, renamed over ``path``
+    with ``os.replace`` when the block ends. If the block raises, the
+    temporary file is removed and ``path`` keeps its previous contents, so
+    a crash never leaves a truncated artifact.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, arrays: dict, meta: Optional[dict] = None) -> None:
     """Write a name -> float64 array mapping with a JSON metadata header."""
     meta_blob = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(meta_blob)))

@@ -424,14 +424,6 @@ def sum(t: Tensor, axis: Optional[int] = None) -> Tensor:  # noqa: A001 - op nam
                    [(t, lambda g: _expand(shape, g, axis))])
 
 
-def mean(t: Tensor, axis: Optional[int] = None) -> Tensor:
-    _check_axis(t, axis)
-    shape = t.shape
-    count = t.data.size if axis is None else shape[axis]
-    return _record(_tape_of(t), np.mean(t.data, axis=axis),
-                   [(t, lambda g: _expand(shape, g, axis) / count)])
-
-
 def l1_norm(t: Tensor, axis: Optional[int] = None) -> Tensor:
     _check_axis(t, axis)
     data = t.data

@@ -47,7 +47,7 @@ from .model import (
     predict_ensemble,
     predicted_labels,
 )
-from .nn import Adam
+from .nn import Adam, replacing
 from .seeding import derive_rng, derive_seed
 from .tensor import Tape, backward
 
@@ -255,8 +255,11 @@ def run_training(model: CralModel, train_sets: list, config: TrainConfig,
     for epoch in range(1, config.epochs + 1):
         for _ in range(sampler.steps_per_epoch):
             iteration += 1
-            terms = train_step(model, sampler.next_batch(), config,
-                               opt_disc, opt_main, loss_rng)
+            try:
+                terms = train_step(model, sampler.next_batch(), config,
+                                   opt_disc, opt_main, loss_rng)
+            except TrainingError as exc:
+                raise TrainingError(f"iteration {iteration} (epoch {epoch}): {exc}") from exc
             records.append(MetricsRecord(iteration=iteration, epoch=epoch,
                                          terms=terms))
         if epoch % config.eval_cadence == 0 or epoch == config.epochs:
@@ -289,7 +292,10 @@ def train_discriminator_only(model: CralModel, train_sets: list,
     records = []
     for iteration in range(1, steps + 1):
         fp = ForwardPass(Tape(), model, sampler.next_batch(), mode="train", rng=loss_rng)
-        terms = _discriminator_step(fp, config, opt_disc)
+        try:
+            terms = _discriminator_step(fp, config, opt_disc)
+        except TrainingError as exc:
+            raise TrainingError(f"iteration {iteration}: {exc}") from exc
         records.append(MetricsRecord(iteration=iteration, epoch=1, terms=terms))
     return records
 
@@ -301,7 +307,8 @@ def _write_subrun(out_dir, name: str, result: TrainingResult,
         return
     sub = Path(out_dir) / name
     sub.mkdir(parents=True, exist_ok=True)
-    (sub / "metrics.jsonl").write_text(result.stream())
+    with replacing(sub / "metrics.jsonl", "w") as fh:
+        fh.write(result.stream())
     model.save(sub / "model.ckpt")
 
 

@@ -21,6 +21,7 @@ from cral.nn import (
     init_params,
     load_checkpoint,
     mlp_forward,
+    replacing,
     save_checkpoint,
 )
 from cral.tensor import Tensor
@@ -245,8 +246,9 @@ class TestAdam:
             value = value - efficient_step(m, v, t, lr=1e-3)
             assert p.value is old
             np.testing.assert_array_equal(p.value, value)
-        np.testing.assert_array_equal(opt._m[0], m)
-        np.testing.assert_array_equal(opt._v[0], v)
+        got_m, got_v = opt.moments(p)
+        np.testing.assert_array_equal(got_m, m)
+        np.testing.assert_array_equal(got_v, v)
 
     def test_non_finite_last_block_names_parameter_before_writing_it(self):
         p = Parameter("main/layer0/weight", np.ones((2 * ADAM_CHUNK + 3, 1)))
@@ -264,13 +266,118 @@ class TestAdam:
                                       lambda a: np.frombuffer(a.tobytes()).reshape(a.shape)],
                              ids=["transposed", "strided", "read_only"])
     def test_array_it_cannot_write_in_place_names_parameter(self, make):
-        p = Parameter("branch1/clf/layer0/weight", np.ones((4, 6)))
+        # Above ADAM_CHUNK, even strided, so Adam keeps the parameter's own
+        # array instead of packing a copy.
+        p = Parameter("branch1/clf/layer0/weight", np.ones((ADAM_CHUNK // 2 + 1, 6)))
         p.value = make(p.value)
         opt = Adam([p])
         before = p.value.copy()
         with pytest.raises(ContractError, match="branch1/clf/layer0/weight"):
             opt.step(self.make_grads({p: np.ones(p.value.shape)}))
         np.testing.assert_array_equal(p.value, before)
+
+    # (name, shape, gradient of step t from a generator): a group mixing
+    # packed parameters (a 0-d one included) with ones above ADAM_CHUNK.
+    MIXED = [
+        ("bias", (7,), lambda rng, shape: rng.standard_normal(shape)),
+        ("big", (2 * ADAM_CHUNK // 100 + 3, 100),
+         lambda rng, shape: rng.standard_normal(shape[::-1]).T),
+        ("scale", (), lambda rng, shape: np.asarray(rng.standard_normal(shape))),
+        ("weight", (30, 20), lambda rng, shape: rng.standard_normal(shape[::-1]).T),
+        ("wide", (ADAM_CHUNK + 1,), lambda rng, shape: np.broadcast_to(
+            rng.standard_normal(), shape)),
+        ("head", (20, 30), lambda rng, shape: np.broadcast_to(
+            rng.standard_normal(shape[1]), shape)),
+    ]
+
+    def test_mixed_group_matches_per_parameter_reference_bit_for_bit(self):
+        rng = np.random.default_rng(50)
+        params = [Parameter(name, rng.standard_normal(shape))
+                  for name, shape, _ in self.MIXED]
+        opt = Adam(params, lr=1e-3)
+        ref = [(p.value.copy(), np.zeros(p.value.shape), np.zeros(p.value.shape))
+               for p in params]
+        arrays = [p.value for p in params]
+        for t in range(1, 4):
+            grads = {p: draw(rng, p.value.shape)
+                     for p, (_, _, draw) in zip(params, self.MIXED)}
+            opt.step(self.make_grads(grads))
+            for k, p in enumerate(params):
+                value, m, v = ref[k]
+                g = grads[p]
+                m = 0.9 * m + (1.0 - 0.9) * g
+                v = 0.999 * v + (1.0 - 0.999) * g * g
+                ref[k] = (value - efficient_step(m, v, t, lr=1e-3), m, v)
+        for p, array, (value, m, v) in zip(params, arrays, ref):
+            assert p.value is array
+            got_m, got_v = opt.moments(p)
+            np.testing.assert_array_equal(p.value, value, err_msg=p.name)
+            np.testing.assert_array_equal(got_m, m, err_msg=p.name)
+            np.testing.assert_array_equal(got_v, v, err_msg=p.name)
+
+    def test_non_finite_in_a_middle_packed_parameter_names_it_before_writing_its_block(self):
+        # Packed: 10,000 + 10,000 + 10,000 elements, two blocks; the NaN
+        # sits in the middle parameter's part of the second block.
+        size = 10_000
+        params = [Parameter(f"branch1/specific{k}/layer0/bias", np.ones(size))
+                  for k in range(3)]
+        grads = {p: np.full(size, 0.5) for p in params}
+        opt = Adam(params)
+        opt.step(self.make_grads(grads))
+
+        def state():  # packed values, m and v
+            return [np.concatenate(column)
+                    for column in zip(*[(p.value, *opt.moments(p)) for p in params])]
+
+        before = state()
+        grads[params[1]][ADAM_CHUNK + 100 - size] = np.nan
+        with pytest.raises(TrainingError, match="branch1/specific1/layer0/bias"):
+            opt.step(self.make_grads(grads))
+        # The first block has moved; the block holding the NaN has not.
+        for got, old in zip(state(), before):
+            assert np.all(got[:ADAM_CHUNK] != old[:ADAM_CHUNK])
+            np.testing.assert_array_equal(got[ADAM_CHUNK:], old[ADAM_CHUNK:])
+
+    def test_non_finite_in_one_block_names_its_parameter_and_writes_nothing(self):
+        params = [Parameter(name, np.ones(shape)) for name, shape in
+                  [("a", (3,)), ("b", (2, 4)), ("c", ()), ("d", (5,))]]
+        grads = {p: np.full(p.value.shape, 0.5) for p in params}
+        grads[params[2]] = np.array(np.inf)
+        grads[params[3]][0] = np.nan
+        opt = Adam(params)
+        with pytest.raises(TrainingError, match="parameter c$"):
+            opt.step(self.make_grads(grads))
+        for p in params:
+            np.testing.assert_array_equal(p.value, 1.0)
+
+    @pytest.mark.parametrize("repoint", [
+        lambda p: setattr(p, "value", p.value.copy()),
+        lambda p: Adam([p]),
+    ], ids=["replaced", "packed_by_another_optimizer"])
+    def test_re_pointed_packed_parameter_raises_before_anything_moves(self, repoint):
+        params = [Parameter(f"p{k}", np.ones((2, 3))) for k in range(3)]
+        opt = Adam(params)
+        repoint(params[1])
+        with pytest.raises(ContractError, match="parameter p1 "):
+            opt.step(self.make_grads({p: np.ones((2, 3)) for p in params}))
+        for p in params:
+            np.testing.assert_array_equal(p.value, 1.0)
+        assert opt.t == 0
+
+    def test_packs_small_parameters_into_one_array_once(self):
+        values = [np.arange(6.0).reshape(2, 3), np.array(7.0),
+                  np.ones(ADAM_CHUNK + 1), np.arange(4.0)[::-1]]
+        params = [Parameter(f"p{k}", v) for k, v in enumerate(values)]
+        opt = Adam(params)
+        packed = [params[k].value for k in (0, 1, 3)]
+        # Views of one array, back to back in the group's order.
+        assert all(a.base is packed[0].base is not None for a in packed)
+        assert [a.ctypes.data - packed[0].ctypes.data for a in packed] == [0, 48, 56]
+        assert all(a.flags.c_contiguous and a.flags.writeable for a in packed)
+        assert params[2].value is values[2]
+        for p, v in zip(params, values):
+            np.testing.assert_array_equal(p.value, v)
+        assert opt._grad.size == ADAM_CHUNK + 1
 
     def test_update_allocates_no_parameter_sized_array(self):
         p = Parameter("w", np.random.default_rng(45).standard_normal((1000, 1000)))
@@ -353,6 +460,30 @@ class TestCheckpoint:
         for name in arrays:
             np.testing.assert_array_equal(got[name], arrays[name])
             assert got[name].shape == arrays[name].shape
+
+    def test_failed_save_leaves_previous_file_and_no_temporary(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"a": np.arange(3.0)}, {"k": 1})
+        before = path.read_bytes()
+        # "b" sorts after "a", so the write fails after "a"'s record.
+        with pytest.raises(ValueError):
+            save_checkpoint(path, {"a": np.ones(4), "b": "not a number"}, {"k": 2})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+    def test_replacing_text_raising_part_way_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "metrics.jsonl"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with replacing(path, "w") as fh:
+                fh.write("new, half written")
+                raise RuntimeError("crash")
+        assert path.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.jsonl"]
+        with replacing(path, "w") as fh:
+            fh.write("new\n")
+        assert path.read_bytes() == b"new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.jsonl"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

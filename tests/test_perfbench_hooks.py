@@ -15,7 +15,7 @@ from cral import data, model as cmodel, trainer
 from cral.data import SyntheticSpec
 from cral.losses import LossWeights
 from cral.model import ModelConfig
-from cral.nn import Adam
+from cral.nn import ADAM_CHUNK, Adam
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 if str(PERFBENCH) not in sys.path:
@@ -88,3 +88,17 @@ def test_toy_train_step_tape_node_counts(monkeypatch):
     assert len(nodes) == 2
     assert nodes[0] <= 24, f"phase 1 records {nodes[0]} tape nodes"
     assert nodes[1] <= 147, f"phase 2 records {nodes[1]} tape nodes"
+
+
+def test_toy_train_main_group_runs_one_update_sequence_per_block():
+    # perfbench's trainer.phase2.adam_ms times this update.
+    fit, _, model, (opt_disc, opt_main) = workloads.toy_build(1)
+    config = trainer.TrainConfig(batch_size=workloads.BATCH, weights=workloads.TOY_WEIGHTS)
+    sampler = trainer.BatchSampler(fit, workloads.BATCH, np.random.default_rng(2))
+    blocks, update = [], Adam._update
+    opt_main._update = lambda g, *rest: blocks.append(g.size) or update(g, *rest)
+    trainer.train_step(model, sampler.next_batch(), config, opt_disc, opt_main,
+                       np.random.default_rng(3))
+    sizes = [p.value.size for p in model.main_params()]
+    assert len(sizes) == 28 and max(sizes) <= ADAM_CHUNK
+    assert blocks == [sum(sizes)]  # one sequence for all 28 parameters

@@ -1,5 +1,6 @@
 """Sampler, alternating-update, evaluation, and experiment-harness tests."""
 
+import dataclasses
 import gc
 import json
 import weakref
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import cral.tensor as tt
+import cral.trainer as trainer
 from cral.data import DomainDataset, SyntheticSpec, generate_synthetic
 from cral.errors import ConfigError, DataError, TrainingError
 from cral.losses import ForwardPass, LossWeights, discriminator_objective, total_objective
@@ -168,6 +170,44 @@ class TestTrainStep:
                        Adam(model.discriminator_params()),
                        Adam(model.main_params()),
                        np.random.default_rng(4))
+
+    def test_run_training_error_names_iteration_and_epoch(self):
+        model, config, _ = self.make(FAST_WEIGHTS)
+        model.branch(1).shared.layers[0].weight.value[:] = np.nan
+        with pytest.raises(TrainingError, match=r"^iteration 1 \(epoch 1\): "
+                                                "non-finite loss term") as info:
+            run_training(model, toy_data(), config)
+        assert isinstance(info.value.__cause__, TrainingError)
+
+    def test_run_training_error_names_a_later_iteration(self, monkeypatch):
+        # 20 labeled rows per domain in batches of 8: 3 iterations per epoch.
+        calls, step = [], trainer.train_step
+
+        def failing_step(*args):
+            calls.append(None)
+            if len(calls) == 5:
+                raise TrainingError("non-finite gradient for parameter w")
+            return step(*args)
+
+        monkeypatch.setattr(trainer, "train_step", failing_step)
+        model, config, _ = self.make(FAST_WEIGHTS)
+        with pytest.raises(TrainingError, match=r"^iteration 5 \(epoch 2\): non-finite "
+                                                "gradient for parameter w$"):
+            run_training(model, toy_data(), dataclasses.replace(config, epochs=3))
+
+    def test_discriminator_only_error_names_iteration(self, monkeypatch):
+        calls, step = [], trainer._discriminator_step
+
+        def failing_step(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise TrainingError("non-finite loss term l_adv_b1: nan")
+            return step(*args)
+
+        monkeypatch.setattr(trainer, "_discriminator_step", failing_step)
+        model, config, _ = self.make(FAST_WEIGHTS)
+        with pytest.raises(TrainingError, match=r"^iteration 2: non-finite loss term l_adv_b1"):
+            train_discriminator_only(model, toy_data(), config, steps=3)
 
     def test_step_tapes_die_without_cyclic_collector(self, monkeypatch):
         model, config, batch = self.make(LossWeights())
