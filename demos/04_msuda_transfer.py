@@ -48,10 +48,9 @@ print(f"\ntarget accuracy {accuracy:.3f} vs majority baseline {baseline:.3f}"
 # the zero pathway makes the prediction independent of every
 # domain-specific extractor: perturbing them changes nothing
 probs_before = predict_ensemble(model, target.labeled_x[:5], msuda=True)
-for branch in (1, 2):
-    for mlp in model.branch(branch).specific:
-        for p in mlp.params():
-            p.value += 100.0
+for mlp in model.specific:  # each private extractor holds both branches
+    for p in mlp.params():
+        p.value += 100.0
 probs_after = predict_ensemble(model, target.labeled_x[:5], msuda=True)
 print("invariant to domain-specific parameters:",
       bool(np.array_equal(probs_before, probs_after)))

@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, ParseError, SpecError
+from .nn import replacing
 from .seeding import derive_rng
 
 LABEL_TOKENS = {"0": 0, "1": 1}
@@ -146,7 +147,9 @@ def _format_line(label: str, row: np.ndarray) -> str:
 
 
 def save_sparse_dataset(path, dataset: DomainDataset) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write the sparse text format; a failed write leaves ``path`` as it was
+    (see `nn.replacing`)."""
+    with replacing(path, "w") as fh:
         fh.write(f"# {dataset.name}: {dataset.num_labeled} labeled, "
                  f"{dataset.num_unlabeled} unlabeled, dim {dataset.feature_dim}\n")
         for row, label in zip(dataset.labeled_x, dataset.labeled_y):

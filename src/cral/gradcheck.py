@@ -31,9 +31,9 @@ from .losses import (
     objective_terms,
     vat_inputs,
 )
-from .model import BRANCHES, CralModel, ModelConfig, class_probs, init_model
+from .model import CralModel, ModelConfig, class_probs, init_model
 from .seeding import derive_rng
-from .tensor import Tape, Tensor, backward
+from .tensor import Tape, Tensor, backward, index
 
 TOY_CONFIG = ModelConfig(num_domains=2, input_dim=6, shared_dim=4,
                          specific_dim=3, extractor_hidden=(), dropout_rate=0.4)
@@ -52,39 +52,44 @@ def toy_setup(seed: int = 0, batch_size: int = 2):
     return model, MultiDomainBatch(labeled_x, labeled_y, unlabeled_x)
 
 
-def _frozen_vat_builder(model: CralModel, batch: MultiDomainBatch,
-                        b: int, labeled: bool, seed: int):
+def _frozen_vat_builder(model: CralModel, batch: MultiDomainBatch, labeled: bool,
+                        seed: int):
     """Framework for the outer VAT objective with (r, reference) pinned.
 
-    Like the trainer's VAT term, one perturbed pass covers every domain.
+    Like the trainer's VAT term, one perturbed pass covers every domain
+    and both branches, and the builder returns both branches' values.
     """
     split = "labeled" if labeled else "unlabeled"
-    fp = ForwardPass(Tape(), model, batch, rng=derive_rng(seed, f"gradcheck/vat/b{b}/{labeled}"))
-    perturbed_x = vat_inputs(fp, b, LossWeights())
-    reference, row_weights = fp.probs(b).data, batch.row_weights(split)
+    fp = ForwardPass(Tape(), model, batch, rng=derive_rng(seed, f"gradcheck/vat/{labeled}"))
+    perturbed_x = vat_inputs(fp, LossWeights(), labeled)
+    reference, row_weights = fp.probs().data, batch.row_weights(split)
 
     def build(tape: Tape) -> Tensor:
-        q = class_probs(tape, model, b, fp.row_map, Tensor(perturbed_x))
+        q = class_probs(tape, model, fp.row_map, Tensor(perturbed_x))
         return kl_divergence(Tensor(reference), q, row_weights)
 
     return build
 
 
 def build_terms(model: CralModel, batch: MultiDomainBatch, seed: int = 0) -> list:
-    """(name, loss builder), in objective order.
+    """(name, loss builder, b), in objective order.
 
     Each builder runs the trainer's term on a fresh `ForwardPass` of the
     batch, which runs only the networks the term reads, except the VAT
-    terms, whose builders pin r and the reference.
+    terms, whose builders pin r and the reference. A per-branch term's
+    builder reads branch b's value of the stacked term; b is None for l_d
+    and l_div, which read both branches.
     """
-    frozen_vat = {f"l_{kind}_b{b}": _frozen_vat_builder(model, batch, b, kind == "lvt", seed)
-                  for b in BRANCHES for kind in ("uvt", "lvt")}
+    frozen_vat = {kind: _frozen_vat_builder(model, batch, kind == "lvt", seed)
+                  for kind in ("uvt", "lvt")}
 
-    def from_pass(term):
-        return lambda tape: term(ForwardPass(tape, model, batch))
+    def builder(name, term, b):
+        stacked = (frozen_vat.get(name.split("_")[1])  # "l_uvt_b1" -> "uvt"
+                   or (lambda tape: term(ForwardPass(tape, model, batch))))
+        return stacked if b is None else lambda tape: index(stacked(tape), b - 1)
 
-    return [(name, frozen_vat.get(name) or from_pass(term))
-            for name, _, term in objective_terms(LossWeights())]
+    return [(name, builder(name, term, b), b)
+            for name, _, term, b, _ in objective_terms(LossWeights())]
 
 
 def _entry_rel_errors(analytic: np.ndarray, numeric: np.ndarray,
@@ -93,27 +98,30 @@ def _entry_rel_errors(analytic: np.ndarray, numeric: np.ndarray,
     return (np.abs(analytic - numeric) / denom).ravel()
 
 
-def check_term(builder, h: float = 1e-5) -> dict:
+def check_term(builder, b=None, h: float = 1e-5) -> dict:
     """Compare tape gradients to central differences, entry by entry.
 
     Differences every parameter the term binds on its own tape, in bind
-    order, so the term's tape says which parameters it touches.
+    order, so the term's tape says which parameters it touches; of a
+    stacked parameter, only branch b's array when b is given.
     """
     tape = Tape()
     grads = backward(builder(tape))
     errors = []
     for p in tape.bound():
-        analytic = grads.wrt_key(p, p.value)
-        numeric = np.zeros_like(p.value)
-        it = np.nditer(p.value, flags=["multi_index"])
+        part = b - 1 if b is not None and p.stacked else None
+        value = p.value if part is None else p.value[part]
+        analytic = grads.wrt_key(p, value, part=part)
+        numeric = np.zeros_like(value)
+        it = np.nditer(value, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
-            saved = p.value[idx]
-            p.value[idx] = saved + h
+            saved = value[idx]
+            value[idx] = saved + h
             plus = builder(Tape()).item()
-            p.value[idx] = saved - h
+            value[idx] = saved - h
             minus = builder(Tape()).item()
-            p.value[idx] = saved
+            value[idx] = saved
             numeric[idx] = (plus - minus) / (2.0 * h)
         errors.append(_entry_rel_errors(analytic, numeric))
     pooled = np.concatenate(errors)
@@ -128,8 +136,8 @@ def run_suite(seed: int = 0, h: float = 1e-5) -> dict:
     """Per-term finite-difference report on the fixed toy problem."""
     model, batch = toy_setup(seed)
     report = {}
-    for name, builder in build_terms(model, batch, seed):
-        report[name] = check_term(builder, h=h)
+    for name, builder, b in build_terms(model, batch, seed):
+        report[name] = check_term(builder, b, h=h)
     return report
 
 

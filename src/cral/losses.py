@@ -4,10 +4,13 @@ Every term of both phases is a reduction over one `ForwardPass`. The
 pass stacks the batch's rows domain by domain, each domain's labeled
 rows before its unlabeled ones, and maps each (domain, split) to its
 slice of the stack. It runs a network only when a term first reads it,
-and at most once: per branch, the shared extractor and classifier over
-all rows and each private extractor over its domain's rows, so each
-weight sees all of its rows in one product. It keeps the outputs and the
-dropout masks, so all terms share one dropout mask per row and step.
+and at most once: the shared extractor and classifier over all rows and
+each private extractor over its domain's rows, so each weight sees all
+of its rows in one product. Each network runs both branches at once (see
+`model`), so a per-branch term computes both branches' values, stacked,
+and the objective reads branch b's at index b - 1. The pass keeps the
+outputs and the dropout masks, so all terms share one dropout mask per
+row and step.
 Terms reduce the stacked outputs with the row weights the batch builds
 once (`MultiDomainBatch.row_weights`), so a weighted row sum is the sum
 over domains of per-domain mini-batch means. The discriminator phase
@@ -25,11 +28,12 @@ its weight to 0.
 Virtual adversarial terms take the clean prediction and its dropout
 masks from the pass and reuse the masks for the power-iteration probe
 and the perturbed pass, so the perturbation competes only against the
-input direction and not against mask resampling. Per branch, one probe
-and one perturbed pass cover the rows of both VAT terms. The probe runs
-on its own tape, and reading only its input's gradient forms no weight
-product (weight gradients are formed when read; see `tensor`). The
-perturbation itself is a constant in the outer gradient.
+input direction and not against mask resampling. One probe and one
+perturbed pass, each over both branches, cover the rows of both VAT
+terms. The probe runs on its own tape, and reading only its input's
+gradient forms no weight product (weight gradients are formed when
+read; see `tensor`). The perturbation itself is a constant in the outer
+gradient.
 
 RNG discipline: the caller's generator is consumed in a fixed order, so
 a run is reproducible from its seed. Every dropout mask is drawn by
@@ -40,11 +44,12 @@ the shared extractor's masks over all stacked rows, each domain's
 private-extractor masks over that domain's rows (in row-map order), and
 the classifier's masks over all rows. Then the discriminator phase
 draws, per branch, the discriminator's masks over all rows. Then the
-main phase's terms draw in table order: per branch, the adversarial
-term's discriminator masks over all rows; then, when the branch's first
-VAT term runs, the probe directions: one standard-normal draw shaped
-like the stacked input, whichever VAT terms are in force. Skipped terms
-draw nothing.
+main phase draws for its terms in table order: per branch, the
+adversarial term's discriminator masks over all rows; then, for the
+branch's first VAT term, the probe directions: one standard-normal draw
+shaped like the stacked input, whichever VAT terms are in force. Skipped
+terms draw nothing. These draws all precede the stacked terms, which
+then read them. Each phase stacks each network's per-branch masks.
 """
 
 from __future__ import annotations
@@ -65,13 +70,14 @@ from .model import (
     domain_probs,  # unused here; perfbench/workloads.py counts calls through it
     shared_features,
 )
-from .nn import Mlp, draw_dropout_masks
+from .nn import Mlp, draw_dropout_masks, stack_masks
 from .tensor import (
     Tape,
     Tensor,
-    add,
     backward as tape_backward,
     clamp_max,
+    combine,
+    index,
     l1_norm,
     l2_norm_sq,
     mul,
@@ -190,12 +196,13 @@ class MultiDomainBatch:
 class ForwardPass:
     """One forward of a batch's stacked rows (`MultiDomainBatch.x`) on one tape.
 
-    The pass draws every dropout mask when it is built, in the module
-    docstring's order. `shared(b)` and `probs(b)` run branch b's networks
-    when a term first reads them and keep the result, so each network runs
-    at most once per pass. In train mode `dropout` draws masks from `rng`,
-    in eval mode every forward runs without them. `rng` also draws the VAT
-    probe directions, in either mode.
+    The pass draws every dropout mask of its networks when it is built, in
+    the module docstring's order, each branch's and then stacks them.
+    `shared()` and `probs()` run both branches' networks when a term first
+    reads them and keep the result, so each network runs at most once per
+    pass. In train mode `dropout` draws masks from `rng`, in eval mode
+    every forward runs without them. `rng` also draws the VAT probe
+    directions, in either mode. `draw` keeps each term's own draws.
     """
 
     def __init__(self, tape: Tape, model: CralModel, batch: MultiDomainBatch,
@@ -213,35 +220,45 @@ class ForwardPass:
         self.tape, self.model, self.batch = tape, model, batch
         self.mode, self.rng, self.num_domains = mode, rng, batch.num_domains
         self.x, self.rows, self.row_map = batch.x, batch.rows, batch.row_map
-        n, self.masks = self.x.shape[0], {}
-        for b in BRANCHES:
-            branch = model.branch(b)
-            self.masks[b] = {
-                "shared": self.dropout(branch.shared, n),
-                "specific": {i: self.dropout(branch.specific[i], rows.stop - rows.start)
-                             for i, rows in self.row_map},
-                "classifier": self.dropout(branch.classifier, n)}
-        self._shared, self._probs, self.vat_passes = {}, {}, {}
+        n = self.x.shape[0]
+        drawn = [{"shared": self.dropout(model.shared, n),
+                  "specific": {i: self.dropout(model.specific[i], rows.stop - rows.start)
+                               for i, rows in self.row_map},
+                  "classifier": self.dropout(model.classifier, n)} for _ in BRANCHES]
+        self.masks = {
+            "shared": stack_masks([d["shared"] for d in drawn]),
+            "specific": {i: stack_masks([d["specific"][i] for d in drawn])
+                         for i, _ in self.row_map},
+            "classifier": stack_masks([d["classifier"] for d in drawn])}
+        self._shared = self._probs = None
+        self.vat_passes, self.draws = {}, {}
 
     def dropout(self, mlp: Mlp, n: int) -> Optional[list]:
-        """Fresh dropout masks for n rows through mlp in train mode, else None."""
+        """Fresh dropout masks of one branch for n rows through mlp in train
+        mode, else None."""
         if self.mode == "eval":
             return None
         return draw_dropout_masks(mlp, n, self.rng)
 
-    def shared(self, b: int) -> Tensor:
-        """Branch b's shared features over the stacked rows."""
-        if b not in self._shared:
-            self._shared[b] = shared_features(self.tape, self.model, b, Tensor(self.x),
-                                              self.masks[b]["shared"])
-        return self._shared[b]
+    def draw(self, key: tuple, make):
+        """The draw kept under key, made by ``make()`` at the first request."""
+        if key not in self.draws:
+            self.draws[key] = make()
+        return self.draws[key]
 
-    def probs(self, b: int) -> Tensor:
-        """Branch b's class probabilities over the stacked rows."""
-        if b not in self._probs:
-            self._probs[b] = class_head(self.tape, self.model, b, self.row_map,
-                                        self.shared(b), Tensor(self.x), masks=self.masks[b])
-        return self._probs[b]
+    def shared(self) -> Tensor:
+        """Both branches' shared features over the stacked rows."""
+        if self._shared is None:
+            self._shared = shared_features(self.tape, self.model, self.masks["shared"],
+                                           Tensor(self.x))
+        return self._shared
+
+    def probs(self) -> Tensor:
+        """Both branches' class probabilities over the stacked rows."""
+        if self._probs is None:
+            self._probs = class_head(self.tape, self.model, self.row_map,
+                                     self.shared(), Tensor(self.x), masks=self.masks)
+        return self._probs
 
     def detached(self) -> "ForwardPass":
         """This pass's shared features (run here if unread) as constants on a fresh tape.
@@ -249,11 +266,12 @@ class ForwardPass:
         Terms run on the copy bind their parameters on the new tape. A bind
         on this tape would memoize the value, and the main phase must read
         the discriminators as the discriminator phase's update leaves them.
+        The copy makes its own draws.
         """
         fp = copy.copy(self)
         fp.tape = Tape()
-        fp._shared = {b: stop_gradient(self.shared(b)) for b in BRANCHES}
-        fp._probs, fp.vat_passes = {}, {}
+        fp._shared = stop_gradient(self.shared())
+        fp._probs, fp.vat_passes, fp.draws = None, {}, {}
         return fp
 
 
@@ -269,28 +287,36 @@ def _nll(probs: Tensor, one_hot: np.ndarray, row_weights: np.ndarray) -> Tensor:
     return -xlogy_rows(Tensor(one_hot), probs, row_weights)
 
 
-def classification_loss(fp: ForwardPass, b: int) -> Tensor:
-    """Sum over domains of mean cross-entropy on the labeled batch."""
+def classification_loss(fp: ForwardPass) -> Tensor:
+    """Per branch, the sum over domains of mean cross-entropy on the labeled batch."""
     row_weights = fp.batch.row_weights("labeled")
-    return _nll(fp.probs(b), fp.batch.labels, row_weights)
+    return _nll(fp.probs(), fp.batch.labels, row_weights)
 
 
-def adversarial_loss(fp: ForwardPass, b: int) -> Tensor:
-    """Discriminator NLL over each domain's labeled+unlabeled shared features.
+def adversarial_masks(fp: ForwardPass, b: int) -> Optional[list]:
+    """Branch b's discriminator masks for the pass's adversarial term."""
+    return fp.draw(("adversarial", b), lambda: fp.dropout(fp.model.discriminator,
+                                                         fp.x.shape[0]))
+
+
+def adversarial_loss(fp: ForwardPass) -> Tensor:
+    """Per branch, the discriminator NLL over each domain's labeled+unlabeled
+    shared features.
 
     Both phases read this one NLL: the main phase on its pass, the
     discriminator phase on the pass's detached copy.
     """
     row_weights = fp.batch.row_weights("combined")
-    disc = fp.model.branch(b).discriminator
-    probs = domain_head(fp.tape, fp.model, b, fp.shared(b), fp.dropout(disc, fp.x.shape[0]))
+    masks = stack_masks([adversarial_masks(fp, b) for b in BRANCHES])
+    probs = domain_head(fp.tape, fp.model, fp.shared(), masks)
     return _nll(probs, fp.batch.domains, row_weights)
 
 
 def disagreement_loss(fp: ForwardPass) -> Tensor:
     """L1 distance between the branches' predictions on unlabeled data."""
     row_weights = fp.batch.row_weights("unlabeled")
-    return _weighted_sum(l1_norm(sub(fp.probs(1), fp.probs(2)), axis=1), row_weights)
+    p = fp.probs()
+    return _weighted_sum(l1_norm(sub(index(p, 0), index(p, 1)), axis=1), row_weights)
 
 
 def diversity_loss(fp: ForwardPass, gamma: float) -> Tensor:
@@ -303,43 +329,47 @@ def diversity_loss(fp: ForwardPass, gamma: float) -> Tensor:
     if gamma <= 0.0:
         raise SpecError("gamma must be positive")
     row_weights = fp.batch.row_weights("labeled")
-    gap_sum = _weighted_sum(sub(fp.shared(1), fp.shared(2)), row_weights, axis=0)
+    s = fp.shared()
+    gap_sum = _weighted_sum(sub(index(s, 0), index(s, 1)), row_weights, axis=0)
     centroid_gap = gap_sum * (1.0 / fp.num_domains)
     return clamp_max(l2_norm_sq(centroid_gap), gamma)
 
 
-def entropy_loss(fp: ForwardPass, b: int) -> Tensor:
-    """Prediction entropy on unlabeled data (0 log 0 taken as 0)."""
+def entropy_loss(fp: ForwardPass) -> Tensor:
+    """Per branch, prediction entropy on unlabeled data (0 log 0 taken as 0)."""
     row_weights = fp.batch.row_weights("unlabeled")
-    p = fp.probs(b)
+    p = fp.probs()
     return -xlogy_rows(p, p, row_weights)
 
 
 def kl_divergence(p: Tensor, q: Tensor, row_weights: Optional[np.ndarray] = None) -> Tensor:
-    """Row KL(p || q) summed with `row_weights`, by default 1/n (the row mean).
+    """Row KL(p || q) summed with `row_weights`, by default 1/n (the row mean);
+    one value per branch for stacked p and q.
 
     Rows must be distributions.
     """
-    if p.shape != q.shape or p.data.ndim != 2:
-        raise DimensionError(f"kl needs matching 2-d shapes, got {p.shape}, {q.shape}")
+    if p.shape != q.shape or p.data.ndim not in (2, 3):
+        raise DimensionError(f"kl needs matching 2-d or stacked shapes, got {p.shape}, "
+                             f"{q.shape}")
     for name, t in (("p", p), ("q", q)):
-        if np.min(t.data) < -1e-6 or np.max(np.abs(t.data.sum(axis=1) - 1.0)) > 1e-6:
+        if np.min(t.data) < -1e-6 or np.max(np.abs(t.data.sum(axis=-1) - 1.0)) > 1e-6:
             raise ContractError(f"{name} rows are not probability vectors")
     if row_weights is None:
-        row_weights = np.full(p.shape[0], 1.0 / p.shape[0])
+        row_weights = np.full(p.shape[-2], 1.0 / p.shape[-2])
     return sub(xlogy_rows(p, p, row_weights), xlogy_rows(p, q, row_weights))
 
 
-def vat_perturbation(model: CralModel, b: int, i, x: np.ndarray, clean: np.ndarray,
+def vat_perturbation(model: CralModel, i, x: np.ndarray, clean: np.ndarray,
                      epsilon: float, xi: float, directions: np.ndarray,
                      masks: Optional[dict] = None) -> np.ndarray:
-    """One-step power iteration for the most KL-sensitive input direction.
+    """One-step power iteration for each branch's most KL-sensitive input direction.
 
     `i` is a domain index or a row map (see `model.class_head`), `clean`
-    the prediction on x under `masks`, the dropout masks the probe
-    replays, and `directions` one standard-normal draw per entry of x.
-    Rows pass through the networks independently, so the probe gradient
-    of the row-averaged KL gives each row its own direction. Returns r
+    both branches' predictions on x under `masks`, the dropout masks the
+    probe replays, and `directions` one standard-normal draw per entry of
+    x and branch, stacked. Rows and branches pass through the networks
+    independently, so the probe gradient of the summed row-averaged KLs
+    gives each row of each branch its own direction. Returns r, stacked,
     with per-sample L2 norm epsilon (zero rows where the probe gradient
     vanishes). Runs on its own tape and reads only the probe's gradient,
     so no weight gradient is formed; the caller treats r as data.
@@ -347,55 +377,63 @@ def vat_perturbation(model: CralModel, b: int, i, x: np.ndarray, clean: np.ndarr
     if epsilon < 0.0:
         raise SpecError("epsilon must be non-negative")
     x = np.asarray(x, dtype=np.float64)
+    shape = (len(BRANCHES),) + x.shape
     if epsilon == 0.0:
-        return np.zeros_like(x)
-    if directions.shape != x.shape:
-        raise DimensionError(f"probe directions {directions.shape} do not match x {x.shape}")
-    d = directions / np.maximum(np.linalg.norm(directions, axis=1, keepdims=True), 1e-30)
+        return np.zeros(shape)
+    if directions.shape != shape:
+        raise DimensionError(f"probe directions {directions.shape} do not match x {x.shape} "
+                             "stacked per branch")
+    d = directions / np.maximum(np.linalg.norm(directions, axis=-1, keepdims=True), 1e-30)
 
     tape = Tape()
     probe = tape.leaf(x + xi * d)
-    perturbed = class_probs(tape, model, b, i, probe, masks=masks)
-    grads = tape_backward(kl_divergence(Tensor(clean), perturbed))
+    perturbed = class_probs(tape, model, i, probe, masks=masks)
+    grads = tape_backward(tsum(kl_divergence(Tensor(clean), perturbed)))
     g = grads.wrt(probe)
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    norms = np.linalg.norm(g, axis=-1, keepdims=True)
     scale = np.where(norms < 1e-20, 0.0, epsilon / np.maximum(norms, 1e-30))
     return g * scale
 
 
-def vat_inputs(fp: ForwardPass, b: int, weights: LossWeights) -> np.ndarray:
-    """The pass's rows plus branch b's VAT perturbation.
+def probe_directions(fp: ForwardPass, b: int, labeled: bool) -> np.ndarray:
+    """Branch b's VAT probe directions, one per row, drawn from the pass's rng
+    in one call; the VAT term that needs them first is named if it has none."""
+    def make():
+        if fp.rng is None:
+            split = "labeled" if labeled else "unlabeled"
+            raise ContractError(
+                f"l_{'lvt' if labeled else 'uvt'}_b{b}: the {split} VAT term of branch "
+                f"{b} draws probe directions and needs an rng; pass one to ForwardPass")
+        return fp.rng.standard_normal(fp.x.shape)
+    return fp.draw(("probe", b), make)
 
-    Draws one probe direction per row from the pass's rng, in one call.
-    """
-    r = vat_perturbation(fp.model, b, fp.row_map, fp.x, fp.probs(b).data,
+
+def vat_inputs(fp: ForwardPass, weights: LossWeights, labeled: bool) -> np.ndarray:
+    """The pass's rows plus each branch's VAT perturbation, stacked."""
+    directions = np.stack([probe_directions(fp, b, labeled) for b in BRANCHES])
+    r = vat_perturbation(fp.model, fp.row_map, fp.x, fp.probs().data,
                          epsilon=weights.vat_epsilon, xi=weights.vat_xi,
-                         directions=fp.rng.standard_normal(fp.x.shape), masks=fp.masks[b])
+                         directions=directions, masks=fp.masks)
     return fp.x + r
 
 
-def vat_loss(fp: ForwardPass, b: int, labeled: bool, weights: LossWeights) -> Tensor:
-    """KL between clean and adversarially perturbed predictions.
+def vat_loss(fp: ForwardPass, labeled: bool, weights: LossWeights) -> Tensor:
+    """Per branch, the KL between clean and adversarially perturbed predictions.
 
     The clean prediction is the pass's, taken as a constant reference
     (stop-gradient); the perturbation reuses the pass's dropout masks.
-    The branch's first VAT term runs one probe and one perturbed pass over
-    all rows, and the pass keeps the result for the branch's other VAT
-    term.
+    The first VAT term runs one probe and one perturbed pass over all
+    rows, and the pass keeps the result for the other VAT term.
     """
     split = "labeled" if labeled else "unlabeled"
     row_weights = fp.batch.row_weights(split)
     if weights.vat_epsilon == 0.0:
-        return Tensor(0.0)
-    if (b, weights) not in fp.vat_passes:
-        if fp.rng is None:
-            raise ContractError(
-                f"l_{'lvt' if labeled else 'uvt'}_b{b}: the {split} VAT term of branch "
-                f"{b} draws probe directions and needs an rng; pass one to ForwardPass")
-        fp.vat_passes[b, weights] = class_probs(
-            fp.tape, fp.model, b, fp.row_map, Tensor(vat_inputs(fp, b, weights)),
-            masks=fp.masks[b])
-    return kl_divergence(Tensor(fp.probs(b).data), fp.vat_passes[b, weights], row_weights)
+        return Tensor(np.zeros(len(BRANCHES)))
+    if weights not in fp.vat_passes:
+        fp.vat_passes[weights] = class_probs(
+            fp.tape, fp.model, fp.row_map, Tensor(vat_inputs(fp, weights, labeled)),
+            masks=fp.masks)
+    return kl_divergence(Tensor(fp.probs().data), fp.vat_passes[weights], row_weights)
 
 
 def discriminator_objective(fp: ForwardPass, weights: LossWeights) -> tuple:
@@ -406,34 +444,38 @@ def discriminator_objective(fp: ForwardPass, weights: LossWeights) -> tuple:
     only. Returns (objective tensor, breakdown) where the breakdown holds
     the raw per-branch NLL values.
     """
-    frozen = fp.detached()
-    l1, l2 = (adversarial_loss(frozen, b) for b in BRANCHES)
-    breakdown = {"l_adv_b1": l1.item(), "l_adv_b2": l2.item()}
-    return add(l1, l2) * weights.lambda_adv, breakdown
+    nll = adversarial_loss(fp.detached())
+    breakdown = {f"l_adv_b{b}": float(nll.data[b - 1]) for b in BRANCHES}
+    return tsum(nll) * weights.lambda_adv, breakdown
 
 
 def objective_terms(weights: LossWeights) -> list:
-    """(name, weight, term) for every main-objective term, in RNG order.
+    """(name, weight, term, b, draw) for every main-objective term, in RNG order.
 
     A term is a function of one `ForwardPass`; the main objective is the
     sum of weight * term(pass) over the entries whose weight is not zero.
+    A per-branch term returns both branches' values, stacked, and the entry
+    reads branch b's; l_d and l_div have b = None. ``draw(pass, b)`` makes
+    the entry's draws from the pass's rng, or is None if it makes none.
     Note the published grouping ties entropy minimization to lambda_uvt,
     so lambda_uvt = 0 also drops the entropy term.
     """
-    table = []
-    for b in BRANCHES:
-        table += [
-            (f"l_c_b{b}", 1.0, lambda fp, b=b: classification_loss(fp, b)),
-            (f"l_adv_b{b}", -weights.lambda_adv, lambda fp, b=b: adversarial_loss(fp, b)),
-            (f"l_e_b{b}", weights.lambda_uvt, lambda fp, b=b: entropy_loss(fp, b)),
-            (f"l_uvt_b{b}", weights.lambda_uvt,
-             lambda fp, b=b: vat_loss(fp, b, labeled=False, weights=weights)),
-            (f"l_lvt_b{b}", weights.lambda_lvt,
-             lambda fp, b=b: vat_loss(fp, b, labeled=True, weights=weights)),
-        ]
-    return table + [
-        ("l_d", weights.lambda_d, disagreement_loss),
-        ("l_div", -weights.lambda_div, lambda fp: diversity_loss(fp, weights.gamma)),
+    def vat(labeled):  # the term and, if it perturbs, its draw
+        return (lambda fp: vat_loss(fp, labeled=labeled, weights=weights),
+                None if weights.vat_epsilon == 0.0
+                else lambda fp, b: probe_directions(fp, b, labeled))
+
+    per_branch = [
+        ("l_c", 1.0, classification_loss, None),
+        ("l_adv", -weights.lambda_adv, adversarial_loss, adversarial_masks),
+        ("l_e", weights.lambda_uvt, entropy_loss, None),
+        ("l_uvt", weights.lambda_uvt, *vat(False)),
+        ("l_lvt", weights.lambda_lvt, *vat(True)),
+    ]
+    return [(f"{name}_b{b}", weight, term, b, draw) for b in BRANCHES
+            for name, weight, term, draw in per_branch] + [
+        ("l_d", weights.lambda_d, disagreement_loss, None, None),
+        ("l_div", -weights.lambda_div, lambda fp: diversity_loss(fp, weights.gamma), None, None),
     ]
 
 
@@ -445,18 +487,25 @@ def total_objective(fp: ForwardPass, weights: LossWeights) -> tuple:
            + lambda_d L_d - lambda_div L_div
 
     (the discriminators' side of the game is `discriminator_objective`).
-    Every term reads `fp` and records on its tape. Terms whose weight is
-    zero are skipped entirely and reported as 0.0 in the breakdown.
+    Every term reads `fp` and records on its tape, after every draw of the
+    terms in force; each stacked term runs once for both branches. One
+    `tensor.combine` node adds the weighted terms in table order. Terms
+    whose weight is zero are skipped entirely and reported as 0.0 in the
+    breakdown.
     """
-    table = objective_terms(weights)
-    breakdown = {}
-    main = None
-    for name, weight, term in table:
-        if weight == 0.0:
-            breakdown[name] = 0.0
-            continue
-        value = term(fp)
-        breakdown[name] = value.item()
-        main = value * weight if main is None else add(main, value * weight)
+    entries = objective_terms(weights)
+    table = [entry for entry in entries if entry[1] != 0.0]
+    for _, _, _, b, draw in table:
+        if draw is not None:
+            draw(fp, b)
+    breakdown = {name: 0.0 for name, *_ in entries}
+    stacked, parts = {}, []
+    for name, weight, term, b, _ in table:
+        if term not in stacked:
+            stacked[term] = term(fp)
+        t, k = stacked[term], None if b is None else b - 1
+        breakdown[name] = float(t.data if k is None else t.data[k])
+        parts.append((t, k, weight))
+    main = combine(parts)
     breakdown["main"] = main.item()
     return main, breakdown

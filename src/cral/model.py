@@ -7,6 +7,15 @@ reading the concatenation [shared, private]. The composite per-domain
 predictor feeds that concatenation through the classifier and a row
 softmax. `ModelConfig` defines every width's default.
 
+The branches share the architecture, so the model stores them stacked:
+each network is one stacked MLP (see `nn`) whose parameters hold branch
+1's array and then branch 2's along a leading axis, and every forward
+runs both branches at once. Its outputs are stacked alike, (2, n, ...),
+and branch b's is index b - 1. Input rows are one (n, d) matrix both
+branches read, or one per branch, (2, n, d). `state_dict` names each
+branch's array "branch{b}/...", so checkpoints hold one record per branch
+and network as before stacking.
+
 Domains are indexed 0..M-1 throughout. Branches are addressed as 1 and 2.
 
 With the msuda flag the private part is replaced by a zero block of the
@@ -62,10 +71,13 @@ class ModelConfig:
         }
 
 
-class BranchParams:
-    """Parameter groups of one branch."""
+class CralModel:
+    """Both branches' networks, each a stacked MLP: the shared extractor,
+    one private extractor per domain, the discriminator and the classifier."""
 
-    def __init__(self, shared: Mlp, specific: list, discriminator: Mlp, classifier: Mlp):
+    def __init__(self, config: ModelConfig, shared: Mlp, specific: list,
+                 discriminator: Mlp, classifier: Mlp):
+        self.config = config
         self.shared = shared
         self.specific = specific
         self.discriminator = discriminator
@@ -79,23 +91,8 @@ class BranchParams:
         out.extend(self.classifier.params())
         return out
 
-
-class CralModel:
-    def __init__(self, config: ModelConfig, branches: tuple):
-        self.config = config
-        self.branches = branches
-
-    def branch(self, b: int) -> BranchParams:
-        if b not in BRANCHES:
-            raise ContractError(f"branch must be 1 or 2, got {b}")
-        return self.branches[b - 1]
-
-    def params(self) -> list:
-        return self.branches[0].params() + self.branches[1].params()
-
     def discriminator_params(self) -> list:
-        return (self.branches[0].discriminator.params()
-                + self.branches[1].discriminator.params())
+        return self.discriminator.params()
 
     def main_params(self) -> list:
         """Everything Algorithm-style phase 2 updates: all but the discriminators."""
@@ -103,25 +100,27 @@ class CralModel:
         return [p for p in self.params() if id(p) not in disc]
 
     def state_dict(self) -> dict:
-        """Name -> the parameter's live array; copy it to keep a snapshot."""
-        return {p.name: p.value for p in self.params()}
+        """Name -> a live view of one branch's array ("branch{b}/..."), branch 1's
+        first; copy it to keep a snapshot."""
+        params = self.params()
+        return {p.part_names()[k]: p.value[k] for k in range(len(BRANCHES)) for p in params}
 
     def load_state_dict(self, arrays: dict) -> None:
         """Copy each array into its parameter's own; checks every one first."""
-        own = {p.name: p for p in self.params()}
+        own = {name: (p, k) for p in self.params() for k, name in enumerate(p.part_names())}
         if set(own) != set(arrays):
             missing = sorted(set(own) - set(arrays))
             extra = sorted(set(arrays) - set(own))
             raise ContractError(
                 f"parameter names do not match (missing {missing[:3]}, extra {extra[:3]})"
             )
-        for name, param in own.items():
+        for name, (param, k) in own.items():
             shape = np.shape(arrays[name])
-            if shape != param.value.shape:
+            if shape != param.value[k].shape:
                 raise ContractError(
-                    f"shape mismatch for {name}: {shape} vs {param.value.shape}")
-        for name, param in own.items():
-            np.copyto(param.value, arrays[name])
+                    f"shape mismatch for {name}: {shape} vs {param.value[k].shape}")
+        for name, (param, k) in own.items():
+            np.copyto(param.value[k], arrays[name])
 
     def save(self, path) -> None:
         save_checkpoint(path, self.state_dict(), asdict(self.config))
@@ -138,39 +137,43 @@ class CralModel:
                 f"{path}: checkpoint metadata has missing keys {missing} "
                 f"and unknown keys {unknown}")
         # Nothing is drawn: the checkpoint fills every array.
+        stack = (len(BRANCHES),)
         model = _build(ModelConfig(**meta), lambda spec, name: mlp_params(
-            spec, name, lambda fan_out, fan_in: np.empty((fan_out, fan_in)), np.empty))
+            spec, name, lambda fan_out, fan_in: np.empty(stack + (fan_out, fan_in)),
+            lambda fan_out: np.empty(stack + (fan_out,)), stacked=True))
         model.load_state_dict(arrays)
         return model
 
 
 def init_model(config: ModelConfig, seed: int) -> CralModel:
-    """Both branches share the architecture; weights differ only by seed."""
+    """Both branches share the architecture; weights differ only by seed.
+
+    Branch b's arrays of network "name" are drawn from the generator of
+    "model/branch{b}/name".
+    """
     return _build(config, lambda spec, name: init_params(
-        spec, derive_rng(seed, f"model/{name}"), name=name))
+        spec, [derive_rng(seed, f"model/branch{b}/{name}") for b in BRANCHES], name=name))
 
 
 def _build(config: ModelConfig, mlp) -> CralModel:
-    """The model's layout, with ``mlp(spec, name)`` making each named MLP."""
+    """The model's layout, with ``mlp(spec, name)`` making each named stacked MLP."""
     specs = config.mlp_specs()
-    return CralModel(config, tuple(
-        BranchParams(mlp(specs["shared"], f"branch{b}/shared"),
-                     [mlp(specs["specific"], f"branch{b}/specific{i}")
+    return CralModel(config, mlp(specs["shared"], "shared"),
+                     [mlp(specs["specific"], f"specific{i}")
                       for i in range(config.num_domains)],
-                     mlp(specs["disc"], f"branch{b}/disc"),
-                     mlp(specs["clf"], f"branch{b}/clf"))
-        for b in BRANCHES))
+                     mlp(specs["disc"], "disc"), mlp(specs["clf"], "clf"))
 
 
 # ---------------------------------------------------------------------------
-# Tape-level forward passes. Each returns one Tensor. The heads run on given
-# shared features, so one shared forward can feed several heads. Dropout
-# masks are data, drawn by `losses.ForwardPass`: each forward applies the
-# masks it is given (see nn.mlp_forward) and runs without dropout when given
-# none, so passing the same masks again replays the same stochastic pass.
-# The class path takes a dict from "shared" and "classifier" to those MLPs'
-# masks and from "specific" to a dict from domain to its private
-# extractor's masks.
+# Tape-level forward passes. Each returns one Tensor, stacked over the
+# branches. The heads run on given shared features, so one shared forward
+# can feed several heads. Dropout masks are data, drawn by
+# `losses.ForwardPass` and stacked over the branches (`nn.stack_masks`):
+# each forward applies the masks it is given (see nn.mlp_forward) and runs
+# without dropout when given none, so passing the same masks again replays
+# the same stochastic pass. The class path takes a dict from "shared" and
+# "classifier" to those MLPs' masks and from "specific" to a dict from
+# domain to its private extractor's masks.
 # ---------------------------------------------------------------------------
 
 
@@ -181,23 +184,25 @@ def _check_domain(model: CralModel, i: int) -> None:
         )
 
 
-def shared_features(tape: Tape, model: CralModel, b: int, x: Tensor,
-                    masks: Optional[list] = None) -> Tensor:
-    return mlp_forward(tape, model.branch(b).shared, x, masks)
+def shared_features(tape: Tape, model: CralModel, masks: Optional[list],
+                    x: Tensor) -> Tensor:
+    """Both branches' shared features of x; x is the fourth argument, where
+    perfbench's row counter reads it."""
+    return mlp_forward(tape, model.shared, x, masks)
 
 
-def domain_head(tape: Tape, model: CralModel, b: int, feats: Tensor,
+def domain_head(tape: Tape, model: CralModel, feats: Tensor,
                 masks: Optional[list] = None) -> Tensor:
     """Discriminator distribution over domains from given shared features."""
-    return softmax_rows(mlp_forward(tape, model.branch(b).discriminator, feats, masks))
+    return softmax_rows(mlp_forward(tape, model.discriminator, feats, masks))
 
 
-def domain_probs(tape: Tape, model: CralModel, b: int, x: Tensor) -> Tensor:
+def domain_probs(tape: Tape, model: CralModel, x: Tensor) -> Tensor:
     """Discriminator distribution over domains from shared features only."""
-    return domain_head(tape, model, b, shared_features(tape, model, b, x))
+    return domain_head(tape, model, shared_features(tape, model, None, x))
 
 
-def class_head(tape: Tape, model: CralModel, b: int, i, feats: Tensor,
+def class_head(tape: Tape, model: CralModel, i, feats: Tensor,
                x: Tensor, msuda: bool = False, masks: Optional[dict] = None) -> Tensor:
     """Classifier over [given shared features, private features of x].
 
@@ -205,58 +210,68 @@ def class_head(tape: Tape, model: CralModel, b: int, i, feats: Tensor,
     order, so each listed domain's private extractor runs once over its own
     rows. A domain index i stands for the one-entry map [(i, all rows)].
     """
-    branch = model.branch(b)
     masks = masks or {}
+    n = x.shape[-2]
     if msuda:
-        private = Tensor(np.zeros((x.shape[0], model.config.specific_dim)))
+        private = Tensor(np.zeros(feats.shape[:-1] + (model.config.specific_dim,)))
     else:
         if i is None:
             raise ContractError("domain index required unless msuda is set")
-        row_map = [(i, slice(0, x.shape[0]))] if isinstance(i, (int, np.integer)) else i
+        row_map = [(i, slice(0, n))] if isinstance(i, (int, np.integer)) else i
         bounds = [0] + [rows.stop for _, rows in row_map]
-        if [rows.start for _, rows in row_map] != bounds[:-1] or bounds[-1] != x.shape[0]:
-            raise ContractError(f"row map {row_map} does not tile {x.shape[0]} rows")
+        if [rows.start for _, rows in row_map] != bounds[:-1] or bounds[-1] != n:
+            raise ContractError(f"row map {row_map} does not tile {n} rows")
         specific = masks.get("specific") or {}
         parts = []
         for d, rows in row_map:
             _check_domain(model, d)
             rows_x = x if len(row_map) == 1 else slice_rows(x, rows)
-            parts.append(mlp_forward(tape, branch.specific[d], rows_x, specific.get(d)))
+            parts.append(mlp_forward(tape, model.specific[d], rows_x, specific.get(d)))
         private = concat_rows(*parts)
-    logits = mlp_forward(tape, branch.classifier, concat_cols(feats, private),
+    logits = mlp_forward(tape, model.classifier, concat_cols(feats, private),
                          masks.get("classifier"))
     return softmax_rows(logits)
 
 
-def class_probs(tape: Tape, model: CralModel, b: int, i, x: Tensor,
+def class_probs(tape: Tape, model: CralModel, i, x: Tensor,
                 msuda: bool = False, masks: Optional[dict] = None) -> Tensor:
     """Composite per-domain predictor: classifier over [shared, private]."""
     masks = masks or {}
-    feats = shared_features(tape, model, b, x, masks.get("shared"))
-    return class_head(tape, model, b, i, feats, x, msuda=msuda, masks=masks)
+    feats = shared_features(tape, model, masks.get("shared"), x)
+    return class_head(tape, model, i, feats, x, msuda=msuda, masks=masks)
 
 
 # ---------------------------------------------------------------------------
-# Array-level prediction API (fresh tape, eval mode).
+# Array-level prediction API (fresh tape, eval mode). One stacked pass runs
+# both branches; given a branch b, the result is that branch's slice.
 # ---------------------------------------------------------------------------
 
 
-def predict_domain(model: CralModel, b: int, x: np.ndarray) -> np.ndarray:
+def _branch(probs: np.ndarray, b: Optional[int]) -> np.ndarray:
+    if b is None:
+        return probs
+    if b not in BRANCHES:
+        raise ContractError(f"branch must be 1 or 2, got {b}")
+    return probs[b - 1]
+
+
+def predict_domain(model: CralModel, b: Optional[int], x: np.ndarray) -> np.ndarray:
+    """Branch b's discriminator distribution; b = None gives both, stacked."""
     tape = Tape()
-    return domain_probs(tape, model, b, tape.leaf(x)).data
+    return _branch(domain_probs(tape, model, tape.leaf(x)).data, b)
 
 
-def predict_class(model: CralModel, b: int, i: Optional[int], x: np.ndarray,
+def predict_class(model: CralModel, b: Optional[int], i: Optional[int], x: np.ndarray,
                   msuda: bool = False) -> np.ndarray:
+    """Branch b's class probabilities; b = None gives both, stacked."""
     tape = Tape()
-    return class_probs(tape, model, b, i, tape.leaf(x), msuda=msuda).data
+    return _branch(class_probs(tape, model, i, tape.leaf(x), msuda=msuda).data, b)
 
 
 def predict_ensemble(model: CralModel, x: np.ndarray, i: Optional[int] = None,
                      msuda: bool = False) -> np.ndarray:
     """Mean of the two branches' class probabilities (eval mode)."""
-    p1 = predict_class(model, 1, i, x, msuda=msuda)
-    p2 = predict_class(model, 2, i, x, msuda=msuda)
+    p1, p2 = predict_class(model, None, i, x, msuda=msuda)
     return 0.5 * (p1 + p2)
 
 

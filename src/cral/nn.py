@@ -4,6 +4,11 @@ Provides named parameters, linear layers, relu MLPs with inverted
 dropout, Glorot-uniform initialization, the Adam optimizer, and a
 versioned binary checkpoint container.
 
+An MLP may be stacked: each of its parameters then holds the two model
+branches' arrays along a leading axis of 2, and one forward runs both
+branches (see `tensor.linear`). Its input is one matrix both branches
+read or one per branch, its dropout masks one per branch, stacked alike.
+
 Dropout contract: masks are data. `draw_dropout_masks` draws one array
 per hidden layer whose entries are 0 (dropped) or 1/(1-rate) (kept), and
 `mlp_forward` multiplies each hidden activation by the mask it is given,
@@ -39,13 +44,29 @@ from .tensor import (
 
 
 class Parameter:
-    """A named trainable array. Identity (not name) keys tape bindings."""
+    """A named trainable array. Identity (not name) keys tape bindings.
 
-    __slots__ = ("name", "value")
+    A stacked parameter holds one array per model branch along its leading
+    axis; the array of branch b is named ``branch{b}/`` + ``name``.
+    """
 
-    def __init__(self, name: str, value: np.ndarray):
+    __slots__ = ("name", "value", "stacked")
+
+    def __init__(self, name: str, value: np.ndarray, stacked: bool = False):
         self.name = name
         self.value = np.asarray(value, dtype=np.float64)
+        self.stacked = stacked
+
+    def part_names(self) -> list:
+        """The name of each array the parameter holds, in order."""
+        if not self.stacked:
+            return [self.name]
+        return [f"branch{b}/{self.name}" for b in range(1, len(self.value) + 1)]
+
+    def name_at(self, i: int) -> str:
+        """The name of the array holding flat element i."""
+        names = self.part_names()
+        return names[i * len(names) // self.value.size]
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
@@ -97,33 +118,55 @@ class Mlp:
         return out
 
 
-def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_out, fan_in))
+def glorot_uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill a (fan_out, fan_in) array in place with the numbers
+    ``rng.uniform(-bound, bound, out.shape)`` would draw."""
+    bound = math.sqrt(6.0 / sum(out.shape))
+    # uniform computes low + (high - low) * u from the same doubles u.
+    rng.random(out=out)
+    out *= bound - -bound
+    out += -bound
+    return out
 
 
-def mlp_params(spec: MlpSpec, name: str, weight, bias) -> Mlp:
+def mlp_params(spec: MlpSpec, name: str, weight, bias, stacked: bool = False) -> Mlp:
     """The MLP's parameters, each layer's made by the two given makers.
 
     Layer k has "{name}/layer{k}/weight" = ``weight(fan_out, fan_in)`` and
-    then "{name}/layer{k}/bias" = ``bias(fan_out)``.
+    then "{name}/layer{k}/bias" = ``bias(fan_out)``; with ``stacked`` the
+    makers return both branches' arrays, stacked.
     """
     dims = [int(d) for d in (spec.input_dim, *spec.hidden_dims, spec.output_dim)]
     return Mlp(spec, [
-        LinearLayer(Parameter(f"{name}/layer{k}/weight", weight(fan_out, fan_in)),
-                    Parameter(f"{name}/layer{k}/bias", bias(fan_out)))
+        LinearLayer(Parameter(f"{name}/layer{k}/weight", weight(fan_out, fan_in), stacked),
+                    Parameter(f"{name}/layer{k}/bias", bias(fan_out), stacked))
         for k, (fan_in, fan_out) in enumerate(zip(dims, dims[1:]))
     ])
 
 
-def init_params(spec: MlpSpec, rng: np.random.Generator, name: str = "mlp") -> Mlp:
-    """Glorot-uniform weights, zero biases; deterministic given the rng state."""
-    return mlp_params(spec, name, lambda fan_out, fan_in: glorot_uniform(rng, fan_out, fan_in),
-                      np.zeros)
+def init_params(spec: MlpSpec, rng, name: str = "mlp") -> Mlp:
+    """Glorot-uniform weights, zero biases; deterministic given the rng state.
+
+    Given a sequence of generators, one per branch, the MLP is stacked, and
+    branch b's arrays hold what ``init_params(spec, rng[b - 1])`` would draw.
+    """
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    stack = () if single else (len(rngs),)
+
+    def weight(fan_out, fan_in):
+        w = np.empty(stack + (fan_out, fan_in))
+        for r, part in zip(rngs, w.reshape(-1, fan_out, fan_in)):
+            glorot_uniform(r, part)
+        return w
+
+    return mlp_params(spec, name, weight, lambda fan_out: np.zeros(stack + (fan_out,)),
+                      stacked=not single)
 
 
 def draw_dropout_masks(mlp: Mlp, n: int, rng: np.random.Generator) -> Optional[list]:
-    """One inverted-dropout mask per hidden layer for a batch of n rows.
+    """One inverted-dropout mask per hidden layer for a batch of n rows, of
+    one branch (see `stack_masks`).
 
     Returns None at rate 0 and then draws nothing from rng.
     """
@@ -134,12 +177,19 @@ def draw_dropout_masks(mlp: Mlp, n: int, rng: np.random.Generator) -> Optional[l
             for width in mlp.spec.hidden_dims]
 
 
+def stack_masks(per_branch: list) -> Optional[list]:
+    """Each branch's `draw_dropout_masks`, stacked layer by layer for a stacked MLP."""
+    if per_branch[0] is None:
+        return None
+    return [np.stack(layer) for layer in zip(*per_branch)]
+
+
 def mlp_forward(tape: Tape, mlp: Mlp, x: Tensor, masks: Optional[list] = None) -> Tensor:
     """Run the MLP, multiplying hidden activation k by masks[k].
 
     Without masks the forward has no dropout (eval mode, or rate 0).
     """
-    if x.data.ndim != 2 or x.shape[1] != mlp.spec.input_dim:
+    if x.data.ndim < 2 or x.shape[-1] != mlp.spec.input_dim:
         raise DimensionError(
             f"mlp expects input width {mlp.spec.input_dim}, got shape {x.shape}"
         )
@@ -192,10 +242,11 @@ class Adam:
     ``p.value`` at its view of it, once. Their moments are flat in the same
     layout, so a step updates all of them with one blocked sequence
     instead of one per parameter. Each larger parameter keeps its own
-    array and its own moments. One gradient buffer, as large as the packed
-    array or the largest larger parameter, takes each step's gradients
-    (``Gradients.wrt_key(..., out=)``): first every packed parameter's, at
-    its offset, then each larger parameter's in turn.
+    array and its own moments. One gradient buffer takes each step's
+    gradients (``Gradients.wrt_key(..., out=)``): first every packed
+    parameter's, at its offset, then each larger parameter's in turn, a
+    stacked one's one branch at a time. So it is as large as the packed
+    array or the largest array of a larger parameter.
     """
 
     def __init__(self, params: Sequence[Parameter], lr: float = 1e-4):
@@ -212,7 +263,8 @@ class Adam:
         self._packed_m = np.zeros(size)
         self._packed_v = np.zeros(size)
         # np.empty maps no page; the first gradient formed into it does.
-        self._grad = np.empty(max([size] + [p.value.size for p in self._large]))
+        self._grad = np.empty(max([size] + [p.value.size // len(p.part_names())
+                                            for p in self._large]))
         self._scratch = np.empty(ADAM_CHUNK)
         # C order, so that np.ravel is a view the update writes through.
         self._m = [np.zeros(p.value.shape) for p in self._large]
@@ -249,16 +301,17 @@ class Adam:
         packed parameters, then over each larger parameter's flat views.
         Each block stays in cache for the whole sequence, and the result is
         bit-identical to running each operation over each parameter on its
-        own. Nothing parameter-sized is allocated here.
+        own. Nothing parameter-sized is allocated here. A larger stacked
+        parameter's gradient is formed and applied one branch at a time.
 
         Before anything moves, a packed parameter whose ``p.value`` is no
         longer its view (say, a second optimizer packed it) raises, since
         this optimizer's updates would no longer reach the model; so does a
         larger parameter whose array is not a C-contiguous, writeable
         ndarray, since ``np.ravel`` would copy it. A non-finite gradient
-        block raises, naming the parameter of its first bad element, before
-        that block is written; the earlier blocks have moved by then, and
-        the error ends the run.
+        block raises, naming the parameter (a stacked one's branch array)
+        of its first bad element, before that block is written; the
+        earlier blocks have moved by then, and the error ends the run.
         """
         for p, view, _ in self._slots:
             if p.value is not view:
@@ -278,12 +331,18 @@ class Adam:
             grads.wrt_key(p, view, out=grad)
         size = self._packed.size
         self._blocks(self._grad[:size], self._packed_m, self._packed_v, self._packed,
-                     lambda i: self._slots[bisect.bisect(self._starts, i) - 1][0].name,
-                     lr_t, eps_t)
+                     self._packed_name, lr_t, eps_t)
         for p, m, v in zip(self._large, self._m, self._v):
-            grads.wrt_key(p, p.value, out=self._grad[:m.size].reshape(m.shape))
-            self._blocks(self._grad[:m.size], np.ravel(m), np.ravel(v), np.ravel(p.value),
-                         lambda i: p.name, lr_t, eps_t)
+            for part, name in zip(range(len(m)) if p.stacked else [None], p.part_names()):
+                value, pm, pv = (a if part is None else a[part] for a in (p.value, m, v))
+                grad = self._grad[:value.size]
+                grads.wrt_key(p, value, out=grad.reshape(value.shape), part=part)
+                self._blocks(grad, np.ravel(pm), np.ravel(pv), np.ravel(value),
+                             lambda i: name, lr_t, eps_t)
+
+    def _packed_name(self, i: int) -> str:
+        k = bisect.bisect(self._starts, i) - 1
+        return self._slots[k][0].name_at(i - self._starts[k])
 
     def _blocks(self, g, m, v, value, name_of, lr_t, eps_t) -> None:
         """The update over flat arrays, block by block; ``name_of(i)`` names

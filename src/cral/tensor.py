@@ -23,6 +23,14 @@ per use plus the adds, and the product can be written into a buffer the
 caller reuses (``out=``). A sweep read only for an input's gradient (the
 VAT probe) forms none.
 
+A leading axis stacks independent copies of one computation (the two
+branches of the model): ``linear`` takes a stacked (k, out, in) weight
+with a shared (n, in) input or a stacked (k, n, in) one, the row ops and
+reductions act per copy, and ``index`` reads one copy. Each copy's values
+and gradients are bit for bit those of the computation run alone: every
+op does the same float operations per copy, and ``np.matmul`` over a
+leading axis runs the per-copy BLAS call.
+
 A tape holds arrays and shapes, never a :class:`Tensor`: vjp closures
 capture the arrays they need, and bindings keep node ids.  A tensor and
 the :class:`Gradients` of a sweep point at their tape, so the tape and
@@ -34,8 +42,9 @@ Conventions:
   * all data is float64,
   * relu and l1_norm use subgradient 0 exactly at their kink,
   * clamp_max, and the log floor of xlogy_rows, pass zero gradient where active,
-  * only equal-shape and scalar-with-tensor broadcasting is supported
-    (the affine map x W^T + b has its own op, ``linear``).
+  * only equal-shape and scalar-with-tensor broadcasting is supported,
+    besides a shared operand against a leading stacking axis where an op
+    says so (the affine map x W^T + b has its own op, ``linear``).
 """
 
 from __future__ import annotations
@@ -203,18 +212,31 @@ class Gradients:
                                 "leaf gradients only")
         return self._form(t.node_id, t.data, None)
 
-    def wrt_key(self, key: Hashable, like: Array, out: Optional[Array] = None) -> Array:
-        """Gradient for a ``Tape.bind`` key; zeros if the key was never bound."""
-        bound = self._tape._bindings.get(key)
-        return self._form(None if bound is None else bound[0], like, out)
+    def wrt_key(self, key: Hashable, like: Array, out: Optional[Array] = None,
+                part: Optional[int] = None) -> Array:
+        """Gradient for a ``Tape.bind`` key; zeros if the key was never bound.
 
-    def _form(self, node_id: Optional[int], like: Array, out: Optional[Array]) -> Array:
+        With ``part``, only copy ``part`` of a stacked leaf's gradient is
+        formed, shaped like ``like``, the leaf's value at that index.
+        """
+        bound = self._tape._bindings.get(key)
+        return self._form(None if bound is None else bound[0], like, out, part)
+
+    def _form(self, node_id: Optional[int], like: Array, out: Optional[Array],
+              part: Optional[int] = None) -> Array:
         dense = self._grads.get(node_id)
         rows = self._rows.get(node_id)
+        if part is not None:
+            dense = None if dense is None else dense[part]
+            rows = rows and [(g[part], x[part] if x.ndim == g.ndim else x) for g, x in rows]
         if rows:
-            g, x = (parts[0] if len(parts) == 1 else np.concatenate(parts)
-                    for parts in zip(*rows))
-            grad = np.matmul(g.T, x, out=out)
+            g_parts, x_parts = zip(*rows)
+            if len({x.ndim for x in x_parts}) > 1:  # shared and stacked inputs
+                x_parts = [np.broadcast_to(x, g.shape[:-1] + x.shape[-1:])
+                           for g, x in rows]
+            g, x = (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
+                    for parts in (g_parts, x_parts))
+            grad = np.matmul(g.swapaxes(-1, -2), x, out=out)
             if dense is not None:
                 grad += dense
             return grad
@@ -255,7 +277,7 @@ def backward(loss: Tensor) -> Gradients:
                     rows.setdefault(parent_id, []).append(contribution)
                     continue
                 g_rows, x_rows = contribution
-                contribution = g_rows.T @ x_rows
+                contribution = np.matmul(g_rows.swapaxes(-1, -2), x_rows)
             seen = grads.get(parent_id)
             grads[parent_id] = contribution if seen is None else seen + contribution
     return Gradients(tape, grads, rows)
@@ -282,6 +304,11 @@ def _reduce_to(shape: tuple[int, ...], g: Array) -> Array:
     if shape == () and g.shape != ():
         return np.sum(g)
     return g
+
+
+def _unstack(ndim: int, g: Array) -> Array:
+    # Undo broadcasting a shared operand of ndim dims against a stacking axis.
+    return g.sum(axis=0) if g.ndim > ndim else g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -342,64 +369,103 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map x W^T + b: (n, in), (out, in), (out,) -> (n, out).
 
-    The weight's vjp hands back the row factors ``(g, x)``, not ``g^T x``:
-    the weight's gradient is formed when it is read (see the module
-    docstring), C-contiguous in W's own layout.
+    Stacked: (k, out, in) and (k, out) with a shared (n, in) input or a
+    stacked (k, n, in) one -> (k, n, out), one product per copy; a shared
+    input's vjp sums over the copies. The weight's vjp hands back the row
+    factors ``(g, x)``, not ``g^T x``: the weight's gradient is formed when
+    it is read (see the module docstring), C-contiguous in W's own layout.
     """
-    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
-            or x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]):
-        raise DimensionError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} "
+    x_data, w_data, b_data = x.data, w.data, b.data
+    xs, ws = x_data.shape, w_data.shape
+    if (len(ws) not in (2, 3) or b_data.shape != ws[:-1] or len(xs) < 2
+            or xs[:-2] not in ((), ws[:-2]) or xs[-1] != ws[-1]):
+        raise DimensionError(f"linear: shapes {xs}, {ws} and {b_data.shape} "
                              "do not align")
-    x_data, w_data = x.data, w.data
-    out = x_data @ w_data.T
-    out += b.data
+    out = np.matmul(x_data, w_data.swapaxes(-1, -2))
+    out += b_data[..., None, :]
     return _record(_tape_of(x, w, b), out, [
-        (x, lambda g: g @ w_data),
+        (x, lambda g: _unstack(x_data.ndim, g @ w_data)),
         (w, lambda g: (g, x_data)),
-        (b, lambda g: g.sum(axis=0)),
+        (b, lambda g: g.sum(axis=-2)),
     ])
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[0] != b.shape[0]:
+    """Columns of a, then of b; both matrices, or both stacked alike."""
+    if a.data.ndim < 2 or a.shape[:-1] != b.shape[:-1]:
         raise DimensionError(f"concat_cols: shapes {a.shape} and {b.shape} do not stack")
-    split = a.shape[1]
-    return _record(_tape_of(a, b), np.concatenate([a.data, b.data], axis=1), [
-        (a, lambda g: g[:, :split]),
-        (b, lambda g: g[:, split:]),
+    split = a.shape[-1]
+    return _record(_tape_of(a, b), np.concatenate([a.data, b.data], axis=-1), [
+        (a, lambda g: g[..., :split]),
+        (b, lambda g: g[..., split:]),
     ])
 
 
 def concat_rows(*parts: Tensor) -> Tensor:
-    """Stack matrices of one width, in order; a single part comes back as is."""
-    if (not parts or any(p.data.ndim != 2 for p in parts)
-            or len({p.shape[1] for p in parts}) != 1):
+    """Stack matrices of one width (each stacked alike), in order; a single
+    part comes back as is."""
+    if (not parts or any(p.data.ndim < 2 for p in parts)
+            or len({p.shape[:-2] + p.shape[-1:] for p in parts}) != 1):
         raise DimensionError(f"concat_rows: shapes {[p.shape for p in parts]} do not stack")
     if len(parts) == 1:
         return parts[0]
     edges, start = [], 0
     for p in parts:
-        stop = start + p.shape[0]
-        edges.append((p, lambda g, start=start, stop=stop: g[start:stop]))
+        stop = start + p.shape[-2]
+        edges.append((p, lambda g, start=start, stop=stop: g[..., start:stop, :]))
         start = stop
-    return _record(_tape_of(*parts), np.concatenate([p.data for p in parts], axis=0),
+    return _record(_tape_of(*parts), np.concatenate([p.data for p in parts], axis=-2),
                    edges)
 
 
 def slice_rows(t: Tensor, rows: slice) -> Tensor:
-    """Rows ``rows.start:rows.stop`` of a matrix; the slice must lie inside it."""
+    """Rows ``rows.start:rows.stop`` of a matrix (of each stacked one); the
+    slice must lie inside it."""
     start, stop, step = rows.start, rows.stop, rows.step
-    if (t.data.ndim != 2 or step not in (None, 1) or not isinstance(start, int)
-            or not isinstance(stop, int) or not 0 <= start <= stop <= t.shape[0]):
+    if (t.data.ndim < 2 or step not in (None, 1) or not isinstance(start, int)
+            or not isinstance(stop, int) or not 0 <= start <= stop <= t.shape[-2]):
         raise DimensionError(f"slice_rows: {rows} does not select rows of shape {t.shape}")
     shape = t.shape
 
     def vjp(g: Array) -> Array:
         out = np.zeros(shape)
-        out[start:stop] = g
+        out[..., start:stop, :] = g
         return out
 
-    return _record(_tape_of(t), t.data[start:stop], [(t, vjp)])
+    return _record(_tape_of(t), t.data[..., start:stop, :], [(t, vjp)])
+
+
+def _scatter(shape: tuple[int, ...], k: Optional[int], g: Array) -> Array:
+    # The gradient of t[k] (of t itself for k None) as one of t's shape.
+    if k is None:
+        return g
+    out = np.zeros(shape)
+    out[k] = g
+    return out
+
+
+def index(t: Tensor, k: int) -> Tensor:
+    """Copy k of a stacked tensor: ``t[k]`` along the leading axis."""
+    if t.data.ndim < 1 or not -t.shape[0] <= k < t.shape[0]:
+        raise DimensionError(f"index: {k} does not select a copy of shape {t.shape}")
+    shape = t.shape
+    return _record(_tape_of(t), t.data[k], [(t, lambda g: _scatter(shape, k, g))])
+
+
+def combine(parts: list) -> Tensor:
+    """The scalar sum of w * t[k] over (t, k, w) parts, w * t for k None,
+    added in the parts' order: one node for a weighted sum of scalars read
+    off stacked tensors, with each float operation of the chain of
+    ``index``, ``mul`` and ``add`` nodes it replaces."""
+    total = None
+    for t, k, w in parts:
+        value = (t.data if k is None else t.data[k]) * w
+        if np.ndim(value) != 0:
+            raise DimensionError(f"combine: part {k} of shape {t.shape} is not a scalar")
+        total = value if total is None else total + value
+    return _record(_tape_of(*(t for t, _, _ in parts)), total, [
+        (t, lambda g, shape=t.shape, k=k, w=w: _scatter(shape, k, g * w))
+        for t, k, w in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -441,29 +507,34 @@ def l2_norm_sq(t: Tensor, axis: Optional[int] = None) -> Tensor:
 def xlogy_rows(a: Tensor, p: Tensor, row_weights: Array) -> Tensor:
     """sum_i w_i sum_k a_ik log(max(p_ik, LOG_FLOOR)): an NLL for one-hot a, an
     entropy for a = p (``a`` may be ``p``), a KL as a difference of two. Its
-    vjps are ``w log p`` and ``w a / p``, zero where the floor is active."""
-    if p.data.ndim != 2 or a.shape != p.shape or np.shape(row_weights) != p.shape[:1]:
+    vjps are ``w log p`` and ``w a / p``, zero where the floor is active.
+
+    A stacked (k, n, c) p gives k values; ``a`` is stacked alike or one
+    (n, c) matrix shared by the copies."""
+    if (p.data.ndim < 2 or a.shape not in (p.shape, p.shape[-2:])
+            or np.shape(row_weights) != p.shape[-2:-1]):
         raise DimensionError(f"xlogy_rows: shapes {a.shape}, {p.shape} and "
                              f"{np.shape(row_weights)} do not align")
     a_data, p_data, w = a.data, p.data, np.asarray(row_weights, dtype=np.float64)[:, None]
     clamped = np.maximum(p_data, LOG_FLOOR)
     log_p = np.log(clamped)
-    return _record(_tape_of(a, p), np.sum(np.sum(a_data * log_p, axis=1) * w[:, 0]), [
-        (a, lambda g: g * w * log_p),
-        (p, lambda g: g * w * a_data / clamped * (p_data > LOG_FLOOR)),
+    value = np.sum(np.sum(a_data * log_p, axis=-1) * w[:, 0], axis=-1)
+    return _record(_tape_of(a, p), value, [
+        (a, lambda g: _unstack(a_data.ndim, g[..., None, None] * w * log_p)),
+        (p, lambda g: g[..., None, None] * w * a_data / clamped * (p_data > LOG_FLOOR)),
     ])
 
 
 def softmax_rows(logits: Tensor) -> Tensor:
-    """Row-wise softmax with max-subtraction stabilization."""
-    if logits.data.ndim != 2:
+    """Row-wise softmax with max-subtraction stabilization (per stacked copy)."""
+    if logits.data.ndim < 2:
         raise DimensionError(f"softmax_rows: expected a matrix, got shape {logits.shape}")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g: Array) -> Array:
-        inner = (g * probs).sum(axis=1, keepdims=True)
+        inner = (g * probs).sum(axis=-1, keepdims=True)
         return probs * (g - inner)
 
     return _record(_tape_of(logits), probs, [(logits, vjp)])

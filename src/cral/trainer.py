@@ -224,7 +224,8 @@ def discriminator_accuracy(model: CralModel, datasets: list,
             x = np.concatenate([x, ds.unlabeled_x], axis=0)
         if x.shape[0] == 0:
             raise DataError(f"{ds.name}: nothing to score")
-        probs = 0.5 * (predict_domain(model, 1, x) + predict_domain(model, 2, x))
+        p1, p2 = predict_domain(model, None, x)
+        probs = 0.5 * (p1 + p2)
         hits += int(np.sum(np.argmax(probs, axis=1) == i))
         total += x.shape[0]
     return hits / total

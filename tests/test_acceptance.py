@@ -116,9 +116,9 @@ def test_primary_loss_bounds_hold_over_1000_draws():
         fp = ForwardPass(Tape(), model, batch, mode=mode, rng=mode_rng)
         l_d = disagreement_loss(fp).item()
         l_div = diversity_loss(fp, gamma).item()
-        l_e = entropy_loss(fp, b).item()
-        l_uvt = vat_loss(fp, b, labeled=False, weights=weights).item()
-        l_lvt = vat_loss(fp, b, labeled=True, weights=weights).item()
+        l_e = entropy_loss(fp).data[b - 1]
+        l_uvt = vat_loss(fp, labeled=False, weights=weights).data[b - 1]
+        l_lvt = vat_loss(fp, labeled=True, weights=weights).data[b - 1]
         p = predict_class(model, 1, 0, batch.labeled_x[0])
         q = predict_class(model, 2, m - 1, batch.labeled_x[0])
         kl = kl_divergence(Tensor(p), Tensor(q)).item()
@@ -155,9 +155,12 @@ def test_primary_vat_direction_beats_random_directions():
     for t in range(trials):
         i = t % 2
         x = rng.standard_normal((1, 6))
-        reference = Tensor(predict_class(model, 1, i, x))
-        r = vat_perturbation(model, 1, i, x, reference.data, epsilon=epsilon,
-                             xi=1e-6, directions=rng.standard_normal(x.shape))
+        clean = predict_class(model, None, i, x)
+        reference = Tensor(clean[0])
+        # Branch 1's probe; branch 2 probes along the same direction draw.
+        directions = np.broadcast_to(rng.standard_normal(x.shape), (2,) + x.shape)
+        r = vat_perturbation(model, i, x, clean, epsilon=epsilon, xi=1e-6,
+                             directions=directions)[0]
         kl_vat = kl_divergence(
             reference, Tensor(predict_class(model, 1, i, x + r))).item()
         random_kls = []
@@ -181,9 +184,9 @@ def test_primary_vat_zero_radius_is_exactly_zero():
         [rng.standard_normal((3, 6)) for _ in range(2)])
     weights = LossWeights(vat_epsilon=0.0)
     for labeled in (False, True):
-        value = vat_loss(ForwardPass(Tape(), model, batch, rng=rng), 1,
-                         labeled=labeled, weights=weights).item()
-        assert value == 0.0
+        value = vat_loss(ForwardPass(Tape(), model, batch, rng=rng),
+                         labeled=labeled, weights=weights).data
+        assert list(value) == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,30 @@ class TestSparseFormat:
         save_sparse_dataset(path, dataset)
         return load_sparse_dataset(path, dataset.feature_dim, name=dataset.name)
 
+    def test_failed_save_leaves_previous_file_and_no_temporary(self, tmp_path, monkeypatch):
+        import cral.data
+
+        rng = np.random.default_rng(8)
+        path = tmp_path / "domain.txt"
+        save_sparse_dataset(path, DomainDataset("a", rng.standard_normal((4, 3)),
+                                                np.array([0, 1, 0, 1]), np.zeros((2, 3))))
+        before = path.read_bytes()
+        rows, format_line = [], cral.data._format_line
+
+        def failing(label, row):
+            rows.append(row)
+            if len(rows) == 3:
+                raise ValueError("row 3 cannot be written")
+            return format_line(label, row)
+
+        monkeypatch.setattr(cral.data, "_format_line", failing)
+        with pytest.raises(ValueError, match="row 3"):
+            save_sparse_dataset(path, DomainDataset("b", rng.standard_normal((5, 3)),
+                                                    np.zeros(5, dtype=int), np.zeros((0, 3))))
+        assert len(rows) == 3  # two rows were written before the raise
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["domain.txt"]
+
     def test_documented_examples(self, tmp_path):
         path = tmp_path / "doc.txt"
         path.write_text("1 3:0.5 10:2\n? 0:1\n")

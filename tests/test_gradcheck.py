@@ -20,7 +20,7 @@ def test_toy_setup_shapes():
 
 def test_every_term_is_checked():
     model, batch = toy_setup(seed=0)
-    names = [name for name, _ in build_terms(model, batch)]
+    names = [name for name, _, _ in build_terms(model, batch)]
     assert names == [
         "l_c_b1", "l_adv_b1", "l_e_b1", "l_uvt_b1", "l_lvt_b1",
         "l_c_b2", "l_adv_b2", "l_e_b2", "l_uvt_b2", "l_lvt_b2",
@@ -30,10 +30,10 @@ def test_every_term_is_checked():
 
 def test_each_term_checks_the_parameters_on_its_tape():
     model, batch = toy_setup(seed=0)
-    builders = dict(build_terms(model, batch))
-    branch = model.branch(1)
-    size = sum(p.value.size for p in branch.shared.params() + branch.discriminator.params())
-    assert check_term(builders["l_adv_b1"])["checked"] == size
+    builders = {name: (builder, b) for name, builder, b in build_terms(model, batch)}
+    # Branch 1's arrays of the stacked shared extractor and discriminator.
+    size = sum(p.value[0].size for p in model.shared.params() + model.discriminator.params())
+    assert check_term(*builders["l_adv_b1"])["checked"] == size
 
 
 def test_suite_matches_central_differences():

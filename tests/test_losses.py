@@ -22,6 +22,7 @@ from cral.losses import (
     diversity_loss,
     entropy_loss,
     kl_divergence,
+    probe_directions,
     total_objective,
     vat_loss,
     vat_perturbation,
@@ -62,15 +63,25 @@ def emptied(batch, split, i):
     return MultiDomainBatch(labeled_x, labeled_y, unlabeled_x)
 
 
-def rig_constant_output(mlp, bias):
-    """Zero the final layer's weights and pin its bias, fixing the output."""
-    mlp.layers[-1].weight.value = np.zeros_like(mlp.layers[-1].weight.value)
-    mlp.layers[-1].bias.value = np.asarray(bias, dtype=np.float64)
+def rig_constant_output(mlp, bias, branches=(1, 2)):
+    """Zero the final layer's weights and pin its bias, fixing the output of
+    the given branches."""
+    for b in branches:
+        mlp.layers[-1].weight.value[b - 1] = 0.0
+        mlp.layers[-1].bias.value[b - 1] = bias
 
 
 def copy_branch1_to_branch2(model):
-    for p1, p2 in zip(model.branches[0].params(), model.branches[1].params()):
-        p2.value = p1.value.copy()
+    for p in model.params():
+        p.value[1] = p.value[0]
+
+
+def swapped_branches(model):
+    """A new model holding branch 2's arrays as branch 1's and the reverse."""
+    swapped = init_model(model.config, 0)
+    swapped.load_state_dict({f"branch{3 - int(name[6])}{name[7:]}": value
+                             for name, value in model.state_dict().items()})
+    return swapped
 
 
 class TestBatchValidation:
@@ -118,16 +129,15 @@ class TestClassification:
 
     def test_uniform_predictions_sum_m_ln2(self):
         model = toy_model(m=4)
-        for branch in model.branches:
-            rig_constant_output(branch.classifier, np.zeros(2))
+        rig_constant_output(model.classifier, np.zeros(2))
         batch = toy_batch(m=4)
-        got = classification_loss(ForwardPass(tt.Tape(), model, batch), 1).item()
+        got = classification_loss(ForwardPass(tt.Tape(), model, batch)).data[0]
         assert got == pytest.approx(4.0 * math.log(2.0), rel=1e-12)
 
     def test_matches_numpy_recomputation(self):
         model = toy_model(1)
         batch = toy_batch(1)
-        got = classification_loss(ForwardPass(tt.Tape(), model, batch), 2).item()
+        got = classification_loss(ForwardPass(tt.Tape(), model, batch)).data[1]
         want = 0.0
         for i in range(2):
             probs = predict_class(model, 2, i, batch.labeled_x[i])
@@ -139,7 +149,7 @@ class TestClassification:
         model = toy_model()
         batch = emptied(toy_batch(), "labeled", 1)
         with pytest.raises(ContractError, match="domain 1"):
-            classification_loss(ForwardPass(tt.Tape(), model, batch), 1)
+            classification_loss(ForwardPass(tt.Tape(), model, batch))
 
 
 class TestAdversarial:
@@ -151,9 +161,9 @@ class TestAdversarial:
 
     def test_uniform_discriminator_m_ln_m(self):
         model = toy_model(m=4)
-        rig_constant_output(model.branch(1).discriminator, np.zeros(4))
+        rig_constant_output(model.discriminator, np.zeros(4), branches=(1,))
         batch = toy_batch(m=4)
-        got = adversarial_loss(ForwardPass(tt.Tape(), model, batch), 1).item()
+        got = adversarial_loss(ForwardPass(tt.Tape(), model, batch)).data[0]
         assert got == pytest.approx(4.0 * math.log(4.0), rel=1e-12)
 
     def test_exactly_correct_discriminator_zero(self):
@@ -168,23 +178,24 @@ class TestAdversarial:
             full.labeled_x, full.labeled_y,
             [np.zeros((0, 6)) for _ in range(2)],
         )
-        a = adversarial_loss(ForwardPass(tt.Tape(), model, full), 1).item()
-        b = adversarial_loss(ForwardPass(tt.Tape(), model, labeled_only), 1).item()
+        a = adversarial_loss(ForwardPass(tt.Tape(), model, full)).data[0]
+        b = adversarial_loss(ForwardPass(tt.Tape(), model, labeled_only)).data[0]
         assert a != b
 
 
 @pytest.fixture
 def shared_rows(monkeypatch):
-    """Rows passed to shared_features, through the losses' and the model's lookups."""
+    """Rows passed through each branch's shared extractor, through the losses'
+    and the model's lookups of shared_features."""
     import cral.losses
     import cral.model
 
     rows = []
     original = cral.model.shared_features
 
-    def counting(tape, model, b, x, *args, **kwargs):
-        rows.append(x.shape[0])
-        return original(tape, model, b, x, *args, **kwargs)
+    def counting(tape, model, masks, x, *args, **kwargs):
+        rows.append(2 * x.shape[-2])  # one stacked call runs both branches
+        return original(tape, model, masks, x, *args, **kwargs)
 
     for module in (cral.losses, cral.model):
         monkeypatch.setattr(module, "shared_features", counting)
@@ -220,10 +231,10 @@ class TestForwardPass:
         batch = toy_batch(53)
         weights = LossWeights(lambda_uvt=0.0, lambda_lvt=0.0)
         fp = ForwardPass(tt.Tape(), model, batch)
-        before = adversarial_loss(ForwardPass(tt.Tape(), model, batch), 1).item()
+        before = adversarial_loss(ForwardPass(tt.Tape(), model, batch)).data[0]
         disc, _ = discriminator_objective(fp, weights)
         Adam(model.discriminator_params(), lr=0.1).step(tt.backward(disc))
-        after = adversarial_loss(ForwardPass(tt.Tape(), model, batch), 1).item()
+        after = adversarial_loss(ForwardPass(tt.Tape(), model, batch)).data[0]
         assert after != pytest.approx(before, rel=1e-6)
         got = total_objective(fp, weights)[1]["l_adv_b1"]
         assert got == pytest.approx(after, rel=1e-12)
@@ -234,7 +245,7 @@ class TestForwardPass:
         labeled_only = MultiDomainBatch(full.labeled_x, full.labeled_y,
                                         [np.zeros((0, 6)) for _ in range(2)])
         for batch in (full, labeled_only):
-            on_pass = adversarial_loss(ForwardPass(tt.Tape(), model, batch), 2).item()
+            on_pass = adversarial_loss(ForwardPass(tt.Tape(), model, batch)).data[1]
             own = 0.0
             for i in range(2):
                 x = np.concatenate([batch.labeled_x[i], batch.unlabeled_x[i]])
@@ -244,17 +255,15 @@ class TestForwardPass:
     def test_adversarial_term_runs_only_its_shared_extractor_and_discriminator(self):
         model = toy_model(44)
         fp = ForwardPass(tt.Tape(), model, toy_batch(44))
-        adversarial_loss(fp, 1)
-        branch = model.branch(1)
-        assert fp.tape.bound() == branch.shared.params() + branch.discriminator.params()
+        adversarial_loss(fp)
+        assert fp.tape.bound() == model.shared.params() + model.discriminator.params()
 
     def test_diversity_term_runs_only_the_shared_extractors(self):
         model = toy_model(45)
         fp = ForwardPass(tt.Tape(), model, toy_batch(45), mode="train",
                          rng=np.random.default_rng(46))
         diversity_loss(fp, gamma=10.0)
-        first, second = model.branches
-        assert fp.tape.bound() == first.shared.params() + second.shared.params()
+        assert fp.tape.bound() == model.shared.params()
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ContractError, match="mode must be one of"):
@@ -291,23 +300,22 @@ class TestForwardPass:
         domain_rows = [batch.labeled_x[i].shape[0] + batch.unlabeled_x[i].shape[0]
                        for i in range(3)]
         assert [(i, r.stop - r.start) for i, r in fp.row_map] == list(enumerate(domain_rows))
+        stored = fp.masks  # each branch's masks, stacked
         for b in (1, 2):
-            branch = model.branch(b)
-            drawn = {"shared": draw_dropout_masks(branch.shared, n, replay),
-                     "specific": {i: draw_dropout_masks(branch.specific[i], rows, replay)
+            drawn = {"shared": draw_dropout_masks(model.shared, n, replay),
+                     "specific": {i: draw_dropout_masks(model.specific[i], rows, replay)
                                   for i, rows in enumerate(domain_rows)},
-                     "classifier": draw_dropout_masks(branch.classifier, n, replay)}
-            stored = fp.masks[b]
+                     "classifier": draw_dropout_masks(model.classifier, n, replay)}
             for part in ("shared", "classifier"):
                 assert len(stored[part]) == 1
-                np.testing.assert_array_equal(stored[part][0], drawn[part][0])
+                np.testing.assert_array_equal(stored[part][0][b - 1], drawn[part][0])
             for i in range(3):
                 assert len(stored["specific"][i]) == 1
-                np.testing.assert_array_equal(stored["specific"][i][0],
+                np.testing.assert_array_equal(stored["specific"][i][0][b - 1],
                                               drawn["specific"][i][0])
 
         def replay_discriminator_masks(b):
-            draw_dropout_masks(model.branch(b).discriminator, n, replay)
+            draw_dropout_masks(model.discriminator, n, replay)
 
         discriminator_objective(fp, weights)
         for b in (1, 2):
@@ -330,38 +338,40 @@ class TestForwardPass:
         lab, unl, y = batch.labeled_x, batch.unlabeled_x, batch.labeled_y
         fp = ForwardPass(tt.Tape(), model, batch)
 
-        def close(term, want):
-            assert term.item() == pytest.approx(want, rel=1e-12, abs=0.0)
+        def close(value, want):
+            assert value == pytest.approx(want, rel=1e-12, abs=0.0)
 
         def shared(b, x):
-            return shared_features(tt.Tape(), model, b, tt.Tensor(x)).data
+            return shared_features(tt.Tape(), model, None, tt.Tensor(x)).data[b - 1]
 
         for b in (1, 2):
-            close(classification_loss(fp, b), sum(
+            close(classification_loss(fp).data[b - 1], sum(
                 np.mean(-np.log((predict_class(model, b, i, lab[i]) * y[i]).sum(axis=1)))
                 for i in range(3)))
-            close(adversarial_loss(fp, b), sum(
+            close(adversarial_loss(fp).data[b - 1], sum(
                 np.mean(-np.log(predict_domain(model, b, np.concatenate([lab[i], unl[i]]))[:, i]))
                 for i in range(3)))
         gap = sum(np.mean(shared(1, lab[i]) - shared(2, lab[i]), axis=0) for i in range(3)) / 3
-        close(diversity_loss(fp, 10.0), min(float(np.sum(gap * gap)), 10.0))
-        needs_unlabeled = [lambda: entropy_loss(fp, 2), lambda: disagreement_loss(fp),
-                           lambda: vat_loss(fp, 1, labeled=False, weights=LossWeights())]
+        close(diversity_loss(fp, 10.0).item(), min(float(np.sum(gap * gap)), 10.0))
+        needs_unlabeled = [lambda: entropy_loss(fp), lambda: disagreement_loss(fp),
+                           lambda: vat_loss(fp, labeled=False, weights=LossWeights())]
         if empty_split:
             for term in needs_unlabeled:
                 with pytest.raises(ContractError, match="empty unlabeled batch for domain 1"):
                     term()
             return
         p = {b: [predict_class(model, b, i, unl[i]) for i in range(3)] for b in (1, 2)}
-        close(entropy_loss(fp, 2), sum(np.mean(-np.sum(q * np.log(q), axis=1)) for q in p[2]))
-        close(disagreement_loss(fp), sum(np.mean(np.sum(np.abs(p1 - p2), axis=1))
+        close(entropy_loss(fp).data[1],
+              sum(np.mean(-np.sum(q * np.log(q), axis=1)) for q in p[2]))
+        close(disagreement_loss(fp).item(), sum(np.mean(np.sum(np.abs(p1 - p2), axis=1))
                                          for p1, p2 in zip(p[1], p[2])))
 
     @pytest.mark.parametrize("lambda_uvt", [1.0, 0.0])
     def test_vat_terms_match_per_domain_probes(self, lambda_uvt):
-        # One probe and one perturbed pass per branch serve both VAT terms;
-        # per domain, they must give what a probe of that domain alone gives
-        # with that domain's rows of the branch's one direction draw.
+        # One probe and one perturbed pass, each over both branches, serve
+        # both VAT terms; per domain and branch, they must give what a probe
+        # of that domain alone gives with that domain's rows of the branch's
+        # one direction draw.
         model = init_model(ModelConfig(num_domains=3, input_dim=6, shared_dim=4,
                                        specific_dim=3, extractor_hidden=(5,)), 79)
         batch = toy_batch(79, m=3, n_labeled=2, n_unlabeled=3)
@@ -371,23 +381,24 @@ class TestForwardPass:
         terms = [(True, "labeled")]
         if lambda_uvt > 0.0:
             terms.insert(0, (False, "unlabeled"))
+        got = {labeled: vat_loss(fp, labeled=labeled, weights=weights).data
+               for labeled, _ in terms}
+        directions = np.stack([replay.standard_normal(batch.x.shape) for _ in (1, 2)])
         for b in (1, 2):
-            got = {labeled: vat_loss(fp, b, labeled=labeled, weights=weights).item()
-                   for labeled, _ in terms}
-            directions = replay.standard_normal(batch.x.shape)
             for labeled, split in terms:
                 want = 0.0
                 for i in range(3):
                     rows = batch.rows[i, split]
                     x = batch.x[rows]
-                    clean = predict_class(model, b, i, x)
-                    r = vat_perturbation(model, b, i, x, clean, epsilon=0.7, xi=weights.vat_xi,
-                                         directions=directions[rows])
-                    want += kl_divergence(tt.Tensor(clean),
-                                          tt.Tensor(predict_class(model, b, i, x + r))).item()
+                    clean = predict_class(model, None, i, x)
+                    r = vat_perturbation(model, i, x, clean, epsilon=0.7, xi=weights.vat_xi,
+                                         directions=directions[:, rows])
+                    want += kl_divergence(
+                        tt.Tensor(clean[b - 1]),
+                        tt.Tensor(predict_class(model, b, i, x + r[b - 1]))).item()
                 # The probe differentiates at x + xi d with xi = 1e-6, so r
                 # carries about ten significant digits.
-                assert got[labeled] == pytest.approx(want, rel=1e-6)
+                assert got[labeled][b - 1] == pytest.approx(want, rel=1e-6)
         assert fp.rng.bit_generator.state == replay.bit_generator.state
 
     def test_whole_step_runs_each_first_layer_once_per_pass(self, monkeypatch):
@@ -397,7 +408,7 @@ class TestForwardPass:
         original = cral.nn.linear
 
         def recording(x, w, b):
-            calls.append((x.tape or w.tape, w.data, x.shape[0]))
+            calls.append((x.tape or w.tape, w.data, x.shape[-2]))
             return original(x, w, b)
 
         class MarkedTape(tt.Tape):
@@ -411,23 +422,21 @@ class TestForwardPass:
         batch = toy_batch(89, m=3, n_labeled=2, n_unlabeled=3)
         # Adam packs the small parameters into its own array when it is built.
         opts = Adam(model.discriminator_params()), Adam(model.main_params())
-        firsts = [[mlp.layers[0].weight.value for mlp in (br.shared, *br.specific)]
-                  for br in model.branches]
+        firsts = [mlp.layers[0].weight.value for mlp in (model.shared, *model.specific)]
         config = TrainConfig(weights=LossWeights(lambda_d=0.5, lambda_div=0.1))
         train_step(model, batch, config, *opts, np.random.default_rng(97))
         # The discriminator phase runs no first layer, so marked tapes that
         # run one are the probes'.
         probes = {id(tape) for tape, data, _ in calls if isinstance(tape, MarkedTape)
-                  and any(data is w for weights in firsts for w in weights)}
-        assert len(probes) == 2  # one probe per branch serves both VAT terms
-        for weights in firsts:
-            for k, w in enumerate(weights):
-                uses = [(tape, n) for tape, data, n in calls if data is w]
-                main = [n for tape, n in uses if not isinstance(tape, MarkedTape)]
-                probe = [n for tape, n in uses if isinstance(tape, MarkedTape)]
-                # the clean pass and the one perturbed pass, each over all rows
-                assert main == [15, 15] if k == 0 else main == [5, 5]
-                assert probe == [15] if k == 0 else probe == [5]
+                  and any(data is w for w in firsts)}
+        assert len(probes) == 1  # one probe serves both branches and VAT terms
+        for k, w in enumerate(firsts):
+            uses = [(tape, n) for tape, data, n in calls if data is w]
+            main = [n for tape, n in uses if not isinstance(tape, MarkedTape)]
+            probe = [n for tape, n in uses if isinstance(tape, MarkedTape)]
+            # the clean pass and the one perturbed pass, each over all rows
+            assert main == [15, 15] if k == 0 else main == [5, 5]
+            assert probe == [15] if k == 0 else probe == [5]
 
     def test_row_weights_built_once_per_batch(self, monkeypatch):
         import cral.losses
@@ -459,7 +468,7 @@ class TestForwardPass:
         assert all(batch.row_weights(rows) is built[rows] for rows in ROW_SETS)
         # The passes' own reductions; each VAT probe runs on a tape of its own.
         got = [w for tape, w in reads if any(tape is fp.tape for fp in passes)]
-        assert len(got) == 2 * 2 * 12
+        assert len(got) == 2 * 2 * 7  # l_c, l_adv, l_e, l_uvt, l_lvt, l_d, l_div
         assert {id(w) for w in got} == {id(w) for w in built.values()}
         spans = {split: {i: batch.rows[i, split] for i in range(3)} for split in SPLITS}
         spans["combined"] = dict(batch.row_map)
@@ -474,9 +483,9 @@ class TestForwardPass:
         model = toy_model()
         batch = emptied(toy_batch(), "unlabeled", 1)
         fp = ForwardPass(tt.Tape(), model, batch)
-        assert classification_loss(fp, 1).item() > 0.0
+        assert classification_loss(fp).data[0] > 0.0
         with pytest.raises(ContractError, match="empty unlabeled batch for domain 1"):
-            entropy_loss(fp, 1)
+            entropy_loss(fp)
 
 
 class TestDisagreement:
@@ -491,10 +500,8 @@ class TestDisagreement:
         assert tt.sum(tt.l1_norm(diff, axis=1)).item() == pytest.approx(0.4)
 
     def test_branch_swap_symmetric(self):
-        from cral.model import CralModel
-
         model = toy_model(7)
-        swapped = CralModel(model.config, (model.branches[1], model.branches[0]))
+        swapped = swapped_branches(model)
         batch = toy_batch(7)
         a = disagreement_loss(ForwardPass(tt.Tape(), model, batch)).item()
         b = disagreement_loss(ForwardPass(tt.Tape(), swapped, batch)).item()
@@ -512,12 +519,10 @@ class TestDiversity:
         config = ModelConfig(num_domains=2, input_dim=2, shared_dim=2,
                              specific_dim=2, extractor_hidden=())
         model = init_model(config, seed=0)
-        s1 = model.branch(1).shared.layers[0]
-        s1.weight.value = np.eye(2)
-        s1.bias.value = np.zeros(2)
-        s2 = model.branch(2).shared.layers[0]
-        s2.weight.value = np.zeros((2, 2))
-        s2.bias.value = np.zeros(2)
+        layer = model.shared.layers[0]
+        layer.weight.value[0] = np.eye(2)
+        layer.weight.value[1] = np.zeros((2, 2))
+        layer.bias.value[:] = 0.0
         return model
 
     def batch_with_means(self, mean0, mean1):
@@ -550,37 +555,35 @@ class TestDiversity:
         loss = diversity_loss(ForwardPass(tape, model, batch), gamma=10.0)
         assert loss.item() == 10.0
         grads = tt.backward(loss)
-        w = model.branch(1).shared.layers[0].weight
-        np.testing.assert_array_equal(grads.wrt_key(w, w.value), 0.0)
+        w = model.shared.layers[0].weight
+        np.testing.assert_array_equal(grads.wrt_key(w, w.value)[0], 0.0)
 
     def test_below_clamp_nonzero_gradient(self):
         model = self.linear_shared_model()
         batch = self.batch_with_means([1.0, 0.0], [0.0, 1.0])
         tape = tt.Tape()
         grads = tt.backward(diversity_loss(ForwardPass(tape, model, batch), gamma=10.0))
-        w = model.branch(1).shared.layers[0].weight
-        assert np.any(grads.wrt_key(w, w.value) != 0.0)
+        w = model.shared.layers[0].weight
+        assert np.any(grads.wrt_key(w, w.value)[0] != 0.0)
 
 
 class TestEntropy:
     def test_one_hot_zero(self):
         model = toy_model()
-        for branch in model.branches:
-            rig_constant_output(branch.classifier, [50.0, -50.0])
-        got = entropy_loss(ForwardPass(tt.Tape(), model, toy_batch()), 1).item()
+        rig_constant_output(model.classifier, [50.0, -50.0])
+        got = entropy_loss(ForwardPass(tt.Tape(), model, toy_batch())).data[0]
         assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_ln2_per_domain(self):
         model = toy_model(m=4)
-        rig_constant_output(model.branch(1).classifier, np.zeros(2))
-        got = entropy_loss(ForwardPass(tt.Tape(), model, toy_batch(m=4)), 1).item()
+        rig_constant_output(model.classifier, np.zeros(2), branches=(1,))
+        got = entropy_loss(ForwardPass(tt.Tape(), model, toy_batch(m=4))).data[0]
         assert got == pytest.approx(4.0 * math.log(2.0), rel=1e-12)
 
     def test_frozen_skewed_value(self):
         model = toy_model()
-        rig_constant_output(model.branch(1).classifier,
-                            [math.log(0.9), math.log(0.1)])
-        got = entropy_loss(ForwardPass(tt.Tape(), model, toy_batch()), 1).item()
+        rig_constant_output(model.classifier, [math.log(0.9), math.log(0.1)], branches=(1,))
+        got = entropy_loss(ForwardPass(tt.Tape(), model, toy_batch())).data[0]
         # Two domains, each -(0.9 ln 0.9 + 0.1 ln 0.1) = 0.32508297...
         assert got == pytest.approx(2 * 0.3250829733914482, rel=1e-9)
 
@@ -622,37 +625,41 @@ class TestVat:
     def test_epsilon_zero_gives_zero_perturbation_and_loss(self):
         model = toy_model()
         x = np.random.default_rng(1).standard_normal((3, 6))
-        r = vat_perturbation(model, 1, 0, x, predict_class(model, 1, 0, x),
+        r = vat_perturbation(model, 0, x, predict_class(model, None, 0, x),
                              epsilon=0.0, xi=1e-6,
-                             directions=np.random.default_rng(2).standard_normal(x.shape))
+                             directions=np.random.default_rng(2).standard_normal((2, 3, 6)))
         np.testing.assert_array_equal(r, 0.0)
         weights = LossWeights(vat_epsilon=0.0)
         fp = ForwardPass(tt.Tape(), model, toy_batch(), rng=np.random.default_rng(3))
-        got = vat_loss(fp, 1, labeled=False, weights=weights).item()
-        assert got == 0.0
+        got = vat_loss(fp, labeled=False, weights=weights).data
+        assert list(got) == [0.0, 0.0]
 
     def test_eval_pass_without_rng_named_by_the_vat_term(self):
         model = toy_model(71)
         fp = ForwardPass(tt.Tape(), model, toy_batch(71))
-        for b, labeled, name in ((1, False, "l_uvt_b1"), (2, True, "l_lvt_b2")):
+        # Branch 1 draws first, so a VAT term without an rng is named by it.
+        for labeled, name in ((False, "l_uvt_b1"), (True, "l_lvt_b1")):
             split = "labeled" if labeled else "unlabeled"
             with pytest.raises(ContractError, match=f"{name}: the {split} VAT term "
-                               f"of branch {b} .*needs an rng"):
-                vat_loss(fp, b, labeled=labeled, weights=LossWeights())
+                               "of branch 1 .*needs an rng"):
+                vat_loss(fp, labeled=labeled, weights=LossWeights())
+        with pytest.raises(ContractError, match="l_lvt_b2: the labeled VAT term "
+                           "of branch 2 .*needs an rng"):
+            probe_directions(fp, 2, labeled=True)
         with pytest.raises(ContractError, match="l_uvt_b1: .*needs an rng"):
             total_objective(fp, LossWeights())
         zero = LossWeights(vat_epsilon=0.0)
-        assert vat_loss(fp, 1, labeled=True, weights=zero).item() == 0.0
+        assert list(vat_loss(fp, labeled=True, weights=zero).data) == [0.0, 0.0]
         assert np.isfinite(total_objective(fp, zero)[0].item())
 
     def test_perturbation_norm_equals_epsilon(self):
         model = toy_model(11)
         x = np.random.default_rng(4).standard_normal((5, 6))
         for eps in (0.5, 1.0, 3.0):
-            r = vat_perturbation(model, 1, 1, x, predict_class(model, 1, 1, x),
+            r = vat_perturbation(model, 1, x, predict_class(model, None, 1, x),
                                  epsilon=eps, xi=1e-6,
-                                 directions=np.random.default_rng(5).standard_normal(x.shape))
-            np.testing.assert_allclose(np.linalg.norm(r, axis=1), eps, atol=1e-9)
+                                 directions=np.random.default_rng(5).standard_normal((2, 5, 6)))
+            np.testing.assert_allclose(np.linalg.norm(r, axis=-1), eps, atol=1e-9)
 
     def test_probe_backward_holds_the_probe_gradient_only(self, monkeypatch):
         formed = []  # (node id, shape) of every gradient the probe sweep forms
@@ -666,12 +673,12 @@ class TestVat:
         model = init_model(ModelConfig(num_domains=2, input_dim=6, shared_dim=4,
                                        specific_dim=3, extractor_hidden=(5,)), 67)
         x = np.random.default_rng(68).standard_normal((3, 6))
-        r = vat_perturbation(model, 2, 1, x, predict_class(model, 2, 1, x),
+        r = vat_perturbation(model, 1, x, predict_class(model, None, 1, x),
                              epsilon=1.0, xi=1e-6,
-                             directions=np.random.default_rng(69).standard_normal(x.shape))
-        assert np.all(np.linalg.norm(r, axis=1) > 0.0)
+                             directions=np.random.default_rng(69).standard_normal((2, 3, 6)))
+        assert np.all(np.linalg.norm(r, axis=-1) > 0.0)
         # One gradient, the probe's (the tape's first leaf): no weight product.
-        assert formed == [(0, x.shape)]
+        assert formed == [(0, (2,) + x.shape)]
 
     def test_loss_nonnegative_and_seed_deterministic(self):
         model = toy_model(13)
@@ -679,7 +686,7 @@ class TestVat:
         vals = [
             vat_loss(ForwardPass(tt.Tape(), model, batch, mode="train",
                                  rng=np.random.default_rng(6)),
-                     2, labeled=True, weights=LossWeights()).item()
+                     labeled=True, weights=LossWeights()).data[1]
             for _ in range(2)
         ]
         assert vals[0] == vals[1]
@@ -688,23 +695,23 @@ class TestVat:
     def test_outer_gradient_matches_fd_with_frozen_r(self):
         model = toy_model(17)
         x = np.random.default_rng(7).standard_normal((2, 6))
-        p_ref = predict_class(model, 1, 0, x)
-        r = vat_perturbation(model, 1, 0, x, p_ref, epsilon=1.0, xi=1e-6,
-                             directions=np.random.default_rng(8).standard_normal(x.shape))
-        clf_params = model.branch(1).classifier.params()
+        p_ref = predict_class(model, None, 0, x)
+        r = vat_perturbation(model, 0, x, p_ref, epsilon=1.0, xi=1e-6,
+                             directions=np.random.default_rng(8).standard_normal((2, 2, 6)))
+        clf_params = model.classifier.params()
         arrays = [p.value for p in clf_params]
 
         def f(arrs):
             for p, a in zip(clf_params, arrs):
                 p.value = a
             tape = tt.Tape()
-            q = class_probs(tape, model, 1, 0, tt.Tensor(x + r))
-            return kl_divergence(tt.Tensor(p_ref), q).item()
+            q = class_probs(tape, model, 0, tt.Tensor(x + r))
+            return tt.sum(kl_divergence(tt.Tensor(p_ref), q)).item()
 
         tape = tt.Tape()
-        clean = class_probs(tape, model, 1, 0, tt.Tensor(x))
-        q = class_probs(tape, model, 1, 0, tt.Tensor(x + r))
-        grads = tt.backward(kl_divergence(tt.stop_gradient(clean), q))
+        clean = class_probs(tape, model, 0, tt.Tensor(x))
+        q = class_probs(tape, model, 0, tt.Tensor(x + r))
+        grads = tt.backward(tt.sum(kl_divergence(tt.stop_gradient(clean), q)))
         for k, p in enumerate(clf_params):
             analytic = grads.wrt_key(p, p.value)
             numeric = fd_grad(f, arrays, k)
@@ -724,8 +731,8 @@ class TestTotalObjective:
         fp = ForwardPass(tt.Tape(), model, batch)
         main, bd = total_objective(fp, self.zero_weights())
         disc, _ = discriminator_objective(fp, self.zero_weights())
-        want = (classification_loss(ForwardPass(tt.Tape(), model, batch), 1).item()
-                + classification_loss(ForwardPass(tt.Tape(), model, batch), 2).item())
+        l_c = classification_loss(ForwardPass(tt.Tape(), model, batch)).data
+        want = l_c[0] + l_c[1]
         assert main.item() == pytest.approx(want, rel=1e-12)
         assert disc.item() == 0.0
         for key in ("l_adv_b1", "l_e_b2", "l_uvt_b1", "l_lvt_b2", "l_d", "l_div"):
@@ -763,18 +770,17 @@ class TestTotalObjective:
         disc, _ = discriminator_objective(fp, weights)
         g_main = tt.backward(main)
         g_disc = tt.backward(disc)
-        g_cls = tt.backward(tt.add(classification_loss(fp, 1), classification_loss(fp, 2)))
-        g_adv = tt.backward(tt.add(adversarial_loss(fp, 1), adversarial_loss(fp, 2)))
+        g_cls = tt.backward(tt.sum(classification_loss(fp)))
+        g_adv = tt.backward(tt.sum(adversarial_loss(fp)))
         for p in model.discriminator_params():
             combined = g_main.wrt_key(p, p.value) + g_disc.wrt_key(p, p.value)
             np.testing.assert_allclose(combined, 0.0, atol=1e-12)
             assert np.any(g_disc.wrt_key(p, p.value) != 0.0)
-        for b in (1, 2):
-            for p in model.branch(b).shared.params():
-                np.testing.assert_array_equal(g_disc.wrt_key(p, p.value), 0.0)
-                np.testing.assert_allclose(
-                    g_main.wrt_key(p, p.value),
-                    g_cls.wrt_key(p, p.value) - g_adv.wrt_key(p, p.value), atol=1e-12)
+        for p in model.shared.params():  # both branches' arrays
+            np.testing.assert_array_equal(g_disc.wrt_key(p, p.value), 0.0)
+            np.testing.assert_allclose(
+                g_main.wrt_key(p, p.value),
+                g_cls.wrt_key(p, p.value) - g_adv.wrt_key(p, p.value), atol=1e-12)
 
     def test_disabled_terms_report_zero(self):
         model = toy_model(37)
@@ -818,9 +824,9 @@ class TestBounds:
             fp = ForwardPass(tape, model, batch)
             l_d = disagreement_loss(fp).item()
             l_div = diversity_loss(fp, weights.gamma).item()
-            l_e = entropy_loss(fp, 1).item()
-            l_c = classification_loss(fp, 1).item()
-            l_adv = adversarial_loss(fp, 2).item()
+            l_e = entropy_loss(fp).data[0]
+            l_c = classification_loss(fp).data[0]
+            l_adv = adversarial_loss(fp).data[1]
             assert 0.0 <= l_d <= 2.0 * m
             assert 0.0 <= l_div <= weights.gamma
             assert 0.0 <= l_e <= m * math.log(2.0) + 1e-12

@@ -1,6 +1,7 @@
 """Architecture wiring, prediction API, and snapshot round-trip tests."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -27,18 +28,25 @@ def small_model(seed=0):
     return init_model(SMALL, seed)
 
 
+def swapped_branches(model):
+    """A new model holding branch 2's arrays as branch 1's and the reverse."""
+    swapped = init_model(model.config, 0)
+    swapped.load_state_dict({f"branch{3 - int(name[6])}{name[7:]}": value
+                             for name, value in model.state_dict().items()})
+    return swapped
+
+
 class TestConstruction:
     def test_default_widths(self):
         config = ModelConfig(num_domains=2, input_dim=20)
         model = init_model(config, seed=1)
-        branch = model.branch(1)
-        assert branch.shared.spec.output_dim == 128
-        assert branch.specific[0].spec.output_dim == 64
-        assert branch.classifier.spec.input_dim == 192
-        assert branch.classifier.spec.hidden_dims == (192,)
-        assert branch.discriminator.spec.input_dim == 128
-        assert branch.discriminator.spec.hidden_dims == (128,)
-        assert branch.discriminator.spec.output_dim == 2
+        assert model.shared.spec.output_dim == 128
+        assert model.specific[0].spec.output_dim == 64
+        assert model.classifier.spec.input_dim == 192
+        assert model.classifier.spec.hidden_dims == (192,)
+        assert model.discriminator.spec.input_dim == 128
+        assert model.discriminator.spec.hidden_dims == (128,)
+        assert model.discriminator.spec.output_dim == 2
 
     def test_too_few_domains_rejected(self):
         with pytest.raises(SpecError):
@@ -53,14 +61,14 @@ class TestConstruction:
 
     def test_invalid_branch(self):
         with pytest.raises(ContractError):
-            small_model().branch(3)
+            predict_class(small_model(), 3, 0, np.zeros((1, 10)))
 
     def test_param_partition(self):
         model = small_model()
-        main = {p.name for p in model.main_params()}
-        disc = {p.name for p in model.discriminator_params()}
+        main = {name for p in model.main_params() for name in p.part_names()}
+        disc = {name for p in model.discriminator_params() for name in p.part_names()}
         assert main.isdisjoint(disc)
-        assert main | disc == {p.name for p in model.params()}
+        assert main | disc == set(model.state_dict())
         assert all(name.split("/")[1] == "disc" for name in disc)
 
     def test_init_deterministic(self):
@@ -119,10 +127,9 @@ class TestMsuda:
         model = small_model()
         x = np.random.default_rng(5).standard_normal((7, 10))
         before = predict_class(model, 1, None, x, msuda=True)
-        for branch in model.branches:
-            for mlp in branch.specific:
-                for p in mlp.params():
-                    p.value = p.value + 1.0
+        for mlp in model.specific:
+            for p in mlp.params():
+                p.value = p.value + 1.0
         after = predict_class(model, 1, None, x, msuda=True)
         np.testing.assert_array_equal(before, after)
 
@@ -144,16 +151,16 @@ class TestEnsemble:
 
     def test_identical_branches_idempotent(self):
         model = small_model()
-        # Copy branch-1 values onto branch-2 (parameter lists align by build order).
-        for p1, p2 in zip(model.branches[0].params(), model.branches[1].params()):
-            p2.value = p1.value.copy()
+        # Copy branch-1 values onto branch-2.
+        for p in model.params():
+            p.value[1] = p.value[0]
         x = np.random.default_rng(7).standard_normal((4, 10))
         np.testing.assert_allclose(predict_ensemble(model, x, i=1),
                                    predict_class(model, 1, 1, x), atol=1e-12)
 
     def test_argmax_invariant_under_branch_swap(self):
         model = small_model(13)
-        swapped = CralModel(model.config, (model.branches[1], model.branches[0]))
+        swapped = swapped_branches(model)
         x = np.random.default_rng(8).standard_normal((50, 10))
         np.testing.assert_array_equal(
             predicted_labels(predict_ensemble(model, x, i=0)),
@@ -171,6 +178,26 @@ class TestSnapshot:
         x = np.random.default_rng(9).standard_normal((5, 10))
         np.testing.assert_array_equal(predict_ensemble(loaded, x, i=3),
                                       predict_ensemble(model, x, i=3))
+
+    def test_checkpoint_bytes_and_predictions_match_per_branch_storage(self, tmp_path):
+        # sha256 digests taken when each branch's arrays were parameters of
+        # their own: stacking changed neither the file nor the predictions.
+        config = ModelConfig(num_domains=3, input_dim=7, shared_dim=4, specific_dim=3,
+                             extractor_hidden=(6, 5), dropout_rate=0.3)
+        model = init_model(config, 11)
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "a0b5b1dcd1116f4130a1402caa4fd54ad0e016bce552cb70303a63e6c059d662")
+        loaded = CralModel.load(path)
+        x = np.random.default_rng(12).standard_normal((5, 7))
+        for m in (model, loaded):
+            digest = hashlib.sha256()
+            for b in (1, 2):
+                for i in (0, 1, 2, None):
+                    digest.update(predict_class(m, b, i, x, msuda=i is None).tobytes())
+            assert digest.hexdigest() == (
+                "7a3f1386f4dd8334bf714dff401e3ac60375fa38ac951c17d72156fa8b30ebaa")
 
     def test_load_checks_metadata_keys(self, tmp_path):
         model = small_model(3)
@@ -242,7 +269,7 @@ class TestSnapshot:
 
     def test_loaded_model_shares_no_array_with_its_source(self):
         class Ones:
-            def wrt_key(self, key, like, out=None):
+            def wrt_key(self, key, like, out=None, part=None):
                 if out is None:
                     return np.ones_like(like)
                 out.fill(1.0)
@@ -260,7 +287,7 @@ class TestSnapshot:
         source, model = small_model(1), small_model(2)
         before = {name: value.copy() for name, value in model.state_dict().items()}
         state = source.state_dict()
-        last = model.params()[-1].name
+        last = model.params()[-1].part_names()[-1]
         state[last] = np.zeros(state[last].size + 1)
         with pytest.raises(ContractError, match=f"shape mismatch for {last}"):
             model.load_state_dict(state)

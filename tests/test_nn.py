@@ -154,9 +154,9 @@ def efficient_step(m, v, t, lr):
 class TestAdam:
     def make_grads(self, mapping):
         class Stub:
-            def wrt_key(self, key, like, out=None):
+            def wrt_key(self, key, like, out=None, part=None):
                 g = mapping.get(key)
-                g = np.zeros_like(like) if g is None else g
+                g = np.zeros_like(like) if g is None else g if part is None else g[part]
                 if out is None:
                     return g
                 np.copyto(out, g)
@@ -337,6 +337,33 @@ class TestAdam:
         for got, old in zip(state(), before):
             assert np.all(got[:ADAM_CHUNK] != old[:ADAM_CHUNK])
             np.testing.assert_array_equal(got[ADAM_CHUNK:], old[ADAM_CHUNK:])
+
+    def test_non_finite_in_a_packed_stacked_parameter_names_its_branch(self):
+        params = [Parameter("disc/layer0/bias", np.ones((2, 3)), stacked=True),
+                  Parameter("clf/layer0/weight", np.ones((2, 4, 3)), stacked=True)]
+        grads = {p: np.full(p.value.shape, 0.5) for p in params}
+        grads[params[1]][1, 2, 0] = np.nan
+        opt = Adam(params)
+        with pytest.raises(TrainingError, match="parameter branch2/clf/layer0/weight$"):
+            opt.step(self.make_grads(grads))
+        for p in params:  # one block, not written
+            np.testing.assert_array_equal(p.value, 1.0)
+
+    def test_large_stacked_parameter_is_updated_one_branch_at_a_time(self):
+        # 3 x ADAM_CHUNK elements: each branch's array is one and a half
+        # blocks, formed into a buffer of that size.
+        p = Parameter("shared/layer0/weight", np.ones((2, 3, ADAM_CHUNK // 2)), stacked=True)
+        g = np.full(p.value.shape, 0.5)
+        opt = Adam([p])
+        assert opt._grad.size == p.value[0].size
+        opt.step(self.make_grads({p: g}))
+        value, m, v = p.value.copy(), np.full(g.shape, 0.1 * 0.5), np.full(g.shape, 0.001 * 0.25)
+        np.testing.assert_array_equal(value, 1.0 - efficient_step(m, v, 1, lr=1e-4))
+        g[1, 1, 0] = np.nan  # in branch 2's first block
+        with pytest.raises(TrainingError, match="parameter branch2/shared/layer0/weight$"):
+            opt.step(self.make_grads({p: g}))
+        assert np.all(p.value[0] < value[0])  # branch 1 moved
+        np.testing.assert_array_equal(p.value[1], value[1])  # its bad block was not written
 
     def test_non_finite_in_one_block_names_its_parameter_and_writes_nothing(self):
         params = [Parameter(name, np.ones(shape)) for name, shape in

@@ -332,6 +332,152 @@ class TestStructuralOps:
             tt.slice_rows(tt.Tensor(np.zeros(shape)), rows)
 
 
+class TestStackedOps:
+    """Ops over a leading axis of two stacked copies (the model's branches),
+    anchored on finite differences and on each copy run alone."""
+
+    def stacked_linear_setup(self, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((4, 3)), rng.standard_normal((2, 4, 3)),
+                rng.standard_normal((2, 5, 3)), rng.standard_normal((2, 5)))
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared_input", "stacked_input"])
+    def test_linear_gradients_match_fd(self, shared):
+        # A shared (n, in) input, read by both copies, gets the sum of their
+        # input gradients; a stacked (2, n, in) leaf, the VAT probe's case,
+        # gets each copy's own.
+        x, xs, w, b = self.stacked_linear_setup(53)
+        x = x if shared else xs
+
+        def f(arrays):
+            tape = tt.Tape()
+            return tt.l2_norm_sq(tt.linear(*(tape.leaf(a) for a in arrays))).item()
+
+        tape = tt.Tape()
+        tx, tw, tb = tape.leaf(x), tape.leaf(w), tape.leaf(b)
+        out = tt.linear(tx, tw, tb)
+        for k in range(2):
+            alone = tt.linear(tt.Tensor(x if shared else x[k]), tt.Tensor(w[k]),
+                              tt.Tensor(b[k]))
+            np.testing.assert_array_equal(out.data[k], alone.data)
+        grads = tt.backward(tt.l2_norm_sq(out))
+        assert grads.wrt(tx).shape == x.shape
+        for k, leaf in enumerate((tx, tw, tb)):
+            assert rel_err(grads.wrt(leaf), fd_grad(f, [x, w, b], k)) < 1e-6
+        assert grads.wrt(tw).flags.c_contiguous
+
+    def test_weight_read_by_shared_and_stacked_inputs_is_one_product(self, monkeypatch):
+        # The clean pass reads the shared rows, the perturbed pass each
+        # copy's own: one sweep, one product for the stacked weight.
+        x, xs, w, b = self.stacked_linear_setup(59)
+        key = object()
+
+        def loss(tape, arrays):
+            tw = tape.bind(key, arrays[0])
+            tb = tt.Tensor(b)
+            return tt.add(tt.l2_norm_sq(tt.linear(tt.Tensor(x), tw, tb)),
+                          tt.l2_norm_sq(tt.linear(tt.Tensor(xs), tw, tb)))
+
+        grads = tt.backward(loss(tt.Tape(), [w]))
+        products, matmul = [], np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *a, **k: products.append(a) or matmul(*a, **k))
+        out = np.empty_like(w)
+        got = grads.wrt_key(key, w, out=out)
+        monkeypatch.setattr(np, "matmul", matmul)
+        assert got is out and len(products) == 1
+        assert rel_err(got, fd_grad(lambda arrays: loss(tt.Tape(), arrays).item(), [w], 0)) < 1e-6
+        for k in range(2):  # one copy at a time gives that copy's bits
+            np.testing.assert_array_equal(grads.wrt_key(key, w[k], part=k), got[k])
+
+    @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+        ((3, 4, 3), (2, 5, 3), (2, 5)),  # three input copies for two weight copies
+        ((4, 3), (2, 5, 3), (5,)),       # an unstacked bias
+        ((2, 4, 3), (5, 3), (5,)),       # a stacked input for one weight
+    ])
+    def test_linear_rejects_misaligned_stacks(self, x_shape, w_shape, b_shape):
+        with pytest.raises(DimensionError, match="linear"):
+            tt.linear(tt.Tensor(np.zeros(x_shape)), tt.Tensor(np.zeros(w_shape)),
+                      tt.Tensor(np.zeros(b_shape)))
+
+    MASK = (np.random.default_rng(61).random((2, 3, 4)) >= 0.3) / 0.7
+    SHARED = np.random.default_rng(62).uniform(0.0, 1.0, (3, 4))
+    ROW_WEIGHTS = np.array([0.5, -1.0, 2.0])
+    OPS = {
+        "relu": tt.relu,
+        "dropout_mask": lambda t: tt.mul(t, tt.Tensor(TestStackedOps.MASK)),
+        "concat_cols": lambda t: tt.concat_cols(t, tt.relu(t)),
+        "concat_rows": lambda t: tt.concat_rows(tt.slice_rows(t, slice(2, 3)),
+                                                tt.slice_rows(t, slice(0, 2))),
+        "softmax_rows": tt.softmax_rows,
+        "xlogy_shared_a": lambda t: tt.xlogy_rows(
+            tt.Tensor(TestStackedOps.SHARED), tt.softmax_rows(t), TestStackedOps.ROW_WEIGHTS),
+        "xlogy_entropy": lambda t: (lambda p: tt.xlogy_rows(p, p, TestStackedOps.ROW_WEIGHTS))(
+            tt.softmax_rows(t)),
+        "l1_norm_rows": lambda t: tt.l1_norm(t, axis=-1),
+        "l2_norm_sq_cols": lambda t: tt.l2_norm_sq(t, axis=1),
+        "sum_rows": lambda t: tt.sum(t, axis=-2),
+        "index": lambda t: tt.index(t, 1),
+    }
+
+    @pytest.mark.parametrize("name", list(OPS))
+    def test_op_gradients_match_fd(self, name):
+        op = self.OPS[name]
+        rng = np.random.default_rng(67)
+        x = rng.standard_normal((2, 3, 4))
+        weights = rng.standard_normal(op(tt.Tensor(x)).shape)
+
+        def loss(leaf):
+            return tt.sum(tt.mul(op(leaf), tt.Tensor(weights)))
+
+        def f(arrays):
+            return loss(tt.Tape().leaf(arrays[0])).item()
+
+        tape = tt.Tape()
+        leaf = tape.leaf(x)
+        assert rel_err(tt.backward(loss(leaf)).wrt(leaf), fd_grad(f, [x], 0)) < 1e-6
+
+    @pytest.mark.parametrize("name", ["relu", "concat_cols", "concat_rows", "softmax_rows",
+                                      "xlogy_shared_a", "xlogy_entropy", "l1_norm_rows",
+                                      "sum_rows"])
+    def test_each_copy_matches_the_op_run_alone(self, name):
+        x = np.random.default_rng(71).standard_normal((2, 3, 4))
+        stacked = self.OPS[name](tt.Tensor(x)).data
+        for k in range(2):
+            np.testing.assert_array_equal(stacked[k], self.OPS[name](tt.Tensor(x[k])).data)
+
+    def test_combine_matches_its_chain_of_ops_bit_for_bit(self):
+        # The main objective's weighted sum, in order, of values read off
+        # stacked terms and of a scalar term.
+        rng = np.random.default_rng(73)
+        a, b, c = rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal(())
+        parts = [(0, 0, 1.0), (1, 0, -0.7), (0, 1, 1.0), (1, 1, -0.7), (2, None, 0.3)]
+
+        def run(chain):
+            tape = tt.Tape()
+            leaves = [tape.leaf(v) for v in (a, b, c)]
+            if chain:
+                loss = None
+                for t, k, w in parts:
+                    term = (leaves[t] if k is None else tt.index(leaves[t], k)) * w
+                    loss = term if loss is None else tt.add(loss, term)
+            else:
+                loss = tt.combine([(leaves[t], k, w) for t, k, w in parts])
+            grads = tt.backward(loss)
+            return loss.item(), [grads.wrt(leaf) for leaf in leaves]
+
+        (chained, want), (combined, got) = run(True), run(False)
+        assert combined == chained
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(got[1], [-0.7, -0.7])
+        with pytest.raises(DimensionError, match="combine"):
+            tt.combine([(tt.Tensor(a), None, 1.0)])
+
+    def test_index_rejects_a_missing_copy(self):
+        with pytest.raises(DimensionError, match="index"):
+            tt.index(tt.Tensor(np.zeros((2, 3))), 2)
+
+
 class TestBackward:
     def test_constant_branch_gets_zero(self):
         tape = tt.Tape()

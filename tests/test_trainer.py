@@ -164,7 +164,7 @@ class TestTrainStep:
 
     def test_non_finite_loss_aborts_with_term_name(self):
         model, config, batch = self.make(FAST_WEIGHTS)
-        model.branch(1).shared.layers[0].weight.value[:] = np.nan
+        model.shared.layers[0].weight.value[0] = np.nan
         with pytest.raises(TrainingError, match="non-finite loss term"):
             train_step(model, batch, config,
                        Adam(model.discriminator_params()),
@@ -173,7 +173,7 @@ class TestTrainStep:
 
     def test_run_training_error_names_iteration_and_epoch(self):
         model, config, _ = self.make(FAST_WEIGHTS)
-        model.branch(1).shared.layers[0].weight.value[:] = np.nan
+        model.shared.layers[0].weight.value[0] = np.nan
         with pytest.raises(TrainingError, match=r"^iteration 1 \(epoch 1\): "
                                                 "non-finite loss term") as info:
             run_training(model, toy_data(), config)
@@ -238,9 +238,8 @@ class TestTrainStep:
 class TestEvaluation:
     def rigged_model(self, bias):
         model = init_model(TOY_MODEL, 0)
-        for branch in model.branches:
-            branch.classifier.layers[-1].weight.value[:] = 0.0
-            branch.classifier.layers[-1].bias.value = np.asarray(bias, float)
+        model.classifier.layers[-1].weight.value[:] = 0.0  # both branches
+        model.classifier.layers[-1].bias.value[:] = bias
         return model
 
     def dataset(self, labels):
@@ -372,7 +371,7 @@ class TestRunTraining:
         monkeypatch.setattr(cral.model, "mlp_forward", recording)
         model = init_model(TOY_MODEL, 23)
         train_discriminator_only(model, toy_data(seed=23), TrainConfig(seed=23), steps=2)
-        allowed = [mlp for br in model.branches for mlp in (br.shared, br.discriminator)]
+        allowed = [model.shared, model.discriminator]  # each holds both branches
         assert ran and all(any(mlp is a for a in allowed) for mlp in ran)
         assert {id(mlp) for mlp in ran} == {id(mlp) for mlp in allowed}
 
