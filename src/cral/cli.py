@@ -49,6 +49,7 @@ from .trainer import (
     run_kfold,
     run_sweep,
     run_training,
+    write_run,
 )
 
 def _write_summary(out: Path, header: list, rows: list) -> None:
@@ -107,9 +108,7 @@ def cmd_train(config: RunConfig, out: Path) -> int:
     model = init_model(mc, derive_seed(config.train.seed, "cli/train/init"))
     result = run_training(model, train_sets, config.train,
                           dev_sets=dev_sets, test_sets=test_sets)
-    with replacing(out / "metrics.jsonl", "w") as fh:
-        fh.write(result.stream())
-    model.save(out / "model.ckpt")
+    write_run(out, result, model)
     _accuracy_summary(out, datasets, result)
     return 0
 
@@ -140,9 +139,7 @@ def cmd_msuda(config: RunConfig, out: Path) -> int:
     accuracy = evaluate_msuda(model, target)
     counts = np.bincount(target.labeled_y, minlength=2)
     baseline = float(counts.max() / counts.sum())
-    with replacing(out / "metrics.jsonl", "w") as fh:
-        fh.write(result.stream())
-    model.save(out / "model.ckpt")
+    write_run(out, result, model)
     _write_summary(
         out,
         ["target", "accuracy", "majority_baseline", "margin"],

@@ -89,7 +89,7 @@ def build_terms(model: CralModel, batch: MultiDomainBatch, seed: int = 0) -> lis
         return stacked if b is None else lambda tape: index(stacked(tape), b - 1)
 
     return [(name, builder(name, term, b), b)
-            for name, _, term, b, _ in objective_terms(LossWeights())]
+            for name, _, term, b in objective_terms(LossWeights())]
 
 
 def _entry_rel_errors(analytic: np.ndarray, numeric: np.ndarray,

@@ -38,18 +38,17 @@ gradient.
 RNG discipline: the caller's generator is consumed in a fixed order, so
 a run is reproducible from its seed. Every dropout mask is drawn by
 `ForwardPass.dropout`, in train mode only, and no mask at rate 0; each
-draw covers all the rows its network serves. First the pass, when it is
-built and whichever networks its terms go on to read, draws per branch
-the shared extractor's masks over all stacked rows, each domain's
-private-extractor masks over that domain's rows (in row-map order), and
-the classifier's masks over all rows. Then the discriminator phase
-draws, per branch, the discriminator's masks over all rows. Then the
-main phase draws for its terms in table order: per branch, the
-adversarial term's discriminator masks over all rows; then, for the
-branch's first VAT term, the probe directions: one standard-normal draw
-shaped like the stacked input, whichever VAT terms are in force. Skipped
-terms draw nothing. These draws all precede the stacked terms, which
-then read them. Each phase stacks each network's per-branch masks.
+draw covers all the rows its network serves and both branches, one call
+per hidden layer. First the pass, when it is built and whichever
+networks its terms go on to read, draws the shared extractor's masks
+over all stacked rows, each domain's private-extractor masks over that
+domain's rows (in row-map order), and the classifier's masks over all
+rows. Then the discriminator phase draws the discriminator's masks over
+all rows. Then the main phase's terms draw as they first run, in table
+order: the adversarial term's discriminator masks over all rows; then,
+for the first VAT term, the probe directions: one standard-normal draw
+shaped like the stacked input with a leading branch axis, whichever VAT
+terms are in force. Skipped terms draw nothing.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ from .model import (
     domain_probs,  # unused here; perfbench/workloads.py counts calls through it
     shared_features,
 )
-from .nn import Mlp, draw_dropout_masks, stack_masks
+from .nn import Mlp, draw_dropout_masks
 from .tensor import (
     Tape,
     Tensor,
@@ -196,13 +195,13 @@ class MultiDomainBatch:
 class ForwardPass:
     """One forward of a batch's stacked rows (`MultiDomainBatch.x`) on one tape.
 
-    The pass draws every dropout mask of its networks when it is built, in
-    the module docstring's order, each branch's and then stacks them.
+    The pass draws the dropout masks of its networks when it is built, in
+    the module docstring's order, each network's for both branches at once.
     `shared()` and `probs()` run both branches' networks when a term first
     reads them and keep the result, so each network runs at most once per
     pass. In train mode `dropout` draws masks from `rng`, in eval mode
     every forward runs without them. `rng` also draws the VAT probe
-    directions, in either mode. `draw` keeps each term's own draws.
+    directions, in either mode.
     """
 
     def __init__(self, tape: Tape, model: CralModel, batch: MultiDomainBatch,
@@ -221,30 +220,19 @@ class ForwardPass:
         self.mode, self.rng, self.num_domains = mode, rng, batch.num_domains
         self.x, self.rows, self.row_map = batch.x, batch.rows, batch.row_map
         n = self.x.shape[0]
-        drawn = [{"shared": self.dropout(model.shared, n),
-                  "specific": {i: self.dropout(model.specific[i], rows.stop - rows.start)
-                               for i, rows in self.row_map},
-                  "classifier": self.dropout(model.classifier, n)} for _ in BRANCHES]
-        self.masks = {
-            "shared": stack_masks([d["shared"] for d in drawn]),
-            "specific": {i: stack_masks([d["specific"][i] for d in drawn])
-                         for i, _ in self.row_map},
-            "classifier": stack_masks([d["classifier"] for d in drawn])}
+        self.masks = {"shared": self.dropout(model.shared, n),
+                      "specific": {i: self.dropout(model.specific[i], rows.stop - rows.start)
+                                   for i, rows in self.row_map},
+                      "classifier": self.dropout(model.classifier, n)}
         self._shared = self._probs = None
-        self.vat_passes, self.draws = {}, {}
+        self.vat_passes = {}
 
     def dropout(self, mlp: Mlp, n: int) -> Optional[list]:
-        """Fresh dropout masks of one branch for n rows through mlp in train
-        mode, else None."""
+        """Fresh dropout masks of both branches for n rows through the stacked
+        mlp in train mode, else None."""
         if self.mode == "eval":
             return None
         return draw_dropout_masks(mlp, n, self.rng)
-
-    def draw(self, key: tuple, make):
-        """The draw kept under key, made by ``make()`` at the first request."""
-        if key not in self.draws:
-            self.draws[key] = make()
-        return self.draws[key]
 
     def shared(self) -> Tensor:
         """Both branches' shared features over the stacked rows."""
@@ -271,7 +259,7 @@ class ForwardPass:
         fp = copy.copy(self)
         fp.tape = Tape()
         fp._shared = stop_gradient(self.shared())
-        fp._probs, fp.vat_passes, fp.draws = None, {}, {}
+        fp._probs, fp.vat_passes = None, {}
         return fp
 
 
@@ -293,12 +281,6 @@ def classification_loss(fp: ForwardPass) -> Tensor:
     return _nll(fp.probs(), fp.batch.labels, row_weights)
 
 
-def adversarial_masks(fp: ForwardPass, b: int) -> Optional[list]:
-    """Branch b's discriminator masks for the pass's adversarial term."""
-    return fp.draw(("adversarial", b), lambda: fp.dropout(fp.model.discriminator,
-                                                         fp.x.shape[0]))
-
-
 def adversarial_loss(fp: ForwardPass) -> Tensor:
     """Per branch, the discriminator NLL over each domain's labeled+unlabeled
     shared features.
@@ -307,7 +289,7 @@ def adversarial_loss(fp: ForwardPass) -> Tensor:
     discriminator phase on the pass's detached copy.
     """
     row_weights = fp.batch.row_weights("combined")
-    masks = stack_masks([adversarial_masks(fp, b) for b in BRANCHES])
+    masks = fp.dropout(fp.model.discriminator, fp.x.shape[0])
     probs = domain_head(fp.tape, fp.model, fp.shared(), masks)
     return _nll(probs, fp.batch.domains, row_weights)
 
@@ -356,6 +338,11 @@ def kl_divergence(p: Tensor, q: Tensor, row_weights: Optional[np.ndarray] = None
             raise ContractError(f"{name} rows are not probability vectors")
     if row_weights is None:
         row_weights = np.full(p.shape[-2], 1.0 / p.shape[-2])
+    return _kl(p, q, row_weights)
+
+
+def _kl(p: Tensor, q: Tensor, row_weights: np.ndarray) -> Tensor:
+    """`kl_divergence` without its checks, for callers that pass softmax outputs."""
     return sub(xlogy_rows(p, p, row_weights), xlogy_rows(p, q, row_weights))
 
 
@@ -388,29 +375,25 @@ def vat_perturbation(model: CralModel, i, x: np.ndarray, clean: np.ndarray,
     tape = Tape()
     probe = tape.leaf(x + xi * d)
     perturbed = class_probs(tape, model, i, probe, masks=masks)
-    grads = tape_backward(tsum(kl_divergence(Tensor(clean), perturbed)))
+    row_mean = np.full(len(x), 1.0 / len(x))
+    grads = tape_backward(tsum(_kl(Tensor(clean), perturbed, row_mean)))
     g = grads.wrt(probe)
     norms = np.linalg.norm(g, axis=-1, keepdims=True)
     scale = np.where(norms < 1e-20, 0.0, epsilon / np.maximum(norms, 1e-30))
     return g * scale
 
 
-def probe_directions(fp: ForwardPass, b: int, labeled: bool) -> np.ndarray:
-    """Branch b's VAT probe directions, one per row, drawn from the pass's rng
-    in one call; the VAT term that needs them first is named if it has none."""
-    def make():
-        if fp.rng is None:
-            split = "labeled" if labeled else "unlabeled"
-            raise ContractError(
-                f"l_{'lvt' if labeled else 'uvt'}_b{b}: the {split} VAT term of branch "
-                f"{b} draws probe directions and needs an rng; pass one to ForwardPass")
-        return fp.rng.standard_normal(fp.x.shape)
-    return fp.draw(("probe", b), make)
-
-
 def vat_inputs(fp: ForwardPass, weights: LossWeights, labeled: bool) -> np.ndarray:
-    """The pass's rows plus each branch's VAT perturbation, stacked."""
-    directions = np.stack([probe_directions(fp, b, labeled) for b in BRANCHES])
+    """The pass's rows plus each branch's VAT perturbation, stacked.
+
+    Both branches' probe directions, one per row, are one draw from the
+    pass's rng; without an rng, the VAT term that `labeled` picks is named.
+    """
+    if fp.rng is None:
+        name, split = ("l_lvt", "labeled") if labeled else ("l_uvt", "unlabeled")
+        raise ContractError(f"{name}: the {split} VAT term draws probe directions and "
+                            "needs an rng; pass one to ForwardPass")
+    directions = fp.rng.standard_normal((len(BRANCHES),) + fp.x.shape)
     r = vat_perturbation(fp.model, fp.row_map, fp.x, fp.probs().data,
                          epsilon=weights.vat_epsilon, xi=weights.vat_xi,
                          directions=directions, masks=fp.masks)
@@ -433,7 +416,7 @@ def vat_loss(fp: ForwardPass, labeled: bool, weights: LossWeights) -> Tensor:
         fp.vat_passes[weights] = class_probs(
             fp.tape, fp.model, fp.row_map, Tensor(vat_inputs(fp, weights, labeled)),
             masks=fp.masks)
-    return kl_divergence(Tensor(fp.probs().data), fp.vat_passes[weights], row_weights)
+    return _kl(Tensor(fp.probs().data), fp.vat_passes[weights], row_weights)
 
 
 def discriminator_objective(fp: ForwardPass, weights: LossWeights) -> tuple:
@@ -450,32 +433,26 @@ def discriminator_objective(fp: ForwardPass, weights: LossWeights) -> tuple:
 
 
 def objective_terms(weights: LossWeights) -> list:
-    """(name, weight, term, b, draw) for every main-objective term, in RNG order.
+    """(name, weight, term, b) for every main-objective term, in RNG order.
 
     A term is a function of one `ForwardPass`; the main objective is the
     sum of weight * term(pass) over the entries whose weight is not zero.
     A per-branch term returns both branches' values, stacked, and the entry
-    reads branch b's; l_d and l_div have b = None. ``draw(pass, b)`` makes
-    the entry's draws from the pass's rng, or is None if it makes none.
+    reads branch b's; l_d and l_div have b = None.
     Note the published grouping ties entropy minimization to lambda_uvt,
     so lambda_uvt = 0 also drops the entropy term.
     """
-    def vat(labeled):  # the term and, if it perturbs, its draw
-        return (lambda fp: vat_loss(fp, labeled=labeled, weights=weights),
-                None if weights.vat_epsilon == 0.0
-                else lambda fp, b: probe_directions(fp, b, labeled))
-
     per_branch = [
-        ("l_c", 1.0, classification_loss, None),
-        ("l_adv", -weights.lambda_adv, adversarial_loss, adversarial_masks),
-        ("l_e", weights.lambda_uvt, entropy_loss, None),
-        ("l_uvt", weights.lambda_uvt, *vat(False)),
-        ("l_lvt", weights.lambda_lvt, *vat(True)),
+        ("l_c", 1.0, classification_loss),
+        ("l_adv", -weights.lambda_adv, adversarial_loss),
+        ("l_e", weights.lambda_uvt, entropy_loss),
+        ("l_uvt", weights.lambda_uvt, lambda fp: vat_loss(fp, labeled=False, weights=weights)),
+        ("l_lvt", weights.lambda_lvt, lambda fp: vat_loss(fp, labeled=True, weights=weights)),
     ]
-    return [(f"{name}_b{b}", weight, term, b, draw) for b in BRANCHES
-            for name, weight, term, draw in per_branch] + [
-        ("l_d", weights.lambda_d, disagreement_loss, None, None),
-        ("l_div", -weights.lambda_div, lambda fp: diversity_loss(fp, weights.gamma), None, None),
+    return [(f"{name}_b{b}", weight, term, b) for b in BRANCHES
+            for name, weight, term in per_branch] + [
+        ("l_d", weights.lambda_d, disagreement_loss, None),
+        ("l_div", -weights.lambda_div, lambda fp: diversity_loss(fp, weights.gamma), None),
     ]
 
 
@@ -487,20 +464,17 @@ def total_objective(fp: ForwardPass, weights: LossWeights) -> tuple:
            + lambda_d L_d - lambda_div L_div
 
     (the discriminators' side of the game is `discriminator_objective`).
-    Every term reads `fp` and records on its tape, after every draw of the
-    terms in force; each stacked term runs once for both branches. One
-    `tensor.combine` node adds the weighted terms in table order. Terms
-    whose weight is zero are skipped entirely and reported as 0.0 in the
-    breakdown.
+    Every term reads `fp` and records on its tape; each stacked term runs
+    once for both branches, where the table first reaches it, and makes its
+    draws then. One `tensor.combine` node adds the weighted terms in table
+    order. Terms whose weight is zero are skipped entirely and reported as
+    0.0 in the breakdown.
     """
     entries = objective_terms(weights)
     table = [entry for entry in entries if entry[1] != 0.0]
-    for _, _, _, b, draw in table:
-        if draw is not None:
-            draw(fp, b)
     breakdown = {name: 0.0 for name, *_ in entries}
     stacked, parts = {}, []
-    for name, weight, term, b, _ in table:
+    for name, weight, term, b in table:
         if term not in stacked:
             stacked[term] = term(fp)
         t, k = stacked[term], None if b is None else b - 1

@@ -168,7 +168,7 @@ def _build(config: ModelConfig, mlp) -> CralModel:
 # Tape-level forward passes. Each returns one Tensor, stacked over the
 # branches. The heads run on given shared features, so one shared forward
 # can feed several heads. Dropout masks are data, drawn by
-# `losses.ForwardPass` and stacked over the branches (`nn.stack_masks`):
+# `losses.ForwardPass` for both branches at once (`nn.draw_dropout_masks`):
 # each forward applies the masks it is given (see nn.mlp_forward) and runs
 # without dropout when given none, so passing the same masks again replays
 # the same stochastic pass. The class path takes a dict from "shared" and

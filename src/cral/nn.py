@@ -7,7 +7,8 @@ versioned binary checkpoint container.
 An MLP may be stacked: each of its parameters then holds the two model
 branches' arrays along a leading axis of 2, and one forward runs both
 branches (see `tensor.linear`). Its input is one matrix both branches
-read or one per branch, its dropout masks one per branch, stacked alike.
+read or one per branch, its dropout masks both branches', stacked alike
+and drawn together.
 
 Dropout contract: masks are data. `draw_dropout_masks` draws one array
 per hidden layer whose entries are 0 (dropped) or 1/(1-rate) (kept), and
@@ -165,23 +166,18 @@ def init_params(spec: MlpSpec, rng, name: str = "mlp") -> Mlp:
 
 
 def draw_dropout_masks(mlp: Mlp, n: int, rng: np.random.Generator) -> Optional[list]:
-    """One inverted-dropout mask per hidden layer for a batch of n rows, of
-    one branch (see `stack_masks`).
+    """One inverted-dropout mask per hidden layer for a batch of n rows.
 
-    Returns None at rate 0 and then draws nothing from rng.
+    A stacked MLP's masks are (2, n, width), both branches' in one draw per
+    layer; an unstacked one's are (n, width). Returns None at rate 0 and
+    then draws nothing from rng.
     """
     rate = mlp.spec.dropout_rate
     if rate == 0.0:
         return None
-    return [(rng.random((n, int(width))) >= rate).astype(np.float64) / (1.0 - rate)
+    stack = mlp.layers[0].weight.value.shape[:-2]
+    return [(rng.random(stack + (n, int(width))) >= rate).astype(np.float64) / (1.0 - rate)
             for width in mlp.spec.hidden_dims]
-
-
-def stack_masks(per_branch: list) -> Optional[list]:
-    """Each branch's `draw_dropout_masks`, stacked layer by layer for a stacked MLP."""
-    if per_branch[0] is None:
-        return None
-    return [np.stack(layer) for layer in zip(*per_branch)]
 
 
 def mlp_forward(tape: Tape, mlp: Mlp, x: Tensor, masks: Optional[list] = None) -> Tensor:

@@ -301,16 +301,14 @@ def train_discriminator_only(model: CralModel, train_sets: list,
     return records
 
 
-def _write_subrun(out_dir, name: str, result: TrainingResult,
-                  model: CralModel) -> None:
-    """Per-sub-run artifacts in a disjoint subdirectory, when requested."""
-    if out_dir is None:
-        return
-    sub = Path(out_dir) / name
-    sub.mkdir(parents=True, exist_ok=True)
-    with replacing(sub / "metrics.jsonl", "w") as fh:
+def write_run(directory, result: TrainingResult, model: CralModel) -> None:
+    """A run's artifacts in directory (made if missing): its metrics stream,
+    metrics.jsonl, and its checkpoint, model.ckpt."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    with replacing(directory / "metrics.jsonl", "w") as fh:
         fh.write(result.stream())
-    model.save(sub / "model.ckpt")
+    model.save(directory / "model.ckpt")
 
 
 def run_kfold(datasets: list, model_config: ModelConfig, config: TrainConfig,
@@ -338,7 +336,8 @@ def run_kfold(datasets: list, model_config: ModelConfig, config: TrainConfig,
             config, seed=derive_seed(config.seed, f"kfold/run{r}"))
         result = run_training(model, train_sets, rotation_config,
                               dev_sets=dev_sets, test_sets=test_sets)
-        _write_subrun(out_dir, f"rot{r}", result, model)
+        if out_dir is not None:
+            write_run(Path(out_dir) / f"rot{r}", result, model)
         rotations.append({
             "rotation": r,
             "test_average": result.test_average,
@@ -361,7 +360,8 @@ def _run_variants(variants: list, init_label: str, train_sets: list, test_sets: 
         model = init_model(model_config, derive_seed(config.seed, init_label))
         result = run_training(model, train_sets, dataclasses.replace(config, weights=weights),
                               dev_sets=dev_sets, test_sets=test_sets)
-        _write_subrun(out_dir, name, result, model)
+        if out_dir is not None:
+            write_run(Path(out_dir) / name, result, model)
         rows.append({**row, "test_average": result.test_average})
     return rows
 

@@ -22,14 +22,13 @@ from cral.losses import (
     diversity_loss,
     entropy_loss,
     kl_divergence,
-    probe_directions,
     total_objective,
     vat_loss,
     vat_perturbation,
 )
 from cral.model import (ModelConfig, class_probs, init_model, predict_class, predict_domain,
                         shared_features)
-from cral.nn import Adam, draw_dropout_masks
+from cral.nn import Adam
 from cral.trainer import TrainConfig, train_step
 
 
@@ -300,33 +299,58 @@ class TestForwardPass:
         domain_rows = [batch.labeled_x[i].shape[0] + batch.unlabeled_x[i].shape[0]
                        for i in range(3)]
         assert [(i, r.stop - r.start) for i, r in fp.row_map] == list(enumerate(domain_rows))
-        stored = fp.masks  # each branch's masks, stacked
-        for b in (1, 2):
-            drawn = {"shared": draw_dropout_masks(model.shared, n, replay),
-                     "specific": {i: draw_dropout_masks(model.specific[i], rows, replay)
-                                  for i, rows in enumerate(domain_rows)},
-                     "classifier": draw_dropout_masks(model.classifier, n, replay)}
-            for part in ("shared", "classifier"):
-                assert len(stored[part]) == 1
-                np.testing.assert_array_equal(stored[part][0][b - 1], drawn[part][0])
-            for i in range(3):
-                assert len(stored["specific"][i]) == 1
-                np.testing.assert_array_equal(stored["specific"][i][0][b - 1],
-                                              drawn["specific"][i][0])
 
-        def replay_discriminator_masks(b):
-            draw_dropout_masks(model.discriminator, n, replay)
+        def replay_masks(rows, width):  # both branches' masks of one hidden layer
+            return (replay.random((2, rows, width)) >= 0.3).astype(np.float64) / (1.0 - 0.3)
+
+        want = {"shared": replay_masks(n, 5),
+                "specific": {i: replay_masks(rows, 5) for i, rows in enumerate(domain_rows)},
+                "classifier": replay_masks(n, 4 + 3)}
+        for part in ("shared", "classifier"):
+            assert len(fp.masks[part]) == 1
+            np.testing.assert_array_equal(fp.masks[part][0], want[part])
+        for i in range(3):
+            assert len(fp.masks["specific"][i]) == 1
+            np.testing.assert_array_equal(fp.masks["specific"][i][0], want["specific"][i])
 
         discriminator_objective(fp, weights)
-        for b in (1, 2):
-            replay_discriminator_masks(b)
+        replay_masks(n, 4)  # the discriminator's
         assert fp.rng.bit_generator.state == replay.bit_generator.state
 
         total_objective(fp, weights)
-        for b in (1, 2):
-            replay_discriminator_masks(b)
-            replay.standard_normal(batch.x.shape)  # the probe directions
+        replay_masks(n, 4)  # the adversarial term's discriminator masks
+        replay.standard_normal((2,) + batch.x.shape)  # the probe directions
         assert fp.rng.bit_generator.state == replay.bit_generator.state
+
+    def test_toy_train_step_draws_each_network_once_and_the_probe_once(self):
+        class Counting:
+            """The pass's generator, recording each call and its shape."""
+
+            def __init__(self, rng):
+                self.rng, self.calls = rng, []
+
+            def random(self, shape):
+                self.calls.append(("random", shape))
+                return self.rng.random(shape)
+
+            def standard_normal(self, shape):
+                self.calls.append(("standard_normal", shape))
+                return self.rng.standard_normal(shape)
+
+        model = init_model(ModelConfig(num_domains=3, input_dim=6, shared_dim=4,
+                                       specific_dim=3, extractor_hidden=(5,),
+                                       dropout_rate=0.3), 107)
+        batch = toy_batch(107, m=3, n_labeled=2, n_unlabeled=3)
+        opts = Adam(model.discriminator_params()), Adam(model.main_params())
+        rng = Counting(np.random.default_rng(109))
+        train_step(model, batch, TrainConfig(weights=LossWeights(lambda_d=0.5)), *opts, rng)
+        n = batch.x.shape[0]
+        # One mask call per hidden layer of each network, both branches at
+        # once: the pass's shared extractor, private extractors and
+        # classifier, then the discriminator in each phase; then one probe.
+        assert rng.calls == [("random", (2, n, 5))] + [("random", (2, 5, 5))] * 3 + [
+            ("random", (2, n, 7)), ("random", (2, n, 4)), ("random", (2, n, 4)),
+            ("standard_normal", (2, n, 6))]
 
     @pytest.mark.parametrize("empty_split", [False, True])
     def test_clean_terms_match_per_domain_numpy(self, empty_split):
@@ -370,8 +394,8 @@ class TestForwardPass:
     def test_vat_terms_match_per_domain_probes(self, lambda_uvt):
         # One probe and one perturbed pass, each over both branches, serve
         # both VAT terms; per domain and branch, they must give what a probe
-        # of that domain alone gives with that domain's rows of the branch's
-        # one direction draw.
+        # of that domain alone gives with that domain's rows of the one
+        # direction draw.
         model = init_model(ModelConfig(num_domains=3, input_dim=6, shared_dim=4,
                                        specific_dim=3, extractor_hidden=(5,)), 79)
         batch = toy_batch(79, m=3, n_labeled=2, n_unlabeled=3)
@@ -383,7 +407,7 @@ class TestForwardPass:
             terms.insert(0, (False, "unlabeled"))
         got = {labeled: vat_loss(fp, labeled=labeled, weights=weights).data
                for labeled, _ in terms}
-        directions = np.stack([replay.standard_normal(batch.x.shape) for _ in (1, 2)])
+        directions = replay.standard_normal((2,) + batch.x.shape)
         for b in (1, 2):
             for labeled, split in terms:
                 want = 0.0
@@ -637,16 +661,12 @@ class TestVat:
     def test_eval_pass_without_rng_named_by_the_vat_term(self):
         model = toy_model(71)
         fp = ForwardPass(tt.Tape(), model, toy_batch(71))
-        # Branch 1 draws first, so a VAT term without an rng is named by it.
-        for labeled, name in ((False, "l_uvt_b1"), (True, "l_lvt_b1")):
+        for labeled, name in ((False, "l_uvt"), (True, "l_lvt")):
             split = "labeled" if labeled else "unlabeled"
             with pytest.raises(ContractError, match=f"{name}: the {split} VAT term "
-                               "of branch 1 .*needs an rng"):
+                               ".*needs an rng"):
                 vat_loss(fp, labeled=labeled, weights=LossWeights())
-        with pytest.raises(ContractError, match="l_lvt_b2: the labeled VAT term "
-                           "of branch 2 .*needs an rng"):
-            probe_directions(fp, 2, labeled=True)
-        with pytest.raises(ContractError, match="l_uvt_b1: .*needs an rng"):
+        with pytest.raises(ContractError, match="l_uvt: .*needs an rng"):
             total_objective(fp, LossWeights())
         zero = LossWeights(vat_epsilon=0.0)
         assert list(vat_loss(fp, labeled=True, weights=zero).data) == [0.0, 0.0]
@@ -794,7 +814,7 @@ class TestTotalObjective:
             assert bd[f"l_lvt_b{b}"] != 0.0
 
     def test_disabling_lvt_keeps_the_draws_and_the_unlabeled_vat_terms(self):
-        # The branch's one probe draws a direction for every row whichever
+        # The one probe draws a direction for every row and branch whichever
         # VAT terms are in force.
         model = init_model(ModelConfig(num_domains=3, input_dim=6, shared_dim=4,
                                        specific_dim=3, extractor_hidden=(5,),

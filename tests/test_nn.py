@@ -89,6 +89,18 @@ class TestForward:
         assert draw_dropout_masks(mlp, 5, rng) is None
         assert rng.bit_generator.state == before
 
+    def test_stacked_masks_are_one_draw_per_layer(self):
+        spec = MlpSpec(4, (8, 6), 2, dropout_rate=0.25)
+        stacked = init_params(spec, [np.random.default_rng(1), np.random.default_rng(2)])
+        rng, replay = np.random.default_rng(3), np.random.default_rng(3)
+        masks = draw_dropout_masks(stacked, 5, rng)
+        for mask, width in zip(masks, (8, 6)):
+            want = (replay.random((2, 5, width)) >= 0.25).astype(np.float64) / 0.75
+            np.testing.assert_array_equal(mask, want)
+        assert rng.bit_generator.state == replay.bit_generator.state
+        single = init_params(spec, np.random.default_rng(1))
+        assert [m.shape for m in draw_dropout_masks(single, 5, rng)] == [(5, 8), (5, 6)]
+
     def test_width_mismatch(self):
         mlp = init_params(MlpSpec(4, (8,), 2), np.random.default_rng(8))
         tape = tt.Tape()
