@@ -215,8 +215,26 @@ def mlp_forward(tape: Tape, mlp: Mlp, x: Tensor, masks: Optional[list] = None) -
 # The efficient form below drops two of those passes per block.
 ADAM_CHUNK = 16384
 
+# Elements per panel: a parameter above ADAM_CHUNK has its gradient formed
+# one band of whole rows at a time, ``G[:, rows]^T X`` plus the band of its
+# dense part, at least one row. The band's blocks are updated while it is
+# still in cache, and no layer-sized gradient is held. One (1000, 5000)
+# half from 64 rows, formed and updated,
+# median of 9 on a 2-core Xeon with 2 BLAS threads: whole 45 ms; panels of
+# 25-200 rows (1-8 MB) 43-47; of 3-4 rows (ADAM_CHUNK-sized) 66-84, too
+# small a product.
+ADAM_PANEL = 1 << 18
+
 # Kingma & Ba's defaults; no caller uses others.
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
+def _panel(shape: tuple) -> tuple:
+    """(rows, elements) of one gradient panel of an array of this shape, a
+    matrix or a vector: ``ADAM_PANEL`` elements' worth of rows, at least one."""
+    row = math.prod(shape[1:])
+    rows = min(shape[0], max(1, ADAM_PANEL // row))
+    return rows, rows * row
 
 
 class Adam:
@@ -238,11 +256,13 @@ class Adam:
     ``p.value`` at its view of it, once. Their moments are flat in the same
     layout, so a step updates all of them with one blocked sequence
     instead of one per parameter. Each larger parameter keeps its own
-    array and its own moments. One gradient buffer takes each step's
-    gradients (``Gradients.wrt_key(..., out=)``): first every packed
-    parameter's, at its offset, then each larger parameter's in turn, a
-    stacked one's one branch at a time. So it is as large as the packed
-    array or the largest array of a larger parameter.
+    array and its own moments, and its gradient is formed one panel of
+    ``ADAM_PANEL`` elements' worth of whole rows at a time, a stacked one's
+    one branch at a time (``Gradients.wrt_key(..., rows=)``). One buffer
+    takes each step's gradients (``out=``): first every packed parameter's,
+    at its offset, then each panel in turn. So beside its moments the
+    optimizer holds the packed array and one buffer as large as it or as
+    the largest panel, never a whole larger parameter's gradient.
     """
 
     def __init__(self, params: Sequence[Parameter], lr: float = 1e-4):
@@ -259,7 +279,7 @@ class Adam:
         self._packed_m = np.zeros(size)
         self._packed_v = np.zeros(size)
         # np.empty maps no page; the first gradient formed into it does.
-        self._grad = np.empty(max([size] + [p.value.size // len(p.part_names())
+        self._grad = np.empty(max([size] + [_panel(p.value.shape[int(p.stacked):])[1]
                                             for p in self._large]))
         self._scratch = np.empty(ADAM_CHUNK)
         # C order, so that np.ravel is a view the update writes through.
@@ -294,11 +314,16 @@ class Adam:
 
         The operations are elementwise, so they run block by block over
         flat arrays, ``ADAM_CHUNK`` elements at a time: first over the
-        packed parameters, then over each larger parameter's flat views.
-        Each block stays in cache for the whole sequence, and the result is
-        bit-identical to running each operation over each parameter on its
-        own. Nothing parameter-sized is allocated here. A larger stacked
-        parameter's gradient is formed and applied one branch at a time.
+        packed parameters, then over each panel of each larger parameter
+        (a stacked one's one branch at a time), formed just before, while
+        it is in cache. Each block stays in cache for the whole sequence,
+        and the result is bit-identical to running each operation over each
+        parameter on its own. Nothing parameter-sized is allocated here.
+        Whether a panel's product has the bits of the whole gradient's is
+        up to BLAS: with OpenBLAS 0.3.31 on AVX-512 it did at input widths
+        20, 1000 and 5000, the model's, and differed in the last bits of a
+        few trailing columns at widths 500 and 2500 when a weight spans
+        several panels.
 
         Before anything moves, a packed parameter whose ``p.value`` is no
         longer its view (say, a second optimizer packed it) raises, since
@@ -331,10 +356,15 @@ class Adam:
         for p, m, v in zip(self._large, self._m, self._v):
             for part, name in zip(range(len(m)) if p.stacked else [None], p.part_names()):
                 value, pm, pv = (a if part is None else a[part] for a in (p.value, m, v))
-                grad = self._grad[:value.size]
-                grads.wrt_key(p, value, out=grad.reshape(value.shape), part=part)
-                self._blocks(grad, np.ravel(pm), np.ravel(pv), np.ravel(value),
-                             lambda i: name, lr_t, eps_t)
+                height = _panel(value.shape)[0]
+                for lo in range(0, len(value), height):
+                    rows = slice(lo, lo + height)
+                    panel = value[rows]
+                    grad = self._grad[:panel.size]
+                    grads.wrt_key(p, value, out=grad.reshape(panel.shape), part=part,
+                                  rows=rows)
+                    self._blocks(grad, np.ravel(pm[rows]), np.ravel(pv[rows]),
+                                 np.ravel(panel), lambda i: name, lr_t, eps_t)
 
     def _packed_name(self, i: int) -> str:
         k = bisect.bisect(self._starts, i) - 1

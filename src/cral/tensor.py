@@ -19,9 +19,11 @@ product ``g^T x``, :func:`backward` collects every pair that reaches a
 leaf, and :class:`Gradients` forms that leaf's gradient as one product
 over the stacked rows of all its uses. A weight read by several passes
 (the clean and the VAT-perturbed one) thus costs one product, not one
-per use plus the adds, and the product can be written into a buffer the
-caller reuses (``out=``). A sweep read only for an input's gradient (the
-VAT probe) forms none.
+per use plus the adds. A read can form a band of the gradient's rows
+alone (``rows=``), written into a caller's panel-sized array (``out=``):
+the optimizer forms a large weight's gradient that way, a panel at a
+time, and never holds it whole. A sweep read only for an input's
+gradient (the VAT probe) forms none.
 
 A leading axis stacks independent copies of one computation (the two
 branches of the model): ``linear`` takes a stacked (k, out, in) weight
@@ -191,8 +193,12 @@ class Gradients:
     a ``linear`` weight, of one product ``G^T X`` over its uses' row
     factors, where G stacks each use's output gradient and X its input
     rows. Each read forms the gradient afresh. Given ``out``, a read writes
-    the gradient into ``out`` (the leaf's shape, C order) and returns it,
-    so a caller can form every step's gradient into one buffer.
+    the gradient into ``out`` (the shape read, C order) and returns it.
+    Given ``rows``, a read forms only that band of rows, one product
+    ``G[:, rows]^T X`` plus the band of the dense part, so a caller can
+    form a large gradient one panel-sized ``out`` at a time. The stacked
+    G and X of the last leaf (or copy) read are kept, so the panels of one
+    gradient stack them once.
 
     Leaves that the loss never touched read back as zeros. Gradients of
     intermediate nodes are not kept.
@@ -203,6 +209,7 @@ class Gradients:
         self._tape = tape
         self._grads = grads  # leaf -> its dense gradient
         self._rows = rows    # leaf -> the (g, x) row factors of its linear uses
+        self._joined = (None, None, None)  # (leaf, part, its (G, X) or None)
 
     def wrt(self, t: Tensor) -> Array:
         if t.tape is not self._tape:
@@ -213,29 +220,45 @@ class Gradients:
         return self._form(t.node_id, t.data, None)
 
     def wrt_key(self, key: Hashable, like: Array, out: Optional[Array] = None,
-                part: Optional[int] = None) -> Array:
+                part: Optional[int] = None, rows: Optional[slice] = None) -> Array:
         """Gradient for a ``Tape.bind`` key; zeros if the key was never bound.
 
         With ``part``, only copy ``part`` of a stacked leaf's gradient is
-        formed, shaped like ``like``, the leaf's value at that index.
+        formed, shaped like ``like``, the leaf's value at that index. With
+        ``rows``, a slice of a matrix or vector gradient's leading axis, only
+        those rows are formed, shaped like ``like[rows]``.
         """
         bound = self._tape._bindings.get(key)
-        return self._form(None if bound is None else bound[0], like, out, part)
+        return self._form(None if bound is None else bound[0], like, out, part, rows)
+
+    def _factors(self, node_id: Optional[int], part: Optional[int]):
+        """The leaf's stacked (G, X), copy ``part``'s for a part; None if no
+        linear use reaches it."""
+        if self._joined[:2] != (node_id, part):
+            self._joined = (None, None, None)  # free the last leaf's first
+            uses = self._rows.get(node_id) or []
+            if part is not None:
+                uses = [(g[part], x[part] if x.ndim == g.ndim else x) for g, x in uses]
+            if len({x.ndim for _, x in uses}) > 1:  # shared and stacked inputs
+                uses = [(g, np.broadcast_to(x, g.shape[:-1] + x.shape[-1:]))
+                        for g, x in uses]
+            factors = tuple(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
+                            for parts in zip(*uses)) or None
+            self._joined = (node_id, part, factors)
+        return self._joined[2]
 
     def _form(self, node_id: Optional[int], like: Array, out: Optional[Array],
-              part: Optional[int] = None) -> Array:
+              part: Optional[int] = None, rows: Optional[slice] = None) -> Array:
         dense = self._grads.get(node_id)
-        rows = self._rows.get(node_id)
-        if part is not None:
-            dense = None if dense is None else dense[part]
-            rows = rows and [(g[part], x[part] if x.ndim == g.ndim else x) for g, x in rows]
-        if rows:
-            g_parts, x_parts = zip(*rows)
-            if len({x.ndim for x in x_parts}) > 1:  # shared and stacked inputs
-                x_parts = [np.broadcast_to(x, g.shape[:-1] + x.shape[-1:])
-                           for g, x in rows]
-            g, x = (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
-                    for parts in (g_parts, x_parts))
+        if dense is not None and part is not None:
+            dense = dense[part]
+        if rows is not None:
+            like, dense = like[rows], None if dense is None else dense[rows]
+        factors = self._factors(node_id, part)
+        if factors is not None:
+            g, x = factors
+            if rows is not None:
+                g = g[:, rows]
             grad = np.matmul(g.swapaxes(-1, -2), x, out=out)
             if dense is not None:
                 grad += dense

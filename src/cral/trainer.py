@@ -271,6 +271,7 @@ def run_training(model: CralModel, train_sets: list, config: TrainConfig,
                 record.disc_accuracy = discriminator_accuracy(model, dev_sets)
                 if best_dev is None or record.dev_average > best_dev:
                     best_dev, best_epoch = record.dev_average, epoch
+                    best_state = None  # free the old snapshot before copying
                     best_state = {k: v.copy()
                                   for k, v in model.state_dict().items()}
             if test_sets is not None:

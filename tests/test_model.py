@@ -269,9 +269,9 @@ class TestSnapshot:
 
     def test_loaded_model_shares_no_array_with_its_source(self):
         class Ones:
-            def wrt_key(self, key, like, out=None, part=None):
+            def wrt_key(self, key, like, out=None, part=None, rows=None):
                 if out is None:
-                    return np.ones_like(like)
+                    return np.ones_like(like if rows is None else like[rows])
                 out.fill(1.0)
                 return out
 

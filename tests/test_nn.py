@@ -13,6 +13,7 @@ import cral.tensor as tt
 from cral.errors import ContractError, DimensionError, SpecError, TrainingError
 from cral.nn import (
     ADAM_CHUNK,
+    ADAM_PANEL,
     Adam,
     Mlp,
     MlpSpec,
@@ -166,9 +167,10 @@ def efficient_step(m, v, t, lr):
 class TestAdam:
     def make_grads(self, mapping):
         class Stub:
-            def wrt_key(self, key, like, out=None, part=None):
+            def wrt_key(self, key, like, out=None, part=None, rows=None):
                 g = mapping.get(key)
                 g = np.zeros_like(like) if g is None else g if part is None else g[part]
+                g = g if rows is None else g[rows]
                 if out is None:
                     return g
                 np.copyto(out, g)
@@ -405,7 +407,7 @@ class TestAdam:
 
     def test_packs_small_parameters_into_one_array_once(self):
         values = [np.arange(6.0).reshape(2, 3), np.array(7.0),
-                  np.ones(ADAM_CHUNK + 1), np.arange(4.0)[::-1]]
+                  np.ones(ADAM_CHUNK + 1), np.arange(4.0)[::-1], np.ones(ADAM_PANEL + 1)]
         params = [Parameter(f"p{k}", v) for k, v in enumerate(values)]
         opt = Adam(params)
         packed = [params[k].value for k in (0, 1, 3)]
@@ -413,10 +415,11 @@ class TestAdam:
         assert all(a.base is packed[0].base is not None for a in packed)
         assert [a.ctypes.data - packed[0].ctypes.data for a in packed] == [0, 48, 56]
         assert all(a.flags.c_contiguous and a.flags.writeable for a in packed)
-        assert params[2].value is values[2]
+        assert params[2].value is values[2] and params[4].value is values[4]
         for p, v in zip(params, values):
             np.testing.assert_array_equal(p.value, v)
-        assert opt._grad.size == ADAM_CHUNK + 1
+        # The larger parameters' gradients come one panel at a time.
+        assert opt._grad.size == ADAM_PANEL
 
     def test_update_allocates_no_parameter_sized_array(self):
         p = Parameter("w", np.random.default_rng(45).standard_normal((1000, 1000)))
@@ -434,7 +437,7 @@ class TestAdam:
 
     def test_step_on_a_real_tape_allocates_no_weight_sized_array(self):
         # Two linear uses of one 1000x1000 weight: the gradient is one
-        # product, formed into the optimizer's own buffer.
+        # product per panel, formed into the optimizer's own buffer.
         rng = np.random.default_rng(49)
         p = Parameter("w", rng.standard_normal((1000, 1000)))
         bias = Tensor(np.zeros(1000))
@@ -456,6 +459,7 @@ class TestAdam:
         params = [Parameter(f"p{k}", np.ones(shape)) for k, shape in enumerate(shapes)]
         total = sum(p.value.nbytes for p in params)
         largest = params[0].value.nbytes
+        panel = 8 * (ADAM_PANEL // 1000) * 1000  # whole rows of 1000
         rss = read_rss_bytes()
         tracemalloc.start()
         try:
@@ -463,13 +467,100 @@ class TestAdam:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * total + largest + 2 * 8 * ADAM_CHUNK + 65536
-        assert opt._grad.nbytes == largest
+        assert peak <= 2 * total + panel + 2 * 8 * ADAM_CHUNK + 65536
+        assert opt._grad.nbytes == panel
         if rss is not None:
             # np.zeros and np.empty map no page, so neither the moments nor
-            # the buffer should add resident memory; a buffer zero-filled by
-            # np.zeros_like or fill would add `largest`.
+            # the buffer should add resident memory; moments zero-filled by
+            # np.zeros_like or fill would add twice `total`.
             assert read_rss_bytes() - rss < largest // 2
+
+    # A stacked weight of 600 rows of 1000 per branch: three panels each
+    # (262 + 262 + 76 rows), the middle one starting at row 262.
+    PANELED = (2, 600, 1000)
+
+    def paneled_loss(self, p, rng, nan_at=None):
+        """A loss whose gradient in p is G^T X + p: a shared-input use
+        (c1, x1), a per-branch one (c2, x2) and a dense part; with nan_at
+        (branch, row), that row of that branch's gradient is NaN."""
+        rows, width = self.PANELED[1:]
+        x1, x2 = rng.standard_normal((8, width)), rng.standard_normal((2, 6, width))
+        c1, c2 = rng.standard_normal((2, 8, rows)), rng.standard_normal((2, 6, rows))
+        if nan_at is not None:
+            c1[nan_at[0], 0, nan_at[1]] = np.nan
+        tape = tt.Tape()
+        w, b = tape.bind(p, p.value), Tensor(np.zeros((2, rows)))
+        loss = tt.add(tt.add(tt.sum(tt.mul(tt.linear(Tensor(x1), w, b), Tensor(c1))),
+                             tt.sum(tt.mul(tt.linear(Tensor(x2), w, b), Tensor(c2)))),
+                      tt.mul(tt.l2_norm_sq(w), Tensor(0.5)))
+        # backward keeps the uses' row factors last use first.
+        whole = np.stack([np.matmul(np.concatenate([c2[k], c1[k]]).T,
+                                    np.concatenate([x2[k], x1])) for k in range(2)])
+        return loss, whole + p.value
+
+    def test_panels_match_the_whole_gradient_bit_for_bit(self):
+        # Exact equality with a whole product rests on BLAS tiling a band of
+        # rows as it tiles the whole matrix; OpenBLAS 0.3.31 does at input
+        # width 1000, not at 500 or 2500 (see Adam.step).
+        rng = np.random.default_rng(51)
+        p = Parameter("shared/layer1/weight", 0.1 * rng.standard_normal(self.PANELED),
+                      stacked=True)
+        opt = Adam([p], lr=1e-3)
+        assert opt._grad.size == 262 * 1000
+        value, m, v = p.value.copy(), np.zeros(p.value.shape), np.zeros(p.value.shape)
+        for t in range(1, 4):
+            loss, g = self.paneled_loss(p, rng)
+            opt.step(tt.backward(loss))
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            value = value - efficient_step(m, v, t, lr=1e-3)
+            got_m, got_v = opt.moments(p)
+            np.testing.assert_array_equal(p.value, value)
+            np.testing.assert_array_equal(got_m, m)
+            np.testing.assert_array_equal(got_v, v)
+
+        # A NaN in the first row of branch 2's middle panel: branch 1 and
+        # branch 2's first panel move, the rest is not written.
+        before = [a.copy() for a in (p.value, *opt.moments(p))]
+        loss, _ = self.paneled_loss(p, rng, nan_at=(1, 262))
+        with pytest.raises(TrainingError, match="parameter branch2/shared/layer1/weight$"):
+            opt.step(tt.backward(loss))
+        for got, old in zip((p.value, *opt.moments(p)), before):
+            assert np.all(got[0] != old[0])
+            assert np.all(got[1, :262] != old[1, :262])
+            np.testing.assert_array_equal(got[1, 262:], old[1, 262:])
+
+    def test_large_vector_is_updated_one_panel_at_a_time(self):
+        rng = np.random.default_rng(52)
+        p = Parameter("wide/bias", rng.standard_normal(ADAM_PANEL + 5))
+        opt = Adam([p], lr=1e-3)
+        assert opt._grad.size == ADAM_PANEL
+        value, m, v = p.value.copy(), np.zeros(p.value.shape), np.zeros(p.value.shape)
+        for t in range(1, 3):
+            g = rng.standard_normal(p.value.shape)
+            opt.step(self.make_grads({p: g}))
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            value = value - efficient_step(m, v, t, lr=1e-3)
+            np.testing.assert_array_equal(p.value, value)
+
+    def test_step_at_paper_width_holds_one_panel_beside_the_moments(self):
+        # One branch half of (400, 2500) is 8 MB; a panel is 104 of its rows.
+        rng = np.random.default_rng(53)
+        p = Parameter("shared/layer0/weight", rng.standard_normal((2, 400, 2500)),
+                      stacked=True)
+        x = Tensor(rng.standard_normal((16, 2500)))
+        tracemalloc.start()
+        try:
+            opt = Adam([p], lr=1e-3)
+            tape = tt.Tape()
+            opt.step(tt.backward(tt.sum(tt.linear(x, tape.bind(p, p.value),
+                                                  Tensor(np.zeros((2, 400)))))))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert opt._grad.nbytes <= 8 * ADAM_PANEL
+        assert peak <= 2 * p.value.nbytes + 8 * ADAM_PANEL + 524288
 
     def test_descends_quadratic(self):
         p = Parameter("w", np.array(1.0))

@@ -389,6 +389,29 @@ class TestStackedOps:
         for k in range(2):  # one copy at a time gives that copy's bits
             np.testing.assert_array_equal(grads.wrt_key(key, w[k], part=k), got[k])
 
+    def test_row_bands_of_a_copy_stack_its_factors_once(self, monkeypatch):
+        # Bands of rows of each copy's gradient, dense part included, read
+        # one after another as Adam reads its panels.
+        x, xs, w, b = self.stacked_linear_setup(60)
+        key = object()
+        tape = tt.Tape()
+        tw, tb = tape.bind(key, w), tt.Tensor(b)
+        grads = tt.backward(tt.add(tt.add(tt.l2_norm_sq(tt.linear(tt.Tensor(x), tw, tb)),
+                                          tt.l2_norm_sq(tt.linear(tt.Tensor(xs), tw, tb))),
+                                   tt.l2_norm_sq(tw)))
+        whole = [grads.wrt_key(key, w[k], part=k) for k in range(2)]
+        joins, concatenate = [], np.concatenate
+        monkeypatch.setattr(np, "concatenate",
+                            lambda *a, **k: joins.append(a) or concatenate(*a, **k))
+        for k in range(2):
+            for rows in (slice(0, 2), slice(2, 4), slice(4, 6)):
+                out = np.empty_like(w[k][rows])
+                assert grads.wrt_key(key, w[k], out=out, part=k, rows=rows) is out
+                np.testing.assert_allclose(out, whole[k][rows], rtol=1e-14, atol=0)
+        assert len(joins) == 2 * 2  # G and X, once per copy
+        assert np.array_equal(grads.wrt_key(object(), w[0], part=0, rows=slice(1, 3)),
+                              np.zeros((2, 3)))
+
     @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
         ((3, 4, 3), (2, 5, 3), (2, 5)),  # three input copies for two weight copies
         ((4, 3), (2, 5, 3), (5,)),       # an unstacked bias
