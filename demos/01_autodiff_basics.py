@@ -9,7 +9,7 @@ Adam steps on a toy least-squares problem.
 import numpy as np
 
 from cral.nn import Adam, MlpSpec, draw_dropout_masks, init_params, mlp_forward
-from cral.tensor import Tape, Tensor, backward, matmul, mul, relu
+from cral.tensor import Tape, Tensor, backward, linear, mul, relu
 from cral.tensor import sum as total
 
 rng = np.random.default_rng(0)
@@ -17,26 +17,27 @@ rng = np.random.default_rng(0)
 # --- recording a computation -------------------------------------------
 
 tape = Tape()
-w = tape.leaf(rng.standard_normal((3, 2)))
+w = tape.leaf(rng.standard_normal((2, 3)))  # (out, in), as a layer stores it
 x = Tensor(rng.standard_normal((4, 3)))  # constants do not get nodes
-loss = total(mul(relu(matmul(x, w)), relu(matmul(x, w))))
+b = Tensor(np.zeros(2))
+loss = total(mul(relu(linear(x, w, b)), relu(linear(x, w, b))))
 grads = backward(loss)
 print("loss                 ", f"{loss.item():.6f}")
-print("dloss/dw[0,0] (tape) ", f"{grads.wrt(w)[0, 0]:+.8f}")
+print("dloss/dw[1,0] (tape) ", f"{grads.wrt(w)[1, 0]:+.8f}")
 
 # same thing by central differences
 h = 1e-6
 w_plus, w_minus = w.data.copy(), w.data.copy()
-w_plus[0, 0] += h
-w_minus[0, 0] -= h
+w_plus[1, 0] += h
+w_minus[1, 0] -= h
 
 
 def f(w_value):
-    y = np.maximum(x.data @ w_value, 0.0)
+    y = np.maximum(x.data @ w_value.T, 0.0)
     return float(np.sum(y * y))
 
 
-print("dloss/dw[0,0] (fd)   ", f"{(f(w_plus) - f(w_minus)) / (2 * h):+.8f}")
+print("dloss/dw[1,0] (fd)   ", f"{(f(w_plus) - f(w_minus)) / (2 * h):+.8f}")
 
 # --- a real layer stack -------------------------------------------------
 

@@ -109,9 +109,8 @@ def check_term(builder, b=None, h: float = 1e-5) -> dict:
     grads = backward(builder(tape))
     errors = []
     for p in tape.bound():
-        part = b - 1 if b is not None and p.stacked else None
-        value = p.value if part is None else p.value[part]
-        analytic = grads.wrt_key(p, value, part=part)
+        k = b - 1 if b is not None and p.stacked else ...
+        value, analytic = p.value[k], grads.wrt_key(p, p.value)[k]
         numeric = np.zeros_like(value)
         it = np.nditer(value, flags=["multi_index"])
         for _ in it:

@@ -218,7 +218,7 @@ class ForwardPass:
                                 f"{model.config.num_classes} classes")
         self.tape, self.model, self.batch = tape, model, batch
         self.mode, self.rng, self.num_domains = mode, rng, batch.num_domains
-        self.x, self.rows, self.row_map = batch.x, batch.rows, batch.row_map
+        self.x, self.row_map = batch.x, batch.row_map
         n = self.x.shape[0]
         self.masks = {"shared": self.dropout(model.shared, n),
                       "specific": {i: self.dropout(model.specific[i], rows.stop - rows.start)

@@ -14,7 +14,7 @@ runs both branches at once. Its outputs are stacked alike, (2, n, ...),
 and branch b's is index b - 1. Input rows are one (n, d) matrix both
 branches read, or one per branch, (2, n, d). `state_dict` names each
 branch's array "branch{b}/...", so checkpoints hold one record per branch
-and network as before stacking.
+and network.
 
 Domains are indexed 0..M-1 throughout. Branches are addressed as 1 and 2.
 
@@ -136,6 +136,14 @@ class CralModel:
             raise ContractError(
                 f"{path}: checkpoint metadata has missing keys {missing} "
                 f"and unknown keys {unknown}")
+        for key, value in meta.items():
+            if key == "extractor_hidden":
+                typed = isinstance(value, list) and all(type(d) is int for d in value)
+            else:  # type(), not isinstance: a bool is an int
+                typed = type(value) is int or key == "dropout_rate" and type(value) is float
+            if not typed:
+                raise ContractError(f"{path}: checkpoint metadata {key} = {value!r} "
+                                    "has the wrong type")
         # Nothing is drawn: the checkpoint fills every array.
         stack = (len(BRANCHES),)
         model = _build(ModelConfig(**meta), lambda spec, name: mlp_params(

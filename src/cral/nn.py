@@ -37,6 +37,7 @@ from .errors import ContractError, DimensionError, SpecError, TrainingError
 from .tensor import (
     Tape,
     Tensor,
+    form_gradient,
     linear,
     matmul,  # unused here; perfbench/workloads.py patches it for its matmul counters
     mul,
@@ -258,11 +259,12 @@ class Adam:
     instead of one per parameter. Each larger parameter keeps its own
     array and its own moments, and its gradient is formed one panel of
     ``ADAM_PANEL`` elements' worth of whole rows at a time, a stacked one's
-    one branch at a time (``Gradients.wrt_key(..., rows=)``). One buffer
-    takes each step's gradients (``out=``): first every packed parameter's,
-    at its offset, then each panel in turn. So beside its moments the
-    optimizer holds the packed array and one buffer as large as it or as
-    the largest panel, never a whole larger parameter's gradient.
+    one branch at a time, from the rows of the pieces ``Gradients.parts``
+    hands out (see ``tensor.form_gradient``). One buffer takes each step's
+    gradients: first every packed parameter's, at its offset, then each
+    panel in turn. So beside its moments the optimizer holds the packed
+    array and one buffer as large as it or as the largest panel, never a
+    whole larger parameter's gradient.
     """
 
     def __init__(self, params: Sequence[Parameter], lr: float = 1e-4):
@@ -319,11 +321,7 @@ class Adam:
         it is in cache. Each block stays in cache for the whole sequence,
         and the result is bit-identical to running each operation over each
         parameter on its own. Nothing parameter-sized is allocated here.
-        Whether a panel's product has the bits of the whole gradient's is
-        up to BLAS: with OpenBLAS 0.3.31 on AVX-512 it did at input widths
-        20, 1000 and 5000, the model's, and differed in the last bits of a
-        few trailing columns at widths 500 and 2500 when a weight spans
-        several panels.
+        ``grads.parts`` is read once per parameter.
 
         Before anything moves, a packed parameter whose ``p.value`` is no
         longer its view (say, a second optimizer packed it) raises, since
@@ -349,20 +347,23 @@ class Adam:
         lr_t = self.lr * root_b2t / (1.0 - BETA1 ** self.t)
         eps_t = EPS * root_b2t
         for p, view, grad in self._slots:
-            grads.wrt_key(p, view, out=grad)
+            form_gradient(*grads.parts(p), out=grad)
         size = self._packed.size
         self._blocks(self._grad[:size], self._packed_m, self._packed_v, self._packed,
                      self._packed_name, lr_t, eps_t)
         for p, m, v in zip(self._large, self._m, self._v):
+            pieces = grads.parts(p)
             for part, name in zip(range(len(m)) if p.stacked else [None], p.part_names()):
-                value, pm, pv = (a if part is None else a[part] for a in (p.value, m, v))
+                value, pm, pv, dense, g, x = (a if part is None or a is None else a[part]
+                                              for a in (p.value, m, v, *pieces))
                 height = _panel(value.shape)[0]
                 for lo in range(0, len(value), height):
                     rows = slice(lo, lo + height)
                     panel = value[rows]
                     grad = self._grad[:panel.size]
-                    grads.wrt_key(p, value, out=grad.reshape(panel.shape), part=part,
-                                  rows=rows)
+                    form_gradient(None if dense is None else dense[rows],
+                                  None if g is None else g[:, rows], x,
+                                  out=grad.reshape(panel.shape))
                     self._blocks(grad, np.ravel(pm[rows]), np.ravel(pv[rows]),
                                  np.ravel(panel), lambda i: name, lr_t, eps_t)
 
@@ -464,7 +465,8 @@ def load_checkpoint(path) -> tuple:
         return ContractError(f"{path}: {reason}")
 
     def take(fh, n, what):
-        buf = fh.read(n)
+        # n comes from the file: compare it with the bytes left before reading.
+        buf = fh.read(n) if n <= end - fh.tell() else b""
         if len(buf) != n:
             raise bad(f"checkpoint truncated while reading {what}")
         return buf
@@ -476,6 +478,7 @@ def load_checkpoint(path) -> tuple:
             raise bad(f"checkpoint {what} is not UTF-8") from None
 
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
         if take(fh, len(CHECKPOINT_MAGIC), "magic") != CHECKPOINT_MAGIC:
             raise bad("not a checkpoint file (bad magic)")
         (version,) = struct.unpack("<I", take(fh, 4, "version"))
@@ -497,8 +500,8 @@ def load_checkpoint(path) -> tuple:
                 raise bad(f"checkpoint has two records named {name!r}")
             (ndim,) = struct.unpack("<I", take(fh, 4, "ndim"))
             dims = struct.unpack(f"<{ndim}I", take(fh, 4 * ndim, "dims")) if ndim else ()
-            size = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-            data = np.frombuffer(take(fh, 8 * size, f"data for {name}"), dtype="<f8")
+            data = np.frombuffer(take(fh, 8 * math.prod(dims), f"data for {name}"),
+                                 dtype="<f8")
             arrays[name] = data.reshape(dims).astype(np.float64)
         if fh.read(1):
             raise bad("checkpoint has bytes after its last record")

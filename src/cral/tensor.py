@@ -16,14 +16,15 @@ hand back another node's gradient or a read-only broadcast.
 Weight gradients are formed when they are read. The weight vjp of
 :func:`linear` hands back its row factors ``(g, x)`` instead of the
 product ``g^T x``, :func:`backward` collects every pair that reaches a
-leaf, and :class:`Gradients` forms that leaf's gradient as one product
-over the stacked rows of all its uses. A weight read by several passes
-(the clean and the VAT-perturbed one) thus costs one product, not one
-per use plus the adds. A read can form a band of the gradient's rows
-alone (``rows=``), written into a caller's panel-sized array (``out=``):
-the optimizer forms a large weight's gradient that way, a panel at a
-time, and never holds it whole. A sweep read only for an input's
-gradient (the VAT probe) forms none.
+leaf, and :class:`Gradients` hands out a leaf's gradient as its pieces
+``(dense, G, X)``: the gradient is ``dense + G^T X``, one product over
+the stacked rows of all its uses. A weight read by several passes (the
+clean and the VAT-perturbed one) thus costs one product, not one per use
+plus the adds. :func:`form_gradient` forms that sum, into a new array or
+a given one, from whole pieces or from a band of their rows: the
+optimizer forms a large weight's gradient that way, a panel at a time,
+and never holds it whole. A sweep read only for an input's gradient (the
+VAT probe) forms none.
 
 A leading axis stacks independent copies of one computation (the two
 branches of the model): ``linear`` takes a stacked (k, out, in) weight
@@ -192,13 +193,9 @@ class Gradients:
     A leaf's gradient is the sum of its dense contributions and, if it is
     a ``linear`` weight, of one product ``G^T X`` over its uses' row
     factors, where G stacks each use's output gradient and X its input
-    rows. Each read forms the gradient afresh. Given ``out``, a read writes
-    the gradient into ``out`` (the shape read, C order) and returns it.
-    Given ``rows``, a read forms only that band of rows, one product
-    ``G[:, rows]^T X`` plus the band of the dense part, so a caller can
-    form a large gradient one panel-sized ``out`` at a time. The stacked
-    G and X of the last leaf (or copy) read are kept, so the panels of one
-    gradient stack them once.
+    rows. ``parts`` hands out those pieces, ``wrt`` and ``wrt_key`` the
+    gradient formed from them afresh; no read changes what the next one
+    sees.
 
     Leaves that the loss never touched read back as zeros. Gradients of
     intermediate nodes are not kept.
@@ -209,7 +206,6 @@ class Gradients:
         self._tape = tape
         self._grads = grads  # leaf -> its dense gradient
         self._rows = rows    # leaf -> the (g, x) row factors of its linear uses
-        self._joined = (None, None, None)  # (leaf, part, its (G, X) or None)
 
     def wrt(self, t: Tensor) -> Array:
         if t.tape is not self._tape:
@@ -217,56 +213,49 @@ class Gradients:
         if self._tape._nodes[t.node_id]:
             raise ContractError(f"node {t.node_id} is not a leaf; backward keeps "
                                 "leaf gradients only")
-        return self._form(t.node_id, t.data, None)
+        return form_gradient(*self._parts(t.node_id), like=t.data)
 
-    def wrt_key(self, key: Hashable, like: Array, out: Optional[Array] = None,
-                part: Optional[int] = None, rows: Optional[slice] = None) -> Array:
-        """Gradient for a ``Tape.bind`` key; zeros if the key was never bound.
+    def wrt_key(self, key: Hashable, like: Array) -> Array:
+        """Gradient for a ``Tape.bind`` key; zeros like ``like`` if the key
+        was never bound."""
+        return form_gradient(*self.parts(key), like=like)
 
-        With ``part``, only copy ``part`` of a stacked leaf's gradient is
-        formed, shaped like ``like``, the leaf's value at that index. With
-        ``rows``, a slice of a matrix or vector gradient's leading axis, only
-        those rows are formed, shaped like ``like[rows]``.
+    def parts(self, key: Hashable) -> tuple:
+        """``(dense, G, X)`` for a ``Tape.bind`` key, the gradient being
+        ``dense + G^T X``; each is None where it is zero.
+
+        G and X are stacked like the leaf: (k, N, out) and (k, N, in) for a
+        stacked weight, a shared input broadcast, so ``[k]`` picks copy k's.
         """
         bound = self._tape._bindings.get(key)
-        return self._form(None if bound is None else bound[0], like, out, part, rows)
+        return self._parts(None if bound is None else bound[0])
 
-    def _factors(self, node_id: Optional[int], part: Optional[int]):
-        """The leaf's stacked (G, X), copy ``part``'s for a part; None if no
-        linear use reaches it."""
-        if self._joined[:2] != (node_id, part):
-            self._joined = (None, None, None)  # free the last leaf's first
-            uses = self._rows.get(node_id) or []
-            if part is not None:
-                uses = [(g[part], x[part] if x.ndim == g.ndim else x) for g, x in uses]
-            if len({x.ndim for _, x in uses}) > 1:  # shared and stacked inputs
-                uses = [(g, np.broadcast_to(x, g.shape[:-1] + x.shape[-1:]))
-                        for g, x in uses]
-            factors = tuple(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
-                            for parts in zip(*uses)) or None
-            self._joined = (node_id, part, factors)
-        return self._joined[2]
+    def _parts(self, node_id: Optional[int]) -> tuple:
+        dense, uses = self._grads.get(node_id), self._rows.get(node_id)
+        if not uses:
+            return dense, None, None
+        uses = [(g, np.broadcast_to(x, g.shape[:-1] + x.shape[-1:])) for g, x in uses]
+        return (dense, *(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
+                         for parts in zip(*uses)))
 
-    def _form(self, node_id: Optional[int], like: Array, out: Optional[Array],
-              part: Optional[int] = None, rows: Optional[slice] = None) -> Array:
-        dense = self._grads.get(node_id)
-        if dense is not None and part is not None:
-            dense = dense[part]
-        if rows is not None:
-            like, dense = like[rows], None if dense is None else dense[rows]
-        factors = self._factors(node_id, part)
-        if factors is not None:
-            g, x = factors
-            if rows is not None:
-                g = g[:, rows]
-            grad = np.matmul(g.swapaxes(-1, -2), x, out=out)
-            if dense is not None:
-                grad += dense
-            return grad
-        if out is None:
-            return np.zeros_like(like) if dense is None else dense
-        np.copyto(out, 0.0 if dense is None else dense)
-        return out
+
+def form_gradient(dense: Optional[Array], g: Optional[Array], x: Optional[Array],
+                  like: Optional[Array] = None, out: Optional[Array] = None) -> Array:
+    """``dense + g^T x`` over the last two axes, a None term counting as zero.
+
+    Given ``out``, the sum is written into it (C order) and ``out`` is
+    returned. Otherwise it is a new array, or ``dense`` itself when there
+    is no product, or zeros like ``like`` when both terms are None.
+    """
+    if g is not None:
+        grad = np.matmul(g.swapaxes(-1, -2), x, out=out)
+        if dense is not None:
+            grad += dense
+        return grad
+    if out is None:
+        return np.zeros_like(like) if dense is None else dense
+    np.copyto(out, 0.0 if dense is None else dense)
+    return out
 
 
 def backward(loss: Tensor) -> Gradients:
@@ -299,8 +288,7 @@ def backward(loss: Tensor) -> Gradients:
                 if not tape._nodes[parent_id]:
                     rows.setdefault(parent_id, []).append(contribution)
                     continue
-                g_rows, x_rows = contribution
-                contribution = np.matmul(g_rows.swapaxes(-1, -2), x_rows)
+                contribution = form_gradient(None, *contribution)
             seen = grads.get(parent_id)
             grads[parent_id] = contribution if seen is None else seen + contribution
     return Gradients(tape, grads, rows)

@@ -1,4 +1,5 @@
-"""Shared test oracles: finite differences and error metrics.
+"""Shared test oracles: finite differences and error metrics, and a
+gradients stand-in for driving the optimizer without a tape.
 
 These deliberately use only forward evaluations and plain Python
 arithmetic so they stay independent of the tape's backward pass.
@@ -51,3 +52,15 @@ def adam_trajectory(grad_fn, w0, steps, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-
         w = w - lr * m_hat / (math.sqrt(v_hat) + eps)
         history.append(w)
     return history
+
+
+class DenseGradients:
+    """Stand-in for ``tensor.Gradients`` with the one read ``Adam.step``
+    makes: ``parts(key)`` hands out ``gradient(key)`` as the dense piece,
+    with no product; None reads as zeros."""
+
+    def __init__(self, gradient):
+        self.gradient = gradient
+
+    def parts(self, key):
+        return self.gradient(key), None, None

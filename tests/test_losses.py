@@ -294,7 +294,7 @@ class TestForwardPass:
         order = [(i, split) for i in range(3) for split, xs in (
             ("labeled", batch.labeled_x), ("unlabeled", batch.unlabeled_x))
             if xs[i].shape[0]]
-        assert list(fp.rows) == order  # the stacking order
+        assert list(batch.rows) == order  # the stacking order
         n = batch.x.shape[0]
         domain_rows = [batch.labeled_x[i].shape[0] + batch.unlabeled_x[i].shape[0]
                        for i in range(3)]
@@ -682,14 +682,15 @@ class TestVat:
             np.testing.assert_allclose(np.linalg.norm(r, axis=-1), eps, atol=1e-9)
 
     def test_probe_backward_holds_the_probe_gradient_only(self, monkeypatch):
-        formed = []  # (node id, shape) of every gradient the probe sweep forms
-        original = tt.Gradients._form
+        formed = []  # (has a product, shape) of every gradient the probe sweep forms
+        original = tt.form_gradient
 
-        def recording(grads, node_id, like, out):
-            formed.append((node_id, like.shape))
-            return original(grads, node_id, like, out)
+        def recording(dense, g, x, like=None, out=None):
+            grad = original(dense, g, x, like=like, out=out)
+            formed.append((g is not None, grad.shape))
+            return grad
 
-        monkeypatch.setattr(tt.Gradients, "_form", recording)
+        monkeypatch.setattr(tt, "form_gradient", recording)
         model = init_model(ModelConfig(num_domains=2, input_dim=6, shared_dim=4,
                                        specific_dim=3, extractor_hidden=(5,)), 67)
         x = np.random.default_rng(68).standard_normal((3, 6))
@@ -697,8 +698,8 @@ class TestVat:
                              epsilon=1.0, xi=1e-6,
                              directions=np.random.default_rng(69).standard_normal((2, 3, 6)))
         assert np.all(np.linalg.norm(r, axis=-1) > 0.0)
-        # One gradient, the probe's (the tape's first leaf): no weight product.
-        assert formed == [(0, (2,) + x.shape)]
+        # One gradient, the probe's: no weight product.
+        assert formed == [(False, (2,) + x.shape)]
 
     def test_loss_nonnegative_and_seed_deterministic(self):
         model = toy_model(13)

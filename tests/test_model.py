@@ -5,6 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from oracles import DenseGradients
 
 import cral.model
 import cral.nn
@@ -215,6 +216,19 @@ class TestSnapshot:
         with pytest.raises(ContractError, match="bogus_key"):
             CralModel.load(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("num_domains", "2"), ("extractor_hidden", 4), ("dropout_rate", None),
+        ("shared_dim", 3.5), ("num_classes", True), ("extractor_hidden", [8, 4.0]),
+    ])
+    def test_load_rejects_wrongly_typed_metadata(self, tmp_path, key, value):
+        model = small_model(3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model.state_dict(),
+                        {**dataclasses.asdict(model.config), key: value})
+        with pytest.raises(ContractError) as info:
+            CralModel.load(path)
+        assert str(info.value).startswith(f"{path}: checkpoint metadata {key} = ")
+
     def test_load_builds_the_model_from_the_checkpoint_without_drawing(
             self, tmp_path, monkeypatch):
         model = small_model(18)
@@ -268,17 +282,11 @@ class TestSnapshot:
             np.testing.assert_array_equal(p.value, want.value)
 
     def test_loaded_model_shares_no_array_with_its_source(self):
-        class Ones:
-            def wrt_key(self, key, like, out=None, part=None, rows=None):
-                if out is None:
-                    return np.ones_like(like if rows is None else like[rows])
-                out.fill(1.0)
-                return out
-
         source, model = small_model(1), small_model(2)
         before = {name: value.copy() for name, value in source.state_dict().items()}
         model.load_state_dict(source.state_dict())
-        Adam(model.params(), lr=0.1).step(Ones())
+        ones = DenseGradients(lambda p: np.ones_like(p.value))
+        Adam(model.params(), lr=0.1).step(ones)
         for name, value in source.state_dict().items():
             np.testing.assert_array_equal(value, before[name])
         assert not np.array_equal(model.params()[0].value, source.params()[0].value)

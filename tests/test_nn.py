@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import adam_trajectory, fd_grad, rel_err
+from oracles import DenseGradients, adam_trajectory, fd_grad, rel_err
 
 import cral.tensor as tt
 from cral.errors import ContractError, DimensionError, SpecError, TrainingError
@@ -165,29 +165,16 @@ def efficient_step(m, v, t, lr):
 
 
 class TestAdam:
-    def make_grads(self, mapping):
-        class Stub:
-            def wrt_key(self, key, like, out=None, part=None, rows=None):
-                g = mapping.get(key)
-                g = np.zeros_like(like) if g is None else g if part is None else g[part]
-                g = g if rows is None else g[rows]
-                if out is None:
-                    return g
-                np.copyto(out, g)
-                return out
-
-        return Stub()
-
     def test_zero_gradient_fixed_point(self):
         p = Parameter("w", np.array([1.0, -2.0]))
         opt = Adam([p])
-        opt.step(self.make_grads({}))
+        opt.step(DenseGradients({}.get))
         np.testing.assert_array_equal(p.value, [1.0, -2.0])
 
     def test_first_step_magnitude(self):
         p = Parameter("w", np.array(0.0))
         opt = Adam([p], lr=1e-4)
-        opt.step(self.make_grads({p: np.array(1.0)}))
+        opt.step(DenseGradients({p: np.array(1.0)}.get))
         expected = -1e-4 * 1.0 / (1.0 + 1e-8)
         assert p.value == pytest.approx(expected, abs=1e-16)
 
@@ -209,7 +196,7 @@ class TestAdam:
         for bad_value in (np.nan, np.inf, -np.inf):
             p = Parameter("branch1/shared/layer0/weight", np.zeros(2))
             opt = Adam([p])
-            bad = self.make_grads({p: np.array([bad_value, 0.0])})
+            bad = DenseGradients({p: np.array([bad_value, 0.0])}.get)
             with pytest.raises(TrainingError, match="branch1/shared/layer0/weight"):
                 opt.step(bad)
 
@@ -222,7 +209,7 @@ class TestAdam:
         for t in range(1, 4):
             g = np.asarray(rng.standard_normal(shape))
             old = p.value
-            opt.step(self.make_grads({p: g}))
+            opt.step(DenseGradients({p: g}.get))
             m = 0.9 * m + (1.0 - 0.9) * g
             v = 0.999 * v + (1.0 - 0.999) * g * g
             value = value - efficient_step(m, v, t, lr=1e-3)
@@ -254,7 +241,7 @@ class TestAdam:
         for t in range(1, 4):
             g = draw(rng, shape)
             old = p.value
-            opt.step(self.make_grads({p: g}))
+            opt.step(DenseGradients({p: g}.get))
             m = 0.9 * m + (1.0 - 0.9) * g
             v = 0.999 * v + (1.0 - 0.999) * g * g
             value = value - efficient_step(m, v, t, lr=1e-3)
@@ -270,7 +257,7 @@ class TestAdam:
         g[-1, 0] = np.nan
         old = p.value
         with pytest.raises(TrainingError, match="main/layer0/weight"):
-            Adam([p]).step(self.make_grads({p: g}))
+            Adam([p]).step(DenseGradients({p: g}.get))
         assert p.value is old
         # The earlier blocks have moved; the bad block is untouched.
         assert np.all(old[:2 * ADAM_CHUNK] < 1.0)
@@ -287,7 +274,7 @@ class TestAdam:
         opt = Adam([p])
         before = p.value.copy()
         with pytest.raises(ContractError, match="branch1/clf/layer0/weight"):
-            opt.step(self.make_grads({p: np.ones(p.value.shape)}))
+            opt.step(DenseGradients({p: np.ones(p.value.shape)}.get))
         np.testing.assert_array_equal(p.value, before)
 
     # (name, shape, gradient of step t from a generator): a group mixing
@@ -315,7 +302,7 @@ class TestAdam:
         for t in range(1, 4):
             grads = {p: draw(rng, p.value.shape)
                      for p, (_, _, draw) in zip(params, self.MIXED)}
-            opt.step(self.make_grads(grads))
+            opt.step(DenseGradients(grads.get))
             for k, p in enumerate(params):
                 value, m, v = ref[k]
                 g = grads[p]
@@ -337,7 +324,7 @@ class TestAdam:
                   for k in range(3)]
         grads = {p: np.full(size, 0.5) for p in params}
         opt = Adam(params)
-        opt.step(self.make_grads(grads))
+        opt.step(DenseGradients(grads.get))
 
         def state():  # packed values, m and v
             return [np.concatenate(column)
@@ -346,7 +333,7 @@ class TestAdam:
         before = state()
         grads[params[1]][ADAM_CHUNK + 100 - size] = np.nan
         with pytest.raises(TrainingError, match="branch1/specific1/layer0/bias"):
-            opt.step(self.make_grads(grads))
+            opt.step(DenseGradients(grads.get))
         # The first block has moved; the block holding the NaN has not.
         for got, old in zip(state(), before):
             assert np.all(got[:ADAM_CHUNK] != old[:ADAM_CHUNK])
@@ -359,7 +346,7 @@ class TestAdam:
         grads[params[1]][1, 2, 0] = np.nan
         opt = Adam(params)
         with pytest.raises(TrainingError, match="parameter branch2/clf/layer0/weight$"):
-            opt.step(self.make_grads(grads))
+            opt.step(DenseGradients(grads.get))
         for p in params:  # one block, not written
             np.testing.assert_array_equal(p.value, 1.0)
 
@@ -370,12 +357,12 @@ class TestAdam:
         g = np.full(p.value.shape, 0.5)
         opt = Adam([p])
         assert opt._grad.size == p.value[0].size
-        opt.step(self.make_grads({p: g}))
+        opt.step(DenseGradients({p: g}.get))
         value, m, v = p.value.copy(), np.full(g.shape, 0.1 * 0.5), np.full(g.shape, 0.001 * 0.25)
         np.testing.assert_array_equal(value, 1.0 - efficient_step(m, v, 1, lr=1e-4))
         g[1, 1, 0] = np.nan  # in branch 2's first block
         with pytest.raises(TrainingError, match="parameter branch2/shared/layer0/weight$"):
-            opt.step(self.make_grads({p: g}))
+            opt.step(DenseGradients({p: g}.get))
         assert np.all(p.value[0] < value[0])  # branch 1 moved
         np.testing.assert_array_equal(p.value[1], value[1])  # its bad block was not written
 
@@ -387,7 +374,7 @@ class TestAdam:
         grads[params[3]][0] = np.nan
         opt = Adam(params)
         with pytest.raises(TrainingError, match="parameter c$"):
-            opt.step(self.make_grads(grads))
+            opt.step(DenseGradients(grads.get))
         for p in params:
             np.testing.assert_array_equal(p.value, 1.0)
 
@@ -400,7 +387,7 @@ class TestAdam:
         opt = Adam(params)
         repoint(params[1])
         with pytest.raises(ContractError, match="parameter p1 "):
-            opt.step(self.make_grads({p: np.ones((2, 3)) for p in params}))
+            opt.step(DenseGradients({p: np.ones((2, 3)) for p in params}.get))
         for p in params:
             np.testing.assert_array_equal(p.value, 1.0)
         assert opt.t == 0
@@ -425,7 +412,7 @@ class TestAdam:
         p = Parameter("w", np.random.default_rng(45).standard_normal((1000, 1000)))
         g = np.random.default_rng(46).standard_normal(p.value.shape)
         opt = Adam([p], lr=1e-3)
-        grads = self.make_grads({p: g})
+        grads = DenseGradients({p: g}.get)
         tracemalloc.start()
         try:
             opt.step(grads)
@@ -501,7 +488,7 @@ class TestAdam:
     def test_panels_match_the_whole_gradient_bit_for_bit(self):
         # Exact equality with a whole product rests on BLAS tiling a band of
         # rows as it tiles the whole matrix; OpenBLAS 0.3.31 does at input
-        # width 1000, not at 500 or 2500 (see Adam.step).
+        # width 1000, not at 500 or 2500 (see README's Determinism paragraph).
         rng = np.random.default_rng(51)
         p = Parameter("shared/layer1/weight", 0.1 * rng.standard_normal(self.PANELED),
                       stacked=True)
@@ -530,6 +517,31 @@ class TestAdam:
             assert np.all(got[1, :262] != old[1, :262])
             np.testing.assert_array_equal(got[1, 262:], old[1, 262:])
 
+    def test_step_reads_each_parameters_pieces_once(self, monkeypatch):
+        # A stacked weight over both branches and four panels each, read by
+        # a shared and a stacked input: its pieces are read, and its G and
+        # X joined, once per step, not once per branch or panel.
+        monkeypatch.setattr("cral.nn.ADAM_PANEL", 10 * 1000)
+        rng = np.random.default_rng(54)
+        w = Parameter("shared/layer0/weight", rng.standard_normal((2, 40, 1000)),
+                      stacked=True)
+        b = Parameter("shared/layer0/bias", np.zeros((2, 40)), stacked=True)
+        opt = Adam([w, b], lr=1e-3)
+        x1, x2 = (Tensor(rng.standard_normal(shape)) for shape in ((3, 1000), (2, 4, 1000)))
+        reads, joins, parts, concatenate = [], [], tt.Gradients.parts, np.concatenate
+        monkeypatch.setattr(tt.Gradients, "parts",
+                            lambda grads, key: reads.append(key) or parts(grads, key))
+        monkeypatch.setattr(np, "concatenate",
+                            lambda *a, **k: joins.append(a) or concatenate(*a, **k))
+        for _ in range(2):
+            tape = tt.Tape()
+            tw, tb = tape.bind(w, w.value), tape.bind(b, b.value)
+            grads = tt.backward(tt.add(tt.l2_norm_sq(tt.linear(x1, tw, tb)),
+                                       tt.l2_norm_sq(tt.linear(x2, tw, tb))))
+            reads.clear(), joins.clear()
+            opt.step(grads)
+            assert reads == [b, w] and len(joins) == 2  # G and X
+
     def test_large_vector_is_updated_one_panel_at_a_time(self):
         rng = np.random.default_rng(52)
         p = Parameter("wide/bias", rng.standard_normal(ADAM_PANEL + 5))
@@ -538,7 +550,7 @@ class TestAdam:
         value, m, v = p.value.copy(), np.zeros(p.value.shape), np.zeros(p.value.shape)
         for t in range(1, 3):
             g = rng.standard_normal(p.value.shape)
-            opt.step(self.make_grads({p: g}))
+            opt.step(DenseGradients({p: g}.get))
             m = 0.9 * m + (1.0 - 0.9) * g
             v = 0.999 * v + (1.0 - 0.999) * g * g
             value = value - efficient_step(m, v, t, lr=1e-3)
@@ -651,6 +663,21 @@ class TestCheckpoint:
     def test_bad_metadata_rejected(self, tmp_path, header, reason):
         def edit(blob):
             blob[self.META] = header
+            return blob
+        self.rejected(tmp_path, edit, reason)
+
+    # The record starts at COUNT.stop: name length, the name "w", then ndim
+    # and the one dim; a size beyond the file's end is not read.
+    NDIM_AND_DIMS = slice(27, 35)
+
+    @pytest.mark.parametrize("fields, reason", [
+        ((0xFFFFFFF0,), "truncated while reading dims"),
+        ((2, 2 ** 30, 64), "truncated while reading data for w"),
+        ((3, 0xFFFFFFF0, 0xFFFFFFF0, 0xFFFFFFF0), "truncated while reading data for w"),
+    ], ids=["ndim", "dims", "overflowing_dims"])
+    def test_oversized_record_rejected(self, tmp_path, fields, reason):
+        def edit(blob):
+            blob[self.NDIM_AND_DIMS] = struct.pack(f"<{len(fields)}I", *fields)
             return blob
         self.rejected(tmp_path, edit, reason)
 

@@ -379,19 +379,22 @@ class TestStackedOps:
                           tt.l2_norm_sq(tt.linear(tt.Tensor(xs), tw, tb)))
 
         grads = tt.backward(loss(tt.Tape(), [w]))
+        dense, g_rows, x_rows = grads.parts(key)
+        assert dense is None and g_rows.shape[0] == x_rows.shape[0] == 2
         products, matmul = [], np.matmul
         monkeypatch.setattr(np, "matmul", lambda *a, **k: products.append(a) or matmul(*a, **k))
         out = np.empty_like(w)
-        got = grads.wrt_key(key, w, out=out)
+        got = tt.form_gradient(dense, g_rows, x_rows, out=out)
         monkeypatch.setattr(np, "matmul", matmul)
         assert got is out and len(products) == 1
         assert rel_err(got, fd_grad(lambda arrays: loss(tt.Tape(), arrays).item(), [w], 0)) < 1e-6
         for k in range(2):  # one copy at a time gives that copy's bits
-            np.testing.assert_array_equal(grads.wrt_key(key, w[k], part=k), got[k])
+            np.testing.assert_array_equal(tt.form_gradient(None, g_rows[k], x_rows[k]),
+                                          got[k])
 
-    def test_row_bands_of_a_copy_stack_its_factors_once(self, monkeypatch):
-        # Bands of rows of each copy's gradient, dense part included, read
-        # one after another as Adam reads its panels.
+    def test_row_bands_of_a_copy_form_its_rows(self):
+        # Bands of rows of each copy's gradient, dense part included, formed
+        # one after another as Adam forms its panels.
         x, xs, w, b = self.stacked_linear_setup(60)
         key = object()
         tape = tt.Tape()
@@ -399,18 +402,18 @@ class TestStackedOps:
         grads = tt.backward(tt.add(tt.add(tt.l2_norm_sq(tt.linear(tt.Tensor(x), tw, tb)),
                                           tt.l2_norm_sq(tt.linear(tt.Tensor(xs), tw, tb))),
                                    tt.l2_norm_sq(tw)))
-        whole = [grads.wrt_key(key, w[k], part=k) for k in range(2)]
-        joins, concatenate = [], np.concatenate
-        monkeypatch.setattr(np, "concatenate",
-                            lambda *a, **k: joins.append(a) or concatenate(*a, **k))
+        whole = grads.wrt_key(key, w)
+        dense, g_rows, x_rows = grads.parts(key)
         for k in range(2):
             for rows in (slice(0, 2), slice(2, 4), slice(4, 6)):
                 out = np.empty_like(w[k][rows])
-                assert grads.wrt_key(key, w[k], out=out, part=k, rows=rows) is out
+                assert tt.form_gradient(dense[k][rows], g_rows[k][:, rows], x_rows[k],
+                                        out=out) is out
                 np.testing.assert_allclose(out, whole[k][rows], rtol=1e-14, atol=0)
-        assert len(joins) == 2 * 2  # G and X, once per copy
-        assert np.array_equal(grads.wrt_key(object(), w[0], part=0, rows=slice(1, 3)),
-                              np.zeros((2, 3)))
+        assert grads.parts(object()) == (None, None, None)
+        out = np.full((2, 3), 3.0)
+        assert tt.form_gradient(*grads.parts(object()), out=out) is out
+        np.testing.assert_array_equal(out, 0.0)
 
     @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
         ((3, 4, 3), (2, 5, 3), (2, 5)),  # three input copies for two weight copies
@@ -611,13 +614,11 @@ class TestBackward:
         grads = tt.backward(loss)
         want = sum(c.T @ x for x, c in zip(xs, cs)) + 2.0 * w
         out = np.empty_like(w)
-        got = grads.wrt_key(key, w, out=out)
+        got = tt.form_gradient(*grads.parts(key), out=out)
         assert got is out
         for g in (grads.wrt(tw), grads.wrt_key(key, w), out):
             assert rel_err(g, want) < 1e-12
-        out[...] = 3.0
-        assert grads.wrt_key(object(), w, out=out) is out
-        np.testing.assert_array_equal(out, 0.0)
+        np.testing.assert_array_equal(grads.wrt_key(object(), w), np.zeros_like(w))
 
     def test_non_leaf_weight_gets_its_product_at_once(self):
         rng = np.random.default_rng(48)
