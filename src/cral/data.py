@@ -105,7 +105,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list:
     """Deterministic per seed, bit-for-bit."""
     axis_rng = derive_rng(spec.seed, "data/class-axis")
     class_axis = _unit_vector(axis_rng, spec.feature_dim)
-    offsets = [spec.class_separation / 2.0 * s * class_axis for s in (-1.0, 1.0)]
+    offsets = np.stack([spec.class_separation / 2.0 * s * class_axis for s in (-1.0, 1.0)])
 
     datasets = []
     for i in range(spec.num_domains):
@@ -120,7 +120,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list:
             labels = np.repeat([0, 1], half)
             x = rng.standard_normal((count, spec.feature_dim))
             x += domain_mean
-            x += np.stack([offsets[c] for c in labels])
+            x += offsets[labels]
             return x, labels
 
         lx, ly = draw(spec.labeled_per_domain)
@@ -242,14 +242,16 @@ def load_sparse_dataset(path, feature_dim: int, name: Optional[str] = None) -> D
 
 def _deal_stratified(y: np.ndarray, bucket_of: callable, num_buckets: int,
                      rng: np.random.Generator) -> list:
-    """Shuffle each label stratum and deal its indices into buckets."""
-    buckets = [[] for _ in range(num_buckets)]
+    """Shuffle each label stratum and deal its indices into buckets:
+    ``bucket_of(pos, n)`` maps the positions of a shuffled stratum of n
+    indices, an array, to their buckets."""
+    indices, buckets = [], []
     for label in (0, 1):
         stratum = np.flatnonzero(y == label)
-        stratum = stratum[rng.permutation(stratum.size)]
-        for pos, idx in enumerate(stratum):
-            buckets[bucket_of(pos, stratum.size)].append(int(idx))
-    return [np.sort(np.array(b, dtype=np.int64)) for b in buckets]
+        indices.append(stratum[rng.permutation(stratum.size)])
+        buckets.append(bucket_of(np.arange(stratum.size), stratum.size))
+    indices, buckets = np.concatenate(indices), np.concatenate(buckets)
+    return [np.sort(indices[buckets == b]) for b in range(num_buckets)]
 
 
 def split_labeled(dataset: DomainDataset, k: Optional[int] = None,
@@ -282,7 +284,7 @@ def split_labeled(dataset: DomainDataset, k: Optional[int] = None,
         cuts = np.cumsum(fractions)
 
         def bucket_of(pos, n):
-            return int(np.searchsorted(cuts - 1e-12, (pos + 0.5) / n))
+            return np.searchsorted(cuts - 1e-12, (pos + 0.5) / n)
 
         indices = _deal_stratified(y, bucket_of, len(fractions), rng)
 

@@ -51,9 +51,12 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.num_domains < 2:
-            raise SpecError(f"need at least 2 domains, got {self.num_domains}")
+            raise SpecError(f"num_domains must be at least 2, got {self.num_domains}")
         object.__setattr__(self, "extractor_hidden", tuple(self.extractor_hidden))
-        self.mlp_specs()  # MlpSpec rejects each bad width or dropout rate
+        for key, widths in asdict(self).items():
+            if key != "dropout_rate" and (np.ravel(widths) <= 0).any():
+                raise SpecError(f"{key} must be positive, got {widths}")
+        self.mlp_specs()  # MlpSpec rejects a bad dropout rate
 
     def mlp_specs(self) -> dict:
         """Shape of each of a branch's MLPs (one "specific" per domain)."""
@@ -107,6 +110,12 @@ class CralModel:
 
     def load_state_dict(self, arrays: dict) -> None:
         """Copy each array into its parameter's own; checks every one first."""
+        for name, (param, k) in self._check_state(arrays).items():
+            np.copyto(param.value[k], arrays[name])
+
+    def _check_state(self, arrays: dict) -> dict:
+        """Name -> (parameter, branch index) of each array, once every name
+        and shape of ``arrays`` is checked against the model's."""
         own = {name: (p, k) for p in self.params() for k, name in enumerate(p.part_names())}
         if set(own) != set(arrays):
             missing = sorted(set(own) - set(arrays))
@@ -119,8 +128,7 @@ class CralModel:
             if shape != param.value[k].shape:
                 raise ContractError(
                     f"shape mismatch for {name}: {shape} vs {param.value[k].shape}")
-        for name, (param, k) in own.items():
-            np.copyto(param.value[k], arrays[name])
+        return own
 
     def save(self, path) -> None:
         save_checkpoint(path, self.state_dict(), asdict(self.config))
@@ -144,11 +152,21 @@ class CralModel:
             if not typed:
                 raise ContractError(f"{path}: checkpoint metadata {key} = {value!r} "
                                     "has the wrong type")
-        # Nothing is drawn: the checkpoint fills every array.
-        stack = (len(BRANCHES),)
-        model = _build(ModelConfig(**meta), lambda spec, name: mlp_params(
-            spec, name, lambda fan_out, fan_in: np.empty(stack + (fan_out, fan_in)),
-            lambda fan_out: np.empty(stack + (fan_out,)), stacked=True))
+
+        def build(array):  # the model, array(shape) making each stacked parameter
+            made = lambda *shape: array((len(BRANCHES), *shape))
+            return _build(config, lambda spec, name: mlp_params(spec, name, made, made,
+                                                                stacked=True))
+
+        # The header's widths meet the records' shapes before anything is
+        # allocated: zero-stride arrays hold no memory. Nothing is drawn:
+        # the checkpoint fills every array.
+        try:
+            config = ModelConfig(**meta)
+            build(lambda shape: np.broadcast_to(0.0, shape))._check_state(arrays)
+        except ValueError as exc:  # a SpecError, a ContractError, or widths past numpy's limit
+            raise ContractError(f"{path}: {exc}") from None
+        model = build(np.empty)
         model.load_state_dict(arrays)
         return model
 

@@ -21,7 +21,6 @@ generator, is the caller's decision (`losses.ForwardPass.dropout`).
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import os
@@ -65,11 +64,6 @@ class Parameter:
             return [self.name]
         return [f"branch{b}/{self.name}" for b in range(1, len(self.value) + 1)]
 
-    def name_at(self, i: int) -> str:
-        """The name of the array holding flat element i."""
-        names = self.part_names()
-        return names[i * len(names) // self.value.size]
-
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
@@ -87,7 +81,7 @@ class MlpSpec:
             if int(d) <= 0:
                 raise SpecError(f"mlp dims must be positive, got {dims}")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise SpecError(f"dropout rate must lie in [0, 1), got {self.dropout_rate}")
+            raise SpecError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
 
 
 class LinearLayer:
@@ -208,22 +202,12 @@ def mlp_forward(tape: Tape, mlp: Mlp, x: Tensor, masks: Optional[list] = None) -
     return mlp.layers[-1].apply(tape, h)
 
 
-# Elements per block of Adam's update. A block of each array it touches (g,
-# m, v, parameter, one scratch block) is 5 x 128 KB, inside a 2 MB L2.
-# One step of paper_train's 33 M-element main group on a 2-core Xeon, median,
-# for the longhand form m_hat = m/(1-b1^t), v_hat = v/(1-b2^t):
-# whole arrays 689 ms; blocks of 4 k 612, 8 k 513, 16 k 436, 32 k 431, 64 k 438.
-# The efficient form below drops two of those passes per block.
+# Elements per block of Adam's update: a block of each array it touches
+# stays in a 2 MB L2 for the whole update (timings in README's Optimizer).
 ADAM_CHUNK = 16384
 
-# Elements per panel: a parameter above ADAM_CHUNK has its gradient formed
-# one band of whole rows at a time, ``G[:, rows]^T X`` plus the band of its
-# dense part, at least one row. The band's blocks are updated while it is
-# still in cache, and no layer-sized gradient is held. One (1000, 5000)
-# half from 64 rows, formed and updated,
-# median of 9 on a 2-core Xeon with 2 BLAS threads: whole 45 ms; panels of
-# 25-200 rows (1-8 MB) 43-47; of 3-4 rows (ADAM_CHUNK-sized) 66-84, too
-# small a product.
+# Elements per gradient panel of a parameter above ADAM_CHUNK: large enough
+# for an efficient product, small enough to stay in cache (README's Optimizer).
 ADAM_PANEL = 1 << 18
 
 # Kingma & Ba's defaults; no caller uses others.
@@ -252,19 +236,22 @@ class Adam:
     parameter's own array, so ``p.value`` stays the same object. A reader
     that keeps a parameter array across a step must copy it.
 
-    Parameters of at most ``ADAM_CHUNK`` elements are packed: construction
-    copies them, in order, into one contiguous array and re-points each
-    ``p.value`` at its view of it, once. Their moments are flat in the same
-    layout, so a step updates all of them with one blocked sequence
-    instead of one per parameter. Each larger parameter keeps its own
-    array and its own moments, and its gradient is formed one panel of
-    ``ADAM_PANEL`` elements' worth of whole rows at a time, a stacked one's
-    one branch at a time, from the rows of the pieces ``Gradients.parts``
-    hands out (see ``tensor.form_gradient``). One buffer takes each step's
-    gradients: first every packed parameter's, at its offset, then each
-    panel in turn. So beside its moments the optimizer holds the packed
-    array and one buffer as large as it or as the largest panel, never a
-    whole larger parameter's gradient.
+    Construction builds one plan, a list of runs. A run is a flat view of
+    parameter values, its offset in the flat moments ``_m`` and ``_v``,
+    and the gradients to form into the buffer ``_grad`` before its
+    update, which runs ``ADAM_CHUNK`` elements at a time, each block in
+    cache for the whole sequence of float operations. Parameters of at
+    most ``ADAM_CHUNK`` elements are packed: construction copies them, in
+    order, into one contiguous array and re-points each ``p.value`` at
+    its view of it, once, and one run updates them all. Each larger
+    parameter keeps its own array and has one run per band of
+    ``ADAM_PANEL`` elements' worth of whole rows, a stacked one's one
+    branch at a time, whose gradient is formed from those rows of the
+    pieces ``Gradients.parts`` hands out (see ``tensor.form_gradient``).
+    The moments hold the parameters in the same order, the packed ones
+    first. So beside its moments the optimizer holds the packed array and
+    one buffer as large as it or as the largest panel, never a whole
+    larger parameter's gradient.
     """
 
     def __init__(self, params: Sequence[Parameter], lr: float = 1e-4):
@@ -272,115 +259,92 @@ class Adam:
         self.lr = float(lr)
         self.t = 0
         small = [p for p in self.params if p.value.size <= ADAM_CHUNK]
-        self._large = [p for p in self.params if p.value.size > ADAM_CHUNK]
-        self._starts, size = [], 0
-        for p in small:
-            self._starts.append(size)
-            size += p.value.size
-        self._packed = np.empty(size)
-        self._packed_m = np.zeros(size)
-        self._packed_v = np.zeros(size)
+        large = [p for p in self.params if p.value.size > ADAM_CHUNK]
+        self._packed = np.empty(sum(p.value.size for p in small))
         # np.empty maps no page; the first gradient formed into it does.
-        self._grad = np.empty(max([size] + [_panel(p.value.shape[int(p.stacked):])[1]
-                                            for p in self._large]))
+        self._grad = np.empty(max([self._packed.size] + [
+            _panel(p.value.shape[int(p.stacked):])[1] for p in large]))
         self._scratch = np.empty(ADAM_CHUNK)
-        # C order, so that np.ravel is a view the update writes through.
-        self._m = [np.zeros(p.value.shape) for p in self._large]
-        self._v = [np.zeros(p.value.shape) for p in self._large]
-        # (parameter, its packed view, its gradient's view of the buffer)
-        self._slots = []
-        for p, lo in zip(small, self._starts):
-            view, grad = (a[lo:lo + p.value.size].reshape(p.value.shape)
-                          for a in (self._packed, self._grad))
-            np.copyto(view, p.value)
-            p.value = view
-            self._slots.append((p, view, grad))
+        # Each parameter's offset in the moments and the array the plan
+        # updates; (offset, name) of each array a parameter holds, in order.
+        self._where, self._names, size, fills = {}, [], 0, []
+        for p in small + large:
+            if p.value.size <= ADAM_CHUNK:
+                view, grad = (a[size:size + p.value.size].reshape(p.value.shape)
+                              for a in (self._packed, self._grad))
+                np.copyto(view, p.value)
+                p.value = view
+                fills.append((p, None, ..., grad))
+            self._where[p] = (size, p.value)
+            names = p.part_names()
+            self._names += [(size + k * p.value.size // len(names), name)
+                            for k, name in enumerate(names)]
+            size += p.value.size
+        self._m, self._v = np.zeros(size), np.zeros(size)
+        # Runs: (flat values, offset in the moments, fills); a fill is
+        # (parameter, branch or None, rows, its gradient's view of _grad).
+        self._plan = [(self._packed, 0, fills)]
+        for p in large:
+            lo, value = self._where[p]
+            for branch in range(len(value)) if p.stacked else [None]:
+                part = value if branch is None else value[branch]
+                height = _panel(part.shape)[0]
+                for top in range(0, len(part), height):
+                    band = part[top:top + height]
+                    self._plan.append((band.reshape(-1), lo, [
+                        (p, branch, slice(top, top + height),
+                         self._grad[:band.size].reshape(band.shape))]))
+                    lo += band.size
 
     def moments(self, p: Parameter) -> tuple:
         """(m, v) of one parameter of the group, as views of the live state."""
-        for (q, view, _), lo in zip(self._slots, self._starts):
-            if q is p:
-                return tuple(a[lo:lo + view.size].reshape(view.shape)
-                             for a in (self._packed_m, self._packed_v))
-        for q, m, v in zip(self._large, self._m, self._v):
-            if q is p:
-                return m, v
-        raise ContractError(f"parameter {p.name} is not in this optimizer's group")
+        if p not in self._where:
+            raise ContractError(f"parameter {p.name} is not in this optimizer's group")
+        lo, value = self._where[p]
+        return tuple(a[lo:lo + value.size].reshape(value.shape) for a in (self._m, self._v))
 
     def step(self, grads) -> None:
         """Apply one update from a Gradients object keyed by Parameter identity.
 
-        The moments and the parameters are updated in place, in the float
-        operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-        p - lr_t*m / (sqrt(v) + eps_t).
-
-        The operations are elementwise, so they run block by block over
-        flat arrays, ``ADAM_CHUNK`` elements at a time: first over the
-        packed parameters, then over each panel of each larger parameter
-        (a stacked one's one branch at a time), formed just before, while
-        it is in cache. Each block stays in cache for the whole sequence,
-        and the result is bit-identical to running each operation over each
-        parameter on its own. Nothing parameter-sized is allocated here.
-        ``grads.parts`` is read once per parameter.
-
-        Before anything moves, a packed parameter whose ``p.value`` is no
-        longer its view (say, a second optimizer packed it) raises, since
-        this optimizer's updates would no longer reach the model; so does a
-        larger parameter whose array is not a C-contiguous, writeable
-        ndarray, since ``np.ravel`` would copy it. A non-finite gradient
-        block raises, naming the parameter (a stacked one's branch array)
+        Raises ContractError before anything moves if a parameter's
+        ``p.value`` is not the array this optimizer updates (say, it was
+        replaced, or a second optimizer packed it) or is not a
+        C-contiguous, writeable array. A non-finite gradient block raises
+        TrainingError, naming the parameter (a stacked one's branch array)
         of its first bad element, before that block is written; the
         earlier blocks have moved by then, and the error ends the run.
         """
-        for p, view, _ in self._slots:
-            if p.value is not view:
-                raise ContractError(f"parameter {p.name} no longer holds the array "
-                                    "this optimizer packed it into")
-        for p in self._large:
-            value = p.value
-            if not (isinstance(value, np.ndarray) and value.flags.c_contiguous
-                    and value.flags.writeable):
-                raise ContractError(f"parameter {p.name} is not a C-contiguous, "
-                                    "writeable array; Adam updates it in place")
+        for p, (_, value) in self._where.items():
+            if not (p.value is value and value.flags.c_contiguous and value.flags.writeable):
+                raise ContractError(f"parameter {p.name} is not the C-contiguous, writeable "
+                                    "array this optimizer updates in place")
         self.t += 1
         root_b2t = math.sqrt(1.0 - BETA2 ** self.t)
         lr_t = self.lr * root_b2t / (1.0 - BETA1 ** self.t)
         eps_t = EPS * root_b2t
-        for p, view, grad in self._slots:
-            form_gradient(*grads.parts(p), out=grad)
-        size = self._packed.size
-        self._blocks(self._grad[:size], self._packed_m, self._packed_v, self._packed,
-                     self._packed_name, lr_t, eps_t)
-        for p, m, v in zip(self._large, self._m, self._v):
-            pieces = grads.parts(p)
-            for part, name in zip(range(len(m)) if p.stacked else [None], p.part_names()):
-                value, pm, pv, dense, g, x = (a if part is None or a is None else a[part]
-                                              for a in (p.value, m, v, *pieces))
-                height = _panel(value.shape)[0]
-                for lo in range(0, len(value), height):
-                    rows = slice(lo, lo + height)
-                    panel = value[rows]
-                    grad = self._grad[:panel.size]
-                    form_gradient(None if dense is None else dense[rows],
-                                  None if g is None else g[:, rows], x,
-                                  out=grad.reshape(panel.shape))
-                    self._blocks(grad, np.ravel(pm[rows]), np.ravel(pv[rows]),
-                                 np.ravel(panel), lambda i: name, lr_t, eps_t)
+        read = None
+        for value, lo, fills in self._plan:
+            for p, branch, rows, grad in fills:
+                if p is not read:  # a parameter's runs are consecutive
+                    read, pieces = p, grads.parts(p)
+                dense, g, x = (a if branch is None or a is None else a[branch]
+                               for a in pieces)
+                form_gradient(None if dense is None else dense[rows],
+                              None if g is None else g[:, rows], x, out=grad)
+            self._blocks(value, lo, lr_t, eps_t)
 
-    def _packed_name(self, i: int) -> str:
-        k = bisect.bisect(self._starts, i) - 1
-        return self._slots[k][0].name_at(i - self._starts[k])
-
-    def _blocks(self, g, m, v, value, name_of, lr_t, eps_t) -> None:
-        """The update over flat arrays, block by block; ``name_of(i)`` names
-        the parameter holding flat element i."""
-        for lo in range(0, g.size, ADAM_CHUNK):
-            block = g[lo:lo + ADAM_CHUNK]
+    def _blocks(self, value, lo, lr_t, eps_t) -> None:
+        """One run's update, block by block: ``value`` against its gradient
+        in ``_grad`` and the moments from offset ``lo``."""
+        g, m, v = self._grad[:value.size], self._m[lo:], self._v[lo:]
+        for i in range(0, value.size, ADAM_CHUNK):
+            block = g[i:i + ADAM_CHUNK]
             # min and max propagate NaN and +-inf, and allocate nothing.
             if not (np.isfinite(block.min()) and np.isfinite(block.max())):
-                bad = lo + int(np.flatnonzero(~np.isfinite(block))[0])
-                raise TrainingError(f"non-finite gradient for parameter {name_of(bad)}")
-            self._update(block, *(a[lo:lo + ADAM_CHUNK] for a in (m, v, value)),
+                bad = lo + i + int(np.flatnonzero(~np.isfinite(block))[0])
+                name = [name for start, name in self._names if start <= bad][-1]
+                raise TrainingError(f"non-finite gradient for parameter {name}")
+            self._update(block, *(a[i:i + block.size] for a in (m, v, value)),
                          self._scratch[:block.size], lr_t, eps_t)
 
     @staticmethod

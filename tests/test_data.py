@@ -1,5 +1,6 @@
 """Synthetic generator, sparse format, and split tests."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -92,6 +93,30 @@ class TestSynthetic:
                                         label_noise=0.3))
         flipped = np.mean(clean[0].labeled_y != noisy[0].labeled_y)
         assert abs(flipped - 0.3) < 0.05
+
+
+def digest(datasets):
+    h = hashlib.sha256()
+    for d in datasets:
+        for a in (d.labeled_x, d.labeled_y, d.unlabeled_x):
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_data_path_output_is_pinned():
+    # sha256 digests of the generated domains and of both split modes,
+    # taken when the generator added each row's class offset in a Python
+    # loop and the splits dealt one index at a time; uneven strata (label
+    # noise) leave the folds and fractions unequal.
+    datasets = generate_synthetic(spec(num_domains=3, feature_dim=6, labeled_per_domain=46,
+                                       unlabeled_per_domain=24, class_separation=2.5,
+                                       domain_shift=1.5, label_noise=0.2, seed=13))
+    assert digest(datasets) == (
+        "497a811115d76121f9fc98e759c2567023b71e4f337b6491070d06bfe5c52503")
+    assert digest(split_labeled(datasets[1], k=5, seed=21)) == (
+        "3d92f135400a0a0346fc1e2458b4561eab35a36d87a440c268d9b5397a94371e")
+    assert digest(split_labeled(datasets[1], fractions=[0.5, 0.3, 0.2], seed=22)) == (
+        "e879dfd03e0c281f156234cadf3b0c63bb3df9209851f609b1e0106359395521")
 
 
 class TestSparseFormat:

@@ -229,6 +229,22 @@ class TestSnapshot:
             CralModel.load(path)
         assert str(info.value).startswith(f"{path}: checkpoint metadata {key} = ")
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("input_dim", 2 ** 40, "shape mismatch for branch1/shared/layer0/weight"),
+        ("extractor_hidden", [2 ** 45], "shape mismatch for branch1/shared/layer0/weight"),
+        ("shared_dim", -1, "shared_dim must be positive"),
+    ], ids=["input_dim", "extractor_hidden", "shared_dim"])
+    def test_load_checks_the_widths_before_allocating(self, tmp_path, key, value, match):
+        # Each width would ask for terabytes, or for a negative size, if the
+        # model were built before the records are compared with it.
+        model = small_model(3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model.state_dict(),
+                        {**dataclasses.asdict(model.config), key: value})
+        with pytest.raises(ContractError, match=match) as info:
+            CralModel.load(path)
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_load_builds_the_model_from_the_checkpoint_without_drawing(
             self, tmp_path, monkeypatch):
         model = small_model(18)

@@ -316,6 +316,46 @@ class TestAdam:
             np.testing.assert_array_equal(got_m, m, err_msg=p.name)
             np.testing.assert_array_equal(got_v, v, err_msg=p.name)
 
+    def plan_group(self, rng):
+        """The MIXED shapes and a stacked weight above ADAM_CHUNK."""
+        return [Parameter(name, rng.standard_normal(shape)) for name, shape, _ in self.MIXED] + [
+            Parameter("shared/layer0/weight", rng.standard_normal((2, 25, 1000)), stacked=True)]
+
+    def test_moments_of_a_mixed_group_tile_one_flat_pair(self):
+        params = self.plan_group(np.random.default_rng(55))
+        opt = Adam(params)
+        for k, flat in enumerate((opt._m, opt._v)):
+            hits = np.zeros(flat.size, dtype=int)
+            for p in params:
+                view = opt.moments(p)[k]
+                assert view.base is flat and view.shape == p.value.shape, p.name
+                assert view.flags.c_contiguous, p.name
+                lo = (view.ctypes.data - flat.ctypes.data) // flat.itemsize
+                hits[lo:lo + view.size] += 1
+            np.testing.assert_array_equal(hits, 1)
+
+    def test_step_makes_one_blocked_update_per_run(self, monkeypatch):
+        # A panel of 10,000 elements: 100 rows of "big", 10,000 of "wide"
+        # and 10 of each branch half of the stacked weight.
+        monkeypatch.setattr("cral.nn.ADAM_PANEL", 10_000)
+        rng = np.random.default_rng(56)
+        params = self.plan_group(rng)
+        opt = Adam(params)
+        sizes, blocks = [], Adam._blocks
+        monkeypatch.setattr(Adam, "_blocks", lambda self, value, *rest: sizes.append(
+            value.size) or blocks(self, value, *rest))
+        opt.step(DenseGradients({p: rng.standard_normal(p.value.shape) for p in params}.get))
+        packed = sum(p.value.size for p in params if p.value.size <= ADAM_CHUNK)
+        panels = 0
+        for p in params:
+            if p.value.size > ADAM_CHUNK:
+                for half in (p.value if p.stacked else [p.value]):
+                    rows = max(1, 10_000 // (half.size // len(half)))
+                    panels += math.ceil(len(half) / rows)
+        assert panels == 4 + 2 + 2 * 3
+        assert len(sizes) == 1 + panels and sizes[0] == packed
+        assert sum(sizes) == sum(p.value.size for p in params)
+
     def test_non_finite_in_a_middle_packed_parameter_names_it_before_writing_its_block(self):
         # Packed: 10,000 + 10,000 + 10,000 elements, two blocks; the NaN
         # sits in the middle parameter's part of the second block.
