@@ -66,6 +66,7 @@ from .trainer import (
     run_sweep,
     run_training,
     train_discriminator_only,
+    train_run,
     train_step,
 )
 

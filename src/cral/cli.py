@@ -17,6 +17,11 @@ Every invocation writes ``config.resolved`` (re-parseable resolved config),
 with a header row) into ``--out``; commands that train a single model add
 ``model.ckpt``, and multi-run commands store per-run streams/checkpoints
 in disjoint subdirectories.  Exit status is 0 iff no error was raised.
+
+Every training command trains through ``trainer.train_run``, which
+writes each run's or sub-run's ``metrics.jsonl`` and ``model.ckpt`` as
+soon as that run finishes, so a crash in a later sub-run keeps them.
+``msuda`` writes its run before it scores the target.
 """
 
 from __future__ import annotations
@@ -40,16 +45,15 @@ from .config import (
 from .data import generate_synthetic, merge_labeled, save_sparse_dataset, split_labeled
 from .errors import CralError
 from .gradcheck import DEFAULT_THRESHOLD, run_suite, suite_passes
-from .model import init_model
 from .nn import replacing
 from .seeding import derive_seed
 from .trainer import (
+    check_eval_sets,
     evaluate_msuda,
     run_ablation,
     run_kfold,
     run_sweep,
-    run_training,
-    write_run,
+    train_run,
 )
 
 def _write_summary(out: Path, header: list, rows: list) -> None:
@@ -90,26 +94,17 @@ def _split_three(datasets: list, config: RunConfig) -> tuple:
             test_sets if test > 0.0 else None)
 
 
-def _accuracy_summary(out: Path, datasets: list, result) -> None:
-    rows = []
+def cmd_train(config: RunConfig, out: Path) -> int:
+    datasets = load_datasets(config)
+    mc = model_config(config, len(datasets), datasets[0].feature_dim)
+    result, _ = train_run(mc, derive_seed(config.train.seed, "cli/train/init"),
+                          config.train, _split_three(datasets, config), out)
+    rows = [["AVG", "n/a (test_fraction = 0)"]]
     if result.test_accuracy is not None:
         rows = [[ds.name, f"{acc:.4f}"]
                 for ds, acc in zip(datasets, result.test_accuracy)]
         rows.append(["AVG", f"{result.test_average:.4f}"])
-    else:
-        rows.append(["AVG", "n/a (test_fraction = 0)"])
     _write_summary(out, ["domain", "test_accuracy"], rows)
-
-
-def cmd_train(config: RunConfig, out: Path) -> int:
-    datasets = load_datasets(config)
-    mc = model_config(config, len(datasets), datasets[0].feature_dim)
-    train_sets, dev_sets, test_sets = _split_three(datasets, config)
-    model = init_model(mc, derive_seed(config.train.seed, "cli/train/init"))
-    result = run_training(model, train_sets, config.train,
-                          dev_sets=dev_sets, test_sets=test_sets)
-    write_run(out, result, model)
-    _accuracy_summary(out, datasets, result)
     return 0
 
 
@@ -131,15 +126,14 @@ def cmd_msuda(config: RunConfig, out: Path) -> int:
     target = datasets[config.target_domain]
     sources = [ds for i, ds in enumerate(datasets) if i != config.target_domain]
     mc = model_config(config, len(sources), datasets[0].feature_dim)
+    check_eval_sets([target], 1, mc.input_dim, "target")
     # dev split guides snapshot selection; sources keep their test share out
     train_sets, dev_sets, _ = _split_three(sources, config)
-    model = init_model(mc, derive_seed(config.train.seed, "cli/msuda/init"))
-    result = run_training(model, train_sets, config.train,
-                          dev_sets=dev_sets)
+    _, model = train_run(mc, derive_seed(config.train.seed, "cli/msuda/init"),
+                         config.train, (train_sets, dev_sets, None), out)
     accuracy = evaluate_msuda(model, target)
     counts = np.bincount(target.labeled_y, minlength=2)
     baseline = float(counts.max() / counts.sum())
-    write_run(out, result, model)
     _write_summary(
         out,
         ["target", "accuracy", "majority_baseline", "margin"],

@@ -13,10 +13,28 @@ The trainer's, the objective's and the model's keys are the fields of
 declared there only, and each key's caster follows the type of its
 default.
 
+Seed labels
+-----------
 Every random choice in a run derives from the single ``seed`` key: each
-consumer fans out with its own label (``train/sampler``, ``train/dropout``,
-``kfold/rot{r}``, ``ablation/init``, ``sweep/init``, ``data/domain{i}``,
-``cli/{command}/init``), so sub-runs are reproducible independently.
+consumer fans out through ``derive_rng`` or ``derive_seed`` with its own
+label, so sub-runs are reproducible independently. A resume has to
+restore each of these generators. The labels, ``{}`` fields filled in at
+run time (``tests/test_seed_labels.py`` checks the list against the code)::
+
+    cli/train/init            the model of ``cral train``
+    cli/msuda/init            the model of ``cral msuda``
+    kfold/rot{r}              the model of kfold rotation r
+    kfold/run{r}              the seed of kfold rotation r's training run
+    ablation/init             the model of every ablation variant
+    sweep/init                the model of every sweep value
+    train/sampler             a training run's batch sampler
+    train/dropout             a training run's dropout masks and VAT probes
+    model/branch{b}/{name}    branch b's initial weights of network name
+    split/{name}              the stratified split or folds of domain name
+    data/class-axis           the synthetic class direction
+    data/domain{i}            synthetic domain i
+    gradcheck/batch           the grad-check batch
+    gradcheck/vat/{labeled}   the grad-check VAT probes of one labeled flag
 
 Data comes either from ``data_paths`` (comma-separated sparse files, one
 domain each, requiring ``feature_dim``) or, when ``data_paths`` is empty,
@@ -34,7 +52,7 @@ from .data import SyntheticSpec, generate_synthetic, load_sparse_dataset, non_ut
 from .errors import ConfigError
 from .losses import LossWeights
 from .model import ModelConfig
-from .trainer import MIN_FOLDS, SWEEPABLE, TrainConfig
+from .trainer import MIN_FOLDS, TrainConfig, sweep_values
 
 
 def _model_keys() -> dict:
@@ -104,16 +122,6 @@ def _float(key: str, raw: str) -> float:
         raise ConfigError(f"config key '{key}': expected a number, got {raw!r}")
 
 
-def _choice(options: tuple):
-    def cast(key: str, raw: str) -> str:
-        if raw not in options:
-            raise ConfigError(
-                f"config key '{key}': expected one of {', '.join(options)}, "
-                f"got {raw!r}")
-        return raw
-    return cast
-
-
 def _split(raw: str) -> list:
     return [piece.strip() for piece in raw.split(",") if piece.strip()]
 
@@ -122,15 +130,12 @@ def _str_list(key: str, raw: str) -> tuple:
     return tuple(_split(raw))
 
 
-_SCALARS = {int: _int, float: _float}
-_EXPLICIT = {
-    "data_paths": _str_list,
-    "sweep_parameter": _choice(SWEEPABLE),
-}
+_SCALARS = {int: _int, float: _float, str: lambda key, raw: raw}
+_EXPLICIT = {"data_paths": _str_list}
 
 
 def _inferred(default):
-    """An int or float caster, or a comma-list caster for a tuple default."""
+    """An int, float or str caster, or a comma-list caster for a tuple default."""
     if isinstance(default, tuple):
         item = _SCALARS[type(default[0])]
         return lambda key, raw: tuple(item(key, piece) for piece in _split(raw))
@@ -193,6 +198,7 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"config key 'test_fraction': {config.command} needs it > 0")
     if not config.sweep_grid:
         raise ConfigError("config key 'sweep_grid': needs at least one value")
+    sweep_values(config.sweep_parameter, config.sweep_grid)
     for value in config.sweep_grid:  # fail here, not after the first sweep runs
         replace(config.train.weights, **{config.sweep_parameter: value})
     # Any valid (num_domains, input_dim) checks the model keys before data loads.

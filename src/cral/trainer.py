@@ -189,15 +189,24 @@ def train_step(model: CralModel, batch: MultiDomainBatch, config: TrainConfig,
     return terms
 
 
+def check_eval_sets(sets: list, count: int, input_dim: int, split: str) -> None:
+    """Evaluation sets are count in number, none empty, each input_dim wide;
+    split ("dev", "test" or "target") names them in the DataError."""
+    if len(sets) != count:
+        raise DataError(f"expected {count} {split} sets, got {len(sets)}")
+    for ds in sets:
+        if ds.num_labeled == 0:
+            raise DataError(f"{ds.name}: empty {split} set")
+        if ds.feature_dim != input_dim:
+            raise DataError(f"{ds.name}: {split} set has {ds.feature_dim} features, "
+                            f"the model takes {input_dim}")
+
+
 def evaluate_mdtc(model: CralModel, test_sets: list) -> tuple:
     """Per-domain ensemble accuracy and its unweighted mean."""
-    if len(test_sets) != model.config.num_domains:
-        raise DataError(
-            f"expected {model.config.num_domains} test sets, got {len(test_sets)}")
+    check_eval_sets(test_sets, model.config.num_domains, model.config.input_dim, "test")
     accuracies = []
     for i, ds in enumerate(test_sets):
-        if ds.num_labeled == 0:
-            raise DataError(f"{ds.name}: empty test set")
         probs = predict_ensemble(model, ds.labeled_x, i=i)
         accuracies.append(float(np.mean(predicted_labels(probs) == ds.labeled_y)))
     return accuracies, float(np.mean(accuracies))
@@ -205,8 +214,7 @@ def evaluate_mdtc(model: CralModel, test_sets: list) -> tuple:
 
 def evaluate_msuda(model: CralModel, target: DomainDataset) -> float:
     """Accuracy on an unseen domain with the private pathway zeroed."""
-    if target.num_labeled == 0:
-        raise DataError(f"{target.name}: empty target set")
+    check_eval_sets([target], 1, model.config.input_dim, "target")
     probs = predict_ensemble(model, target.labeled_x, msuda=True)
     return float(np.mean(predicted_labels(probs) == target.labeled_y))
 
@@ -246,7 +254,11 @@ class TrainingResult:
 def run_training(model: CralModel, train_sets: list, config: TrainConfig,
                  dev_sets: Optional[list] = None,
                  test_sets: Optional[list] = None) -> TrainingResult:
-    """Alternating training with optional dev-based snapshot selection."""
+    """Alternating training with optional dev-based snapshot selection.
+    The evaluation sets are checked before the first step."""
+    for split, sets in (("dev", dev_sets), ("test", test_sets)):
+        if sets is not None:
+            check_eval_sets(sets, model.config.num_domains, model.config.input_dim, split)
     sampler, loss_rng, opt_disc = _setup(model, train_sets, config)
     opt_main = Adam(model.main_params(), lr=config.learning_rate)
 
@@ -302,49 +314,58 @@ def train_discriminator_only(model: CralModel, train_sets: list,
     return records
 
 
-def write_run(directory, result: TrainingResult, model: CralModel) -> None:
-    """A run's artifacts in directory (made if missing): its metrics stream,
-    metrics.jsonl, and its checkpoint, model.ckpt."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    with replacing(directory / "metrics.jsonl", "w") as fh:
-        fh.write(result.stream())
-    model.save(directory / "model.ckpt")
+def train_run(model_config: ModelConfig, init_seed: int, config: TrainConfig,
+              sets: tuple, out_dir: Optional[Path] = None) -> tuple:
+    """Initialise a model, train it on sets = (train, dev, test) and, given
+    a directory (made if missing), write its metrics stream, metrics.jsonl,
+    and its checkpoint, model.ckpt, there. Returns (result, model)."""
+    model = init_model(model_config, init_seed)
+    train_sets, dev_sets, test_sets = sets
+    result = run_training(model, train_sets, config,
+                          dev_sets=dev_sets, test_sets=test_sets)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with replacing(out_dir / "metrics.jsonl", "w") as fh:
+            fh.write(result.stream())
+        model.save(out_dir / "model.ckpt")
+    return result, model
+
+
+def _train_runs(model_config: ModelConfig, runs, out_dir) -> list:
+    """train_run per (name, init seed, config, sets), each written under
+    out_dir/name when it finishes; their results, in order."""
+    return [train_run(model_config, init_seed, config, sets,
+                      None if out_dir is None else Path(out_dir) / name)[0]
+            for name, init_seed, config, sets in runs]
 
 
 def run_kfold(datasets: list, model_config: ModelConfig, config: TrainConfig,
-              k: int = 5, out_dir=None) -> dict:
+              k: int, out_dir=None) -> dict:
     """k rotations of train/validation/test over stratified labeled folds.
 
     Rotation r tests on fold r, validates on fold (r+1) mod k, and trains
-    on the remaining folds plus each domain's full unlabeled pool.
+    on the remaining folds plus each domain's full unlabeled pool; its
+    merged training sets are built when its run starts.
     """
     if k < MIN_FOLDS:
         raise DataError(f"k={k} folds leave no training fold; run_kfold needs k >= {MIN_FOLDS}")
     folds_per_domain = [split_labeled(ds, k=k, seed=config.seed)
                         for ds in datasets]
-    rotations = []
-    for r in range(k):
-        val_index = (r + 1) % k
-        train_sets, dev_sets, test_sets = [], [], []
-        for ds, folds in zip(datasets, folds_per_domain):
-            train_parts = [folds[j] for j in range(k) if j not in (r, val_index)]
-            train_sets.append(merge_labeled(train_parts, ds.name, ds.unlabeled_x))
-            test_sets.append(folds[r])
-            dev_sets.append(folds[val_index])
-        model = init_model(model_config, derive_seed(config.seed, f"kfold/rot{r}"))
-        rotation_config = dataclasses.replace(
-            config, seed=derive_seed(config.seed, f"kfold/run{r}"))
-        result = run_training(model, train_sets, rotation_config,
-                              dev_sets=dev_sets, test_sets=test_sets)
-        if out_dir is not None:
-            write_run(Path(out_dir) / f"rot{r}", result, model)
-        rotations.append({
-            "rotation": r,
-            "test_average": result.test_average,
-            "test_accuracy": result.test_accuracy,
-            "best_epoch": result.best_epoch,
-        })
+
+    def runs():
+        for r in range(k):
+            val_index = (r + 1) % k
+            yield (f"rot{r}", derive_seed(config.seed, f"kfold/rot{r}"),
+                   dataclasses.replace(config, seed=derive_seed(config.seed, f"kfold/run{r}")),
+                   ([merge_labeled([folds[j] for j in range(k) if j not in (r, val_index)],
+                                   ds.name, ds.unlabeled_x)
+                     for ds, folds in zip(datasets, folds_per_domain)],
+                    [folds[val_index] for folds in folds_per_domain],
+                    [folds[r] for folds in folds_per_domain]))
+
+    rotations = [{"rotation": r, "test_average": result.test_average,
+                  "test_accuracy": result.test_accuracy, "best_epoch": result.best_epoch}
+                 for r, result in enumerate(_train_runs(model_config, runs(), out_dir))]
     return {
         "rotations": rotations,
         "mean_test_average": float(np.mean([r["test_average"]
@@ -352,19 +373,14 @@ def run_kfold(datasets: list, model_config: ModelConfig, config: TrainConfig,
     }
 
 
-def _run_variants(variants: list, init_label: str, train_sets: list, test_sets: list,
-                  model_config: ModelConfig, config: TrainConfig, dev_sets, out_dir) -> list:
+def _run_variants(variants: list, init_seed: int, sets: tuple, model_config: ModelConfig,
+                  config: TrainConfig, out_dir) -> list:
     """Per (sub-run name, weight overrides, row): one run from one seed; rows gain test_average."""
-    rows = []
-    for name, overrides, row in variants:
-        weights = dataclasses.replace(config.weights, **overrides)
-        model = init_model(model_config, derive_seed(config.seed, init_label))
-        result = run_training(model, train_sets, dataclasses.replace(config, weights=weights),
-                              dev_sets=dev_sets, test_sets=test_sets)
-        if out_dir is not None:
-            write_run(Path(out_dir) / name, result, model)
-        rows.append({**row, "test_average": result.test_average})
-    return rows
+    runs = [(name, init_seed,
+             dataclasses.replace(config, weights=dataclasses.replace(config.weights, **overrides)),
+             sets) for name, overrides, _ in variants]
+    return [{**row, "test_average": result.test_average}
+            for (_, _, row), result in zip(variants, _train_runs(model_config, runs, out_dir))]
 
 
 def run_ablation(train_sets: list, test_sets: list, model_config: ModelConfig,
@@ -374,18 +390,27 @@ def run_ablation(train_sets: list, test_sets: list, model_config: ModelConfig,
     turn ("wo_l_d" for lambda_d = 0, ...); same seeds throughout."""
     variants = [("full", {})] + [(w.replace("lambda_", "wo_l_"), {w: 0.0}) for w in SWEEPABLE]
     return _run_variants([(name, zeroed, {"variant": name}) for name, zeroed in variants],
-                         "ablation/init", train_sets, test_sets, model_config, config,
-                         dev_sets, out_dir)
+                         derive_seed(config.seed, "ablation/init"),
+                         (train_sets, dev_sets, test_sets), model_config, config, out_dir)
+
+
+def sweep_values(parameter: str, grid) -> list:
+    """The grid as floats; an unknown parameter or a repeated value, which
+    would train one sub-run twice into one directory, is a ConfigError."""
+    if parameter not in SWEEPABLE:
+        raise ConfigError(f"config key 'sweep_parameter': expected one of "
+                          f"{', '.join(SWEEPABLE)}, got {parameter!r}")
+    values = [float(v) for v in grid]
+    if len(set(values)) < len(values):
+        raise ConfigError(f"config key 'sweep_grid': repeats a value in {list(grid)}")
+    return values
 
 
 def run_sweep(train_sets: list, test_sets: list, model_config: ModelConfig,
               config: TrainConfig, parameter: str, grid: list,
               dev_sets: Optional[list] = None, out_dir=None) -> list:
     """One run per grid value; every other weight stays at its default."""
-    if parameter not in SWEEPABLE:
-        raise ConfigError(
-            f"unknown sweep parameter {parameter!r}; pick one of {SWEEPABLE}")
-    variants = [(f"{parameter}={float(v)!r}", {parameter: float(v)}, {parameter: float(v)})
-                for v in grid]
-    return _run_variants(variants, "sweep/init", train_sets, test_sets,
-                         model_config, config, dev_sets, out_dir)
+    variants = [(f"{parameter}={v!r}", {parameter: v}, {parameter: v})
+                for v in sweep_values(parameter, grid)]
+    return _run_variants(variants, derive_seed(config.seed, "sweep/init"),
+                         (train_sets, dev_sets, test_sets), model_config, config, out_dir)

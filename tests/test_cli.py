@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import cral.trainer
 from cral.cli import main
 from cral.config import REGISTRY, load_datasets, model_config, parse_config, resolved_text
-from cral.data import load_sparse_dataset
+from cral.data import SyntheticSpec, generate_synthetic, load_sparse_dataset, save_sparse_dataset
 from cral.errors import ConfigError, SpecError
 from cral.losses import LossWeights
 from cral.model import CralModel, ModelConfig
@@ -38,6 +39,7 @@ BAD_VALUES = [
     ("sweep", "test_fraction=0", ConfigError, "'test_fraction'"),
     ("sweep", "sweep_grid=", ConfigError, "'sweep_grid'"),
     ("sweep", "sweep_grid=0.1,-1", SpecError, "lambda_d"),
+    ("sweep", "sweep_grid=0.1,0.10", ConfigError, "'sweep_grid'"),
     ("train", "learning_rate=-0.01", ConfigError, "learning_rate"),
     ("train", "lambda_d=nan", SpecError, "lambda_d"),
     ("train", "synthetic_separation=nan", SpecError, "class_separation"),
@@ -271,6 +273,24 @@ class TestCommands:
         assert header.split("\t") == ["target", "accuracy",
                                       "majority_baseline", "margin"]
         assert row.split("\t")[0] == "domain0"
+
+    def test_msuda_empty_target_exits_before_training(self, tmp_path, capsys, monkeypatch):
+        steps = []
+        monkeypatch.setattr(cral.trainer, "train_step", lambda *args: steps.append(args))
+        sources = generate_synthetic(SyntheticSpec(
+            num_domains=2, feature_dim=6, labeled_per_domain=20, unlabeled_per_domain=8,
+            class_separation=4.0, domain_shift=1.0, seed=0))
+        paths = [tmp_path / "target.txt"] + [tmp_path / f"{ds.name}.txt" for ds in sources]
+        paths[0].write_text("? 0:1.0\n? 1:1.0\n")  # unlabeled rows only
+        for path, ds in zip(paths[1:], sources):
+            save_sparse_dataset(path, ds)
+        out = tmp_path / "run"
+        code = main(["msuda", "--set", "data_paths=" + ",".join(map(str, paths)),
+                     "--set", "feature_dim=6", "--set", "epochs=1", "--out", str(out)])
+        assert code == 1
+        assert "target: empty target set" in capsys.readouterr().err
+        assert steps == []
+        assert not (out / "metrics.jsonl").exists()
 
     def test_sweep_row_per_grid_value(self, tmp_path, tiny_cfg):
         code, out = self.run(tmp_path, tiny_cfg, "sweep",

@@ -14,7 +14,7 @@ import cral.trainer as trainer
 from cral.data import DomainDataset, SyntheticSpec, generate_synthetic
 from cral.errors import ConfigError, DataError, TrainingError
 from cral.losses import ForwardPass, LossWeights, discriminator_objective, total_objective
-from cral.model import ModelConfig, init_model
+from cral.model import CralModel, ModelConfig, init_model, predict_ensemble
 from cral.nn import Adam
 from cral.trainer import (
     BatchSampler,
@@ -28,6 +28,7 @@ from cral.trainer import (
     run_sweep,
     run_training,
     train_discriminator_only,
+    train_run,
     train_step,
 )
 
@@ -46,6 +47,17 @@ def toy_data(m=2, labeled=20, unlabeled=20, dim=6, seed=0, separation=4.0):
         num_domains=m, feature_dim=dim, labeled_per_domain=labeled,
         unlabeled_per_domain=unlabeled, class_separation=separation,
         domain_shift=1.0, seed=seed))
+
+
+def record_calls(monkeypatch, names):
+    """Wrap each named cral.trainer function so its calls append its name."""
+    calls = []
+    for name in names:
+        def wrapper(*args, _name=name, _original=getattr(trainer, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(trainer, name, wrapper)
+    return calls
 
 
 def indexed_dataset(name, n_labeled, n_unlabeled, dim=6):
@@ -309,6 +321,27 @@ class TestRunTraining:
             streams.append(result.stream())
         assert streams[0].encode() == streams[1].encode()
 
+    @pytest.mark.parametrize("split, bad, message", [
+        ("dev", "empty", "d1: empty dev set"),
+        ("test", "empty", "d1: empty test set"),
+        ("dev", "count", "expected 2 dev sets, got 1"),
+        ("test", "wide", "d1: test set has 7 features, the model takes 6"),
+    ], ids=["dev-empty", "test-empty", "dev-count", "test-wide"])
+    def test_eval_sets_checked_before_the_first_step(self, monkeypatch, split, bad, message):
+        data = toy_data(seed=3)
+        sets = {
+            "empty": [data[0], DomainDataset("d1", np.zeros((0, 6)), np.zeros(0, dtype=int),
+                                             np.zeros((0, 6)))],
+            "count": data[:1],
+            "wide": [data[0], DomainDataset("d1", np.zeros((2, 7)), np.array([0, 1]),
+                                            np.zeros((0, 7)))],
+        }[bad]
+        steps = record_calls(monkeypatch, ["train_step"])
+        with pytest.raises(DataError, match=message):
+            run_training(init_model(TOY_MODEL, 7), data, TrainConfig(epochs=1, seed=3),
+                         **{f"{split}_sets": sets})
+        assert steps == []
+
     def test_stream_has_no_wall_clock(self):
         record = MetricsRecord(iteration=1, epoch=1, terms={"main": 0.5})
         payload = json.loads(record.stream_json())
@@ -435,6 +468,34 @@ class TestHarnesses:
         with pytest.raises(DataError, match="k=2"):
             run_kfold(data, TOY_MODEL, self.quick_config(), k=2)
 
+    def test_kfold_builds_each_rotation_when_it_starts(self, monkeypatch):
+        calls = record_calls(monkeypatch, ["merge_labeled", "init_model", "run_training"])
+        run_kfold(toy_data(labeled=20, unlabeled=10, seed=7), TOY_MODEL,
+                  self.quick_config(), k=3)
+        assert calls == (["merge_labeled"] * 2 + ["init_model", "run_training"]) * 3
+
+    def test_train_run_without_a_directory_writes_nothing(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("train_run wrote a file")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(trainer, "replacing", forbidden)
+        monkeypatch.setattr(CralModel, "save", forbidden)
+        data = toy_data(labeled=16, unlabeled=8, seed=8)
+        result, _ = train_run(TOY_MODEL, 5, self.quick_config(), (data, None, data))
+        assert result.test_average is not None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_run_writes_its_stream_and_checkpoint(self, tmp_path):
+        data = toy_data(labeled=16, unlabeled=8, seed=8)
+        out = tmp_path / "runs" / "a"  # made with its parent
+        result, model = train_run(TOY_MODEL, 5, self.quick_config(), (data, data, data), out)
+        assert (out / "metrics.jsonl").read_text() == result.stream()
+        loaded = CralModel.load(out / "model.ckpt")
+        for i, ds in enumerate(data):
+            np.testing.assert_array_equal(predict_ensemble(loaded, ds.labeled_x, i=i),
+                                          predict_ensemble(model, ds.labeled_x, i=i))
+
     def test_ablation_emits_five_rows(self):
         data = toy_data(labeled=16, unlabeled=8, seed=8)
         rows = run_ablation(data, data, TOY_MODEL, self.quick_config())
@@ -451,6 +512,13 @@ class TestHarnesses:
                       "lambda_d", grid)
         assert [row["lambda_d"] for row in a] == grid
         assert a == b
+
+    def test_sweep_rejects_a_repeated_value_before_training(self, monkeypatch):
+        data = toy_data(labeled=16, unlabeled=8, seed=9)
+        inits = record_calls(monkeypatch, ["init_model"])
+        with pytest.raises(ConfigError, match="'sweep_grid'"):
+            run_sweep(data, data, TOY_MODEL, self.quick_config(), "lambda_d", [0.1, 0.10])
+        assert inits == []
 
     def test_sweep_unknown_parameter(self):
         with pytest.raises(ConfigError, match="lamda_d"):
